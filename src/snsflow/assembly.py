@@ -10,6 +10,7 @@ assembly call is sequential, distinct calls may run concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Callable
 
 import numpy as np
@@ -34,10 +35,10 @@ class ProblemParams:
     sigma: float = 0.0
 
     def __post_init__(self):
-        if not self.nu > 0:
-            raise ValueError(f"viscosity must be positive, got nu={self.nu}")
-        if self.sigma < 0:
-            raise ValueError(f"noise amplitude must be >= 0, got sigma={self.sigma}")
+        if not (isfinite(self.nu) and self.nu > 0):
+            raise ValueError(f"viscosity must be positive and finite, got nu={self.nu}")
+        if not (isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"noise amplitude must be finite and >= 0, got sigma={self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -183,13 +184,6 @@ def scalar_stiffness(geom: ElementGeometry, dofs: DofMap) -> SparseOperator:
     nn = dofs.n_scalar_nodes
     ke = np.einsum("q,t,tqid,tqjd->tij", geom.wq, geom.area, geom.grad2, geom.grad2)
     return _scatter(ke, tn, tn, (nn, nn))
-
-
-def scalar_mass_p2(geom: ElementGeometry, dofs: DofMap) -> SparseOperator:
-    tn = triangle_nodes(dofs)
-    nn = dofs.n_scalar_nodes
-    me = np.einsum("q,t,qi,qj->tij", geom.wq, geom.area, geom.phi2, geom.phi2)
-    return _scatter(me, tn, tn, (nn, nn))
 
 
 def assemble_viscous(mesh: TriMesh, dofs: DofMap, nu: float,

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from math import isfinite
 
 import numpy as np
 
@@ -116,15 +117,35 @@ def _merge_config(args: argparse.Namespace) -> dict:
                 file_values = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"--config: cannot read {cfg_path}: {exc}")
+        if not isinstance(file_values, dict):
+            raise UsageError(f"--config: {cfg_path} must hold a JSON object")
         unknown = set(file_values) - set(DEFAULTS)
         if unknown:
             raise UsageError(f"--config: unknown keys {sorted(unknown)}")
+        for key, value in file_values.items():
+            if not _config_type_ok(key, value):
+                raise UsageError(f"--config: {key} has the wrong type ({value!r})")
         merged.update(file_values)
     for key in DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
     return merged
+
+
+def _config_type_ok(key: str, value) -> bool:
+    """Config values take the type of their default; lists may be bare numbers."""
+    default = DEFAULTS[key]
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if default is None:
+        return value is None or isinstance(value, int)
+    if isinstance(default, int):
+        return isinstance(value, int)
+    return isinstance(value, str) or (key in ("samples", "sigmas")
+                                      and isinstance(value, (int, float)))
 
 
 class UsageError(Exception):
@@ -141,37 +162,45 @@ def _validate(merged: dict) -> dict:
         raise UsageError("--noise-n must be a positive integer")
     if out["mesh_n"] % out["noise_n"] != 0:
         raise UsageError("--noise-n must divide --mesh-n (nested grids)")
-    if not out["nu"] > 0:
-        raise UsageError("--nu must be positive")
-    if out["sigma"] < 0:
-        raise UsageError("--sigma must be non-negative")
+    if not (isfinite(out["nu"]) and out["nu"] > 0):
+        raise UsageError("--nu must be positive and finite")
+    if not (isfinite(out["sigma"]) and out["sigma"] >= 0):
+        raise UsageError("--sigma must be finite and non-negative")
     if out["jobs"] < 1:
         raise UsageError("--jobs must be >= 1")
-    if out["seed"] < 0:
-        raise UsageError("--seed must be non-negative")
+    for key in ("seed", "sample_index"):
+        if not 0 <= out[key] < 2 ** 64:
+            raise UsageError(f"--{key.replace('_', '-')} must lie in [0, 2**64)")
     try:
         out["samples_list"] = [int(s) for s in str(out["samples"]).split(",") if s]
     except ValueError:
         raise UsageError("--samples must be an integer or comma list of integers")
     if not out["samples_list"] or min(out["samples_list"]) < 1:
         raise UsageError("--samples must contain positive integers")
-    try:
-        out["sigma_list"] = [float(s) for s in str(out["sigmas"]).split(",") if s]
-    except ValueError:
-        raise UsageError("--sigmas must be a comma list of numbers")
+    out["sigma_list"] = _amplitudes(out["sigmas"], "--sigmas")
     methods = tuple(m.strip() for m in str(out["methods"]).split(",") if m.strip())
     bad = set(methods) - set(uq.METHODS)
     if bad or not methods:
         raise UsageError("--methods must be a non-empty comma list from "
                          "monolithic,split,modified")
     out["methods_tuple"] = methods
-    if not (out["newton_tol"] > 0):
-        raise UsageError("--newton-tol must be positive")
+    if not (isfinite(out["newton_tol"]) and out["newton_tol"] > 0):
+        raise UsageError("--newton-tol must be positive and finite")
     if out["newton_max_iter"] < 1:
         raise UsageError("--newton-max-iter must be >= 1")
     if not (0 < out["damping"] <= 1):
         raise UsageError("--damping must lie in (0, 1]")
     return out
+
+
+def _amplitudes(text, flag: str) -> list[float]:
+    try:
+        values = [float(s) for s in str(text).split(",") if s]
+    except ValueError:
+        values = []
+    if not values or not all(isfinite(s) and s >= 0 for s in values):
+        raise UsageError(f"{flag} must be a comma list of finite non-negative numbers")
+    return values
 
 
 def _newton_config(v: dict) -> NewtonConfig:
@@ -274,12 +303,7 @@ def _run_mc_like(v: dict, runs: list[McConfig]) -> int:
 
 def cmd_mc(v: dict) -> int:
     if v.get("sigma_sweep"):
-        try:
-            sweep_sigmas = [float(s) for s in str(v["sigma_sweep"]).split(",") if s]
-        except ValueError:
-            raise UsageError("--sigma-sweep must be a comma list of numbers")
-        if not sweep_sigmas:
-            raise UsageError("--sigma-sweep must be a comma list of numbers")
+        sweep_sigmas = _amplitudes(v["sigma_sweep"], "--sigma-sweep")
         runs = [_mc_config(v, v["samples_list"][0], sigma=s) for s in sweep_sigmas]
     else:
         runs = [_mc_config(v, m) for m in v["samples_list"]]
@@ -323,6 +347,10 @@ def main(argv: list[str] | None = None) -> int:
                           getattr(args, "mutate", None))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except solvers.SingularSystemError as exc:
+        print(f"error: the discrete problem is singular (is --mesh-n too small?): {exc}",
+              file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -129,12 +129,6 @@ def interpolate_velocity(dofs: DofMap, fn) -> np.ndarray:
     return np.concatenate([np.asarray(u1, dtype=float), np.asarray(u2, dtype=float)])
 
 
-def interpolate_pressure(dofs: DofMap, fn) -> np.ndarray:
-    """Vertex P1 interpolant of a scalar callable."""
-    v = dofs.mesh.vertices
-    return np.asarray(fn(v[:, 0], v[:, 1]), dtype=float)
-
-
 def _velocity_values(geom: ElementGeometry, dofs: DofMap, u: np.ndarray):
     vals = geom.velocity_at_quadrature(dofs, u)
     return vals[:, :, 0], vals[:, :, 1]

@@ -74,9 +74,6 @@ class DofMap:
     def n_scalar_nodes(self) -> int:
         return self.n_velocity_dofs // 2
 
-    def velocity_dof(self, node: int, component: int) -> int:
-        return component * self.n_scalar_nodes + node
-
 
 def build_structured_mesh(n: int) -> TriMesh:
     """Build the n x n diagonal-split triangulation of the unit square."""

@@ -47,8 +47,8 @@ class NoiseField:
 
 def substream_key(base_seed: int, sample_index: int) -> int:
     """Disjoint 128-bit Philox key for one Monte Carlo sample."""
-    if base_seed < 0 or sample_index < 0:
-        raise ValueError("seed and sample index must be non-negative")
+    if not (0 <= base_seed < 2 ** 64 and 0 <= sample_index < 2 ** 64):
+        raise ValueError("seed and sample index must lie in [0, 2**64)")
     return (int(base_seed) << 64) | int(sample_index)
 
 

@@ -1,6 +1,6 @@
 """Sparse saddle-point solves and Newton iterations for the steady problems.
 
-Four solution paths share one bordered linear solver:
+Four solution paths share one sparse saddle-point solver:
 
   * deterministic: Newton on a(u,v) + c(u,u,v) + b(v,p) = (F,v), Stokes start
   * stochastic correction: Newton on the correction equation with coupling
@@ -9,9 +9,12 @@ Four solution paths share one bordered linear solver:
     dropped, a single linear solve
   * monolithic: Newton on the full equation per noise sample
 
-The pressure zero-mean gauge is a scalar Lagrange multiplier bordering the
-continuity block, and Dirichlet conditions are imposed by symmetric
-elimination, so the factorized matrix stays symmetric in structure.
+Only the free unknowns are factorized: the Dirichlet velocity dofs are
+dropped, and so is pressure dof 0 together with its continuity row. That row
+is redundant: the pressure basis sums to one, so the continuity rows of B u
+sum to -int div u = 0 for any u vanishing on the boundary. Pinning p_0 = 0
+fixes the constant pressure mode, and the solution is then shifted to zero
+gauge-weighted mean, p -= (g . p) / sum(g).
 """
 
 from __future__ import annotations
@@ -63,8 +66,8 @@ class NewtonConfig:
     damping: float = 1.0
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("Newton tolerances must be positive")
+        if not (0 < self.abs_tol < np.inf and 0 < self.rel_tol < np.inf):
+            raise ValueError("Newton tolerances must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if not (0.0 < self.damping <= 1.0):
@@ -98,7 +101,6 @@ class AssembledOperators:
 
     mesh: TriMesh
     dofs: DofMap
-    params: ProblemParams
     geom: ElementGeometry
     viscous: SparseOperator
     divergence: SparseOperator
@@ -114,7 +116,6 @@ def assemble_operators(mesh: TriMesh, dofs: DofMap, params: ProblemParams) -> As
     return AssembledOperators(
         mesh=mesh,
         dofs=dofs,
-        params=params,
         geom=geom,
         viscous=assembly.assemble_viscous(mesh, dofs, params.nu, geom=geom),
         divergence=assembly.assemble_divergence(mesh, dofs, geom=geom),
@@ -122,29 +123,15 @@ def assemble_operators(mesh: TriMesh, dofs: DofMap, params: ProblemParams) -> As
     )
 
 
-def _bordered_matrix(a_block: SparseOperator, b_block: SparseOperator,
-                     gauge: np.ndarray) -> SparseOperator:
-    gcol = sp.csr_matrix(gauge.reshape(-1, 1))
-    return sp.bmat([[a_block, b_block.T, None],
-                    [b_block, None, gcol],
-                    [None, gcol.T, None]], format="csr")
-
-
-def _apply_dirichlet(matrix: SparseOperator, n_velocity: int,
-                     mask: np.ndarray) -> SparseOperator:
-    free = np.ones(matrix.shape[0])
-    free[:n_velocity][mask] = 0.0
-    proj = sp.diags(free)
-    return (proj @ matrix @ proj + sp.diags(1.0 - free)).tocsc()
-
-
 def linear_saddle_solve(a_block: SparseOperator, b_block: SparseOperator,
                         rhs: np.ndarray, gauge: np.ndarray,
-                        mask: np.ndarray | None = None) -> np.ndarray:
-    """Direct factorization of the gauged saddle system.
+                        mask: np.ndarray) -> np.ndarray:
+    """Direct factorization of the saddle system on the free unknowns.
 
-    The unknown layout is [velocity, pressure, gauge multiplier]; ``rhs`` may
-    cover the velocity block only (padded with zeros) or the full system.
+    The unknown layout is [velocity, pressure]; ``rhs`` may cover the velocity
+    block only (padded with zeros) or the full system. The Dirichlet velocity
+    dofs and pressure dof 0 are dropped before factorization and returned as
+    zero, then the pressure is shifted to zero gauge-weighted mean.
     Dimension mismatches raise ValueError; a singular or unreliable
     factorization raises SingularSystemError.
     """
@@ -157,44 +144,46 @@ def linear_saddle_solve(a_block: SparseOperator, b_block: SparseOperator,
     if gauge.shape != (n_p,):
         raise ValueError(f"gauge vector length {gauge.shape} does not match "
                          f"{n_p} pressure dofs")
-    n_total = n_u + n_p + 1
+    n_total = n_u + n_p
     if len(rhs) == n_u:
-        rhs = np.concatenate([rhs, np.zeros(n_p + 1)])
+        rhs = np.concatenate([rhs, np.zeros(n_p)])
     elif len(rhs) != n_total:
         raise ValueError(f"rhs length {len(rhs)} matches neither the velocity "
                          f"block ({n_u}) nor the full system ({n_total})")
 
-    matrix = _bordered_matrix(a_block, b_block, gauge)
-    rhs = rhs.copy()
-    if mask is not None:
-        matrix = _apply_dirichlet(matrix, n_u, mask)
-        rhs[:n_u][mask] = 0.0
-    else:
-        matrix = matrix.tocsc()
+    free = np.ones(n_total, dtype=bool)
+    free[:n_u][mask] = False
+    free[n_u] = False  # pressure pin
+    matrix = sp.bmat([[a_block, b_block.T], [b_block, None]],
+                     format="csr")[free][:, free].tocsc()
+    rhs = rhs[free]
 
     try:
-        solution = spla.splu(matrix).solve(rhs)
+        solved = spla.splu(matrix).solve(rhs)
     except RuntimeError as exc:  # SuperLU signals exact singularity this way
         raise SingularSystemError(f"sparse factorization failed: {exc}") from exc
-    if not np.all(np.isfinite(solution)):
+    if not np.all(np.isfinite(solved)):
         raise SingularSystemError("factorization produced non-finite values")
-    residual = np.linalg.norm(matrix @ solution - rhs)
+    residual = np.linalg.norm(matrix @ solved - rhs)
     norm_k = spla.norm(matrix)
-    bound = RESIDUAL_CHECK_FACTOR * (norm_k * np.linalg.norm(solution)
+    bound = RESIDUAL_CHECK_FACTOR * (norm_k * np.linalg.norm(solved)
                                      + np.linalg.norm(rhs))
     if residual > bound:
         raise SingularSystemError(
             f"solve residual {residual:.3e} exceeds {bound:.3e}; "
             "system is numerically singular")
+    solution = np.zeros(n_total)
+    solution[free] = solved
+    pressure = solution[n_u:]
+    pressure -= (gauge @ pressure) / gauge.sum()
     return solution
 
 
 def solve_stokes(ops: AssembledOperators, load: np.ndarray) -> FEField:
     """Linear solve without convection; the deterministic initial guess."""
-    x = linear_saddle_solve(ops.viscous, ops.divergence, load, ops.gauge,
-                            mask=ops.mask)
+    x = linear_saddle_solve(ops.viscous, ops.divergence, load, ops.gauge, ops.mask)
     n_u = ops.dofs.n_velocity_dofs
-    return FEField(x[:n_u], x[n_u:n_u + ops.dofs.n_pressure_dofs], ops.dofs)
+    return FEField(x[:n_u], x[n_u:], ops.dofs)
 
 
 def _newton(ops: AssembledOperators, load: np.ndarray,
@@ -208,9 +197,9 @@ def _newton(ops: AssembledOperators, load: np.ndarray,
     the current iterate every step (full Newton).
     """
     mesh, dofs, gauge = ops.mesh, ops.dofs, ops.gauge
-    n_u, n_p = dofs.n_velocity_dofs, dofs.n_pressure_dofs
+    n_u = dofs.n_velocity_dofs
     mask = ops.mask
-    u, p, lam = u0.copy(), p0.copy(), 0.0
+    u, p = u0.copy(), p0.copy()
     u[mask] = 0.0
     history: list[float] = []
     solves = presolves
@@ -220,9 +209,7 @@ def _newton(ops: AssembledOperators, load: np.ndarray,
             else ops.viscous + n1 + frozen_convection
         r_u = linear_part @ u + ops.divergence.T @ p - load
         r_u[mask] = 0.0
-        r_p = ops.divergence @ u + gauge * lam
-        r_g = gauge @ p
-        residual = np.concatenate([r_u, r_p, [r_g]])
+        residual = np.concatenate([r_u, ops.divergence @ u])
         r_norm = float(np.linalg.norm(residual))
         history.append(r_norm)
         if not np.isfinite(r_norm):
@@ -235,14 +222,12 @@ def _newton(ops: AssembledOperators, load: np.ndarray,
             break
         jacobian = (linear_part + n2).tocsr()
         try:
-            x = linear_saddle_solve(jacobian, ops.divergence, -residual, gauge,
-                                    mask=mask)
+            x = linear_saddle_solve(jacobian, ops.divergence, -residual, gauge, mask)
         except SingularSystemError as exc:
             return (FEField(u, p, dofs),
                     SolveReport(False, solves, r_norm, history, failure=str(exc)))
         u = u + cfg.damping * x[:n_u]
-        p = p + cfg.damping * x[n_u:n_u + n_p]
-        lam = lam + cfg.damping * x[-1]
+        p = p + cfg.damping * x[n_u:]
         solves += 1
     return (FEField(u, p, dofs),
             SolveReport(False, solves, history[-1], history,
@@ -281,20 +266,18 @@ def solve_stochastic_modified(ops: AssembledOperators, xi: FEField,
     n1, n2 = assembly.assemble_convection_linearized(ops.mesh, ops.dofs,
                                                      xi.velocity, geom=ops.geom)
     a_eff = (ops.viscous + n1 + n2).tocsr()
-    n_u, n_p = ops.dofs.n_velocity_dofs, ops.dofs.n_pressure_dofs
+    n_u = ops.dofs.n_velocity_dofs
     try:
-        x = linear_saddle_solve(a_eff, ops.divergence, noise_load, ops.gauge,
-                                mask=ops.mask)
+        x = linear_saddle_solve(a_eff, ops.divergence, noise_load, ops.gauge, ops.mask)
     except SingularSystemError as exc:
         report = SolveReport(False, 1, float("inf"), [], method="modified",
                              failure=str(exc))
         return FEField.zeros(ops.dofs), report
-    fld = FEField(x[:n_u], x[n_u:n_u + n_p], ops.dofs)
+    fld = FEField(x[:n_u], x[n_u:], ops.dofs)
     residual = np.concatenate([
         np.where(ops.mask, 0.0, a_eff @ fld.velocity
                  + ops.divergence.T @ fld.pressure - noise_load),
-        ops.divergence @ fld.velocity + ops.gauge * x[-1],
-        [ops.gauge @ fld.pressure],
+        ops.divergence @ fld.velocity,
     ])
     r_norm = float(np.linalg.norm(residual))
     return fld, SolveReport(True, 1, r_norm, [r_norm], method="modified")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from math import exp
+from math import exp, isfinite
 
 import numpy as np
 from scipy.special import gammaln
@@ -57,8 +57,9 @@ class McConfig:
             raise ValueError(
                 f"noise grid must be nested in the FE grid: {self.noise_n} "
                 f"does not divide {self.mesh_n}")
-        if self.sigma < 0 or not self.nu > 0:
-            raise ValueError("need sigma >= 0 and nu > 0")
+        if not (isfinite(self.sigma) and isfinite(self.nu)
+                and self.sigma >= 0 and self.nu > 0):
+            raise ValueError("need finite sigma >= 0 and nu > 0")
         if self.mono_init not in ("deterministic", "zero"):
             raise ValueError(f"unknown monolithic initial guess {self.mono_init!r}")
 

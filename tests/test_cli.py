@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from snsflow.cli import EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, main
 
 
@@ -139,3 +141,34 @@ def test_verify_convergence_prints_observed_orders(capsys):
     out = capsys.readouterr().out
     assert "manufactured_convergence" in out
     assert "velocity_orders" in out and "pressure_orders" in out
+
+
+SOLVE = ["solve", "--method", "split"]
+
+
+@pytest.mark.parametrize("argv, config, named", [
+    ([*SOLVE, "--sigma", "nan"], None, "--sigma"),
+    ([*SOLVE, "--sigma", "inf"], None, "--sigma"),
+    ([*SOLVE, "--nu", "inf"], None, "--nu"),
+    ([*SOLVE, "--newton-tol", "inf"], None, "--newton-tol"),
+    ([*SOLVE, "--seed", "99999999999999999999999"], None, "--seed"),
+    ([*SOLVE, "--seed", str(2 ** 64)], None, "--seed"),
+    ([*SOLVE, "--sample-index", "-1"], None, "--sample-index"),
+    ([*SOLVE, "--sample-index", str(2 ** 64)], None, "--sample-index"),
+    ([*SOLVE, "--mesh-n", "1"], None, "--mesh-n"),
+    (["sweep", "--sigmas", "0.5,nan"], None, "--sigmas"),
+    (["mc", "--sigma-sweep=-1"], None, "--sigma-sweep"),
+    (SOLVE, {"mesh_n": "4"}, "--config"),
+    (SOLVE, {"nu": None}, "--config"),
+    (SOLVE, 5, "--config"),
+])
+def test_hostile_input_is_one_line_usage_error(tmp_path, capsys, argv, config, named):
+    argv = [argv[0], "--mesh-n", "2", *argv[1:], "--out-dir", str(tmp_path)]
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        argv += ["--config", str(cfg_path)]
+    assert run_cli(*argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert named in err

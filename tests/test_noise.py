@@ -74,6 +74,23 @@ def test_substream_key_packing():
         substream_key(-1, 0)
 
 
+KEY_RANGE = st.integers(min_value=0, max_value=2 ** 64 - 1)
+
+
+@given(a=st.tuples(KEY_RANGE, KEY_RANGE), b=st.tuples(KEY_RANGE, KEY_RANGE),
+       bad=st.one_of(st.integers(max_value=-1), st.integers(min_value=2 ** 64)),
+       slot=st.integers(min_value=0, max_value=1))
+@settings(max_examples=200, deadline=None)
+def test_substream_keys_are_injective_and_range_checked(a, b, bad, slot):
+    if a != b:
+        assert substream_key(*a) != substream_key(*b)
+    assert 0 <= substream_key(*a) < 2 ** 128
+    args = list(a)
+    args[slot] = bad
+    with pytest.raises(ValueError):
+        substream_key(*args)
+
+
 def test_evaluate_single_cell_everywhere():
     from snsflow.noise import NoiseField
     field = NoiseField(NoiseGrid(1), 2.0, np.array([[1.0, 1.0]]), seed=0)

@@ -74,20 +74,22 @@ def test_matches_dense_factorization_oracle():
     dense = proj @ dense @ proj + np.diag(~free)
     full_rhs = np.concatenate([np.where(ops.mask, 0.0, rhs), np.zeros(n_p + 1)])
     expected = np.linalg.solve(dense, full_rhs)
-    assert np.abs(x - expected).max() <= 1e-10 * max(1.0, np.abs(expected).max())
+    scale = max(1.0, np.abs(expected).max())
+    assert np.abs(x - expected[:-1]).max() <= 1e-10 * scale
+    assert abs(expected[-1]) <= 1e-10 * scale  # the gauge multiplier vanishes
 
 
 def test_dimension_mismatch_is_a_value_error():
     mesh, dofs, ops = _setup(2)
     with pytest.raises(ValueError):
         linear_saddle_solve(ops.viscous, ops.divergence,
-                            np.zeros(dofs.n_velocity_dofs - 1), ops.gauge)
+                            np.zeros(dofs.n_velocity_dofs - 1), ops.gauge, ops.mask)
     with pytest.raises(ValueError):
         linear_saddle_solve(ops.viscous, ops.divergence[:, :-2],
-                            np.zeros(dofs.n_velocity_dofs), ops.gauge)
+                            np.zeros(dofs.n_velocity_dofs), ops.gauge, ops.mask)
     with pytest.raises(ValueError):
         linear_saddle_solve(ops.viscous, ops.divergence,
-                            np.zeros(dofs.n_velocity_dofs), ops.gauge[:-1])
+                            np.zeros(dofs.n_velocity_dofs), ops.gauge[:-1], ops.mask)
 
 
 def test_singular_system_is_distinguished():

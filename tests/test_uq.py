@@ -20,6 +20,23 @@ def small_config(**kw):
     return McConfig(**base)
 
 
+@pytest.mark.parametrize("nu, sigma", [(float("inf"), 1.0), (0.02, float("inf")),
+                                       (0.02, float("nan"))])
+def test_non_finite_physics_rejected(nu, sigma):
+    from snsflow.assembly import ProblemParams
+    with pytest.raises(ValueError):
+        ProblemParams(nu=nu, sigma=sigma)
+    with pytest.raises(ValueError):
+        small_config(nu=nu, sigma=sigma)
+
+
+def test_infinite_newton_tolerance_rejected():
+    with pytest.raises(ValueError):
+        NewtonConfig(abs_tol=float("inf"))
+    with pytest.raises(ValueError):
+        NewtonConfig(rel_tol=float("inf"))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         small_config(M=0)
