@@ -20,28 +20,29 @@ import numpy as np
 
 from . import assembly, checks, manufactured, noise as noise_mod, solvers, uq
 from .mesh import build_dof_map, build_structured_mesh
-from .solvers import FEField, NewtonConfig
+from .solvers import NewtonConfig
 from .uq import McConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_CONVERGED = 2
 
+_MC = McConfig()
 DEFAULTS = {
-    "nu": 0.02,
-    "sigma": 1.5,
-    "samples": "100",
-    "mesh_n": 12,
+    "nu": _MC.nu,
+    "sigma": _MC.sigma,
+    "samples": str(_MC.M),
+    "mesh_n": _MC.mesh_n,
     "noise_n": None,   # resolved to --mesh-n when not given
 
-    "seed": 20240901,
+    "seed": _MC.base_seed,
     "jobs": 1,
-    "methods": "monolithic,split,modified",
-    "newton_tol": 1e-12,
-    "newton_max_iter": 25,
-    "damping": 1.0,
+    "methods": ",".join(_MC.methods),
+    "newton_tol": _MC.newton.abs_tol,   # --newton-tol sets both tolerances
+    "newton_max_iter": _MC.newton.max_iter,
+    "damping": _MC.newton.damping,
     "out_dir": ".",
-    "init": "deterministic",
+    "init": _MC.mono_init,
     "sample_index": 0,
     "sigmas": "0.8,1.6,2.4,3.2,4,8",
 }
@@ -254,16 +255,8 @@ def cmd_solve(v: dict) -> int:
         draw = noise_mod.sample_noise(
             grid, amplitude, noise_mod.substream_key(v["seed"], v["sample_index"]))
         noise_load = assembly.assemble_noise_load(mesh, dofs, draw, geom=ops.geom)
-        if method == "monolithic":
-            init = xi if v["init"] == "deterministic" else FEField.zeros(dofs)
-            fld, rep = solvers.solve_monolithic(ops, f_load, noise_load, newton,
-                                                initial_guess=init)
-        elif method == "split":
-            eta, rep = solvers.solve_stochastic_full(ops, xi, noise_load, newton)
-            fld = xi + eta
-        else:
-            eta, rep = solvers.solve_stochastic_modified(ops, xi, noise_load)
-            fld = xi + eta
+        fld, rep = uq.solve_sample(method, ops, xi, f_load, noise_load, newton,
+                                   v["init"])
         rep.sample_id = v["sample_index"]
         reports.append(rep)
 

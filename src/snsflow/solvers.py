@@ -6,7 +6,8 @@ Four solution paths share one sparse saddle-point solver:
   * stochastic correction: Newton on the correction equation with coupling
     terms around a frozen deterministic field, zero start
   * modified correction: the same equation with the quadratic self-term
-    dropped, a single linear solve
+    dropped, so linear with one operator K(xi) for every sample: one
+    factorization per experiment, one multi-RHS solve
   * monolithic: Newton on the full equation per noise sample
 
 Only the free unknowns are factorized: the Dirichlet velocity dofs are
@@ -123,17 +124,63 @@ def assemble_operators(mesh: TriMesh, dofs: DofMap, params: ProblemParams) -> As
     )
 
 
-def linear_saddle_solve(a_block: SparseOperator, b_block: SparseOperator,
-                        rhs: np.ndarray, gauge: np.ndarray,
-                        mask: np.ndarray) -> np.ndarray:
-    """Direct factorization of the saddle system on the free unknowns.
+@dataclass
+class SaddleFactor:
+    """LU factors of the saddle system on its free unknowns, for any number of loads."""
 
-    The unknown layout is [velocity, pressure]; ``rhs`` may cover the velocity
-    block only (padded with zeros) or the full system. The Dirichlet velocity
-    dofs and pressure dof 0 are dropped before factorization and returned as
-    zero, then the pressure is shifted to zero gauge-weighted mean.
-    Dimension mismatches raise ValueError; a singular or unreliable
-    factorization raises SingularSystemError.
+    matrix: sp.csc_matrix
+    lu: spla.SuperLU
+    free: np.ndarray
+    gauge: np.ndarray
+    n_u: int
+    norm: float
+
+    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, list[str]]:
+        """Solve for a 1-D rhs, or for every column of a 2-D block at once.
+
+        ``rhs`` rows cover the velocity block only (padded with zeros) or the
+        full system. Returns the solution, with full-system rows and the shape
+        of ``rhs`` otherwise, and one failure reason per column, "" for a
+        column that passed: non-finite values, or a residual
+        ||K x - b|| > RESIDUAL_CHECK_FACTOR (||K|| ||x|| + ||b||).
+        """
+        n_total = len(self.free)
+        if rhs.ndim not in (1, 2):
+            raise ValueError(f"rhs must be a vector or a block of columns, got {rhs.shape}")
+        columns = rhs.reshape(len(rhs), -1)
+        if len(columns) == self.n_u:
+            columns = np.vstack([columns, np.zeros((n_total - self.n_u, columns.shape[1]))])
+        elif len(columns) != n_total:
+            raise ValueError(f"rhs length {len(rhs)} matches neither the velocity "
+                             f"block ({self.n_u}) nor the full system ({n_total})")
+        b = columns[self.free]
+        solved = self.lu.solve(b)
+        finite = np.isfinite(solved).all(axis=0)
+        solved[:, ~finite] = 0.0
+        residual = np.linalg.norm(self.matrix @ solved - b, axis=0)
+        bound = RESIDUAL_CHECK_FACTOR * (self.norm * np.linalg.norm(solved, axis=0)
+                                         + np.linalg.norm(b, axis=0))
+        failures = ["" if ok and r <= tol else
+                    "factorization produced non-finite values" if not ok else
+                    f"solve residual {r:.3e} exceeds {tol:.3e}; "
+                    "system is numerically singular"
+                    for ok, r, tol in zip(finite, residual, bound)]
+        solution = np.zeros((n_total, b.shape[1]))
+        solution[self.free] = solved
+        pressure = solution[self.n_u:]
+        pressure -= (self.gauge @ pressure) / self.gauge.sum()
+        return solution.reshape((n_total,) + rhs.shape[1:]), failures
+
+
+def factor_saddle(a_block: SparseOperator, b_block: SparseOperator,
+                  gauge: np.ndarray, mask: np.ndarray) -> SaddleFactor:
+    """Build [[A, B^T], [B, 0]] on the free unknowns and factorize it once.
+
+    The unknown layout is [velocity, pressure]. The Dirichlet velocity dofs
+    and pressure dof 0 are dropped before factorization; solves return them
+    as zero and shift the pressure to zero gauge-weighted mean. Dimension
+    mismatches raise ValueError; a failed factorization raises
+    SingularSystemError.
     """
     n_u, n_p = a_block.shape[0], b_block.shape[0]
     if a_block.shape[0] != a_block.shape[1]:
@@ -144,38 +191,29 @@ def linear_saddle_solve(a_block: SparseOperator, b_block: SparseOperator,
     if gauge.shape != (n_p,):
         raise ValueError(f"gauge vector length {gauge.shape} does not match "
                          f"{n_p} pressure dofs")
-    n_total = n_u + n_p
-    if len(rhs) == n_u:
-        rhs = np.concatenate([rhs, np.zeros(n_p)])
-    elif len(rhs) != n_total:
-        raise ValueError(f"rhs length {len(rhs)} matches neither the velocity "
-                         f"block ({n_u}) nor the full system ({n_total})")
-
-    free = np.ones(n_total, dtype=bool)
+    free = np.ones(n_u + n_p, dtype=bool)
     free[:n_u][mask] = False
     free[n_u] = False  # pressure pin
     matrix = sp.bmat([[a_block, b_block.T], [b_block, None]],
                      format="csr")[free][:, free].tocsc()
-    rhs = rhs[free]
-
     try:
-        solved = spla.splu(matrix).solve(rhs)
+        lu = spla.splu(matrix)
     except RuntimeError as exc:  # SuperLU signals exact singularity this way
         raise SingularSystemError(f"sparse factorization failed: {exc}") from exc
-    if not np.all(np.isfinite(solved)):
-        raise SingularSystemError("factorization produced non-finite values")
-    residual = np.linalg.norm(matrix @ solved - rhs)
-    norm_k = spla.norm(matrix)
-    bound = RESIDUAL_CHECK_FACTOR * (norm_k * np.linalg.norm(solved)
-                                     + np.linalg.norm(rhs))
-    if residual > bound:
-        raise SingularSystemError(
-            f"solve residual {residual:.3e} exceeds {bound:.3e}; "
-            "system is numerically singular")
-    solution = np.zeros(n_total)
-    solution[free] = solved
-    pressure = solution[n_u:]
-    pressure -= (gauge @ pressure) / gauge.sum()
+    return SaddleFactor(matrix, lu, free, gauge, n_u, spla.norm(matrix))
+
+
+def linear_saddle_solve(a_block: SparseOperator, b_block: SparseOperator,
+                        rhs: np.ndarray, gauge: np.ndarray,
+                        mask: np.ndarray) -> np.ndarray:
+    """One factorization and one solve; see ``factor_saddle`` and ``SaddleFactor.solve``.
+
+    A column that fails its checks raises SingularSystemError.
+    """
+    solution, failures = factor_saddle(a_block, b_block, gauge, mask).solve(rhs)
+    failed = [f for f in failures if f]
+    if failed:
+        raise SingularSystemError(failed[0])
     return solution
 
 
@@ -260,27 +298,44 @@ def solve_stochastic_full(ops: AssembledOperators, xi: FEField,
     return fld, report
 
 
-def solve_stochastic_modified(ops: AssembledOperators, xi: FEField,
-                              noise_load: np.ndarray) -> tuple[FEField, SolveReport]:
-    """Linearized stochastic correction: one solve, no Newton loop."""
+def solve_stochastic_modified(
+        ops: AssembledOperators, xi: FEField, noise_load: np.ndarray,
+) -> tuple[FEField, SolveReport] | list[tuple[FEField, SolveReport]]:
+    """Linearized stochastic correction: one factorization for every load.
+
+    ``noise_load`` is one velocity load (n_u,) or a block of M loads
+    (n_u, M). K(xi) = A + N1(xi) + N2(xi) is assembled and factorized once,
+    and all columns are solved together. Returns one (correction, report)
+    per column, or the single pair for a 1-D load. A failed factorization
+    fails every report; a column that fails its checks fails only its own.
+    """
+    loads = noise_load.reshape(len(noise_load), -1)
+    n_u = ops.dofs.n_velocity_dofs
     n1, n2 = assembly.assemble_convection_linearized(ops.mesh, ops.dofs,
                                                      xi.velocity, geom=ops.geom)
     a_eff = (ops.viscous + n1 + n2).tocsr()
-    n_u = ops.dofs.n_velocity_dofs
     try:
-        x = linear_saddle_solve(a_eff, ops.divergence, noise_load, ops.gauge, ops.mask)
+        x, failures = factor_saddle(a_eff, ops.divergence, ops.gauge,
+                                    ops.mask).solve(loads)
     except SingularSystemError as exc:
-        report = SolveReport(False, 1, float("inf"), [], method="modified",
-                             failure=str(exc))
-        return FEField.zeros(ops.dofs), report
-    fld = FEField(x[:n_u], x[n_u:], ops.dofs)
-    residual = np.concatenate([
-        np.where(ops.mask, 0.0, a_eff @ fld.velocity
-                 + ops.divergence.T @ fld.pressure - noise_load),
-        ops.divergence @ fld.velocity,
-    ])
-    r_norm = float(np.linalg.norm(residual))
-    return fld, SolveReport(True, 1, r_norm, [r_norm], method="modified")
+        x = np.zeros((n_u + ops.dofs.n_pressure_dofs, loads.shape[1]))
+        failures = [str(exc)] * loads.shape[1]
+    velocity, pressure = x[:n_u], x[n_u:]
+    r_u = a_eff @ velocity + ops.divergence.T @ pressure - loads
+    r_u[ops.mask] = 0.0
+    r_norms = np.hypot(np.linalg.norm(r_u, axis=0),
+                       np.linalg.norm(ops.divergence @ velocity, axis=0))
+    out = []
+    for j, failure in enumerate(failures):
+        if failure:
+            out.append((FEField.zeros(ops.dofs),
+                        SolveReport(False, 1, float("inf"), [], method="modified",
+                                    failure=failure)))
+        else:
+            r_norm = float(r_norms[j])
+            out.append((FEField(velocity[:, j], pressure[:, j], ops.dofs),
+                        SolveReport(True, 1, r_norm, [r_norm], method="modified")))
+    return out[0] if noise_load.ndim == 1 else out
 
 
 def solve_monolithic(ops: AssembledOperators, f_load: np.ndarray,

@@ -140,8 +140,40 @@ def _noise_amplitude(cfg: McConfig) -> float:
     return cfg.sigma * np.sqrt(noise_mod.NoiseGrid(cfg.noise_n).cell_volume)
 
 
+def solve_sample(method: str, ops: solvers.AssembledOperators, xi: FEField,
+                 f_load: np.ndarray, noise_load: np.ndarray, newton: NewtonConfig,
+                 mono_init: str = "deterministic") -> tuple[FEField, SolveReport]:
+    """Solve one noise sample with one method; the full field is returned.
+
+    The splitting methods return xi plus their correction; ``mono_init``
+    picks the monolithic start, the deterministic field or zero.
+    """
+    if method == "monolithic":
+        init = xi if mono_init == "deterministic" else FEField.zeros(ops.dofs)
+        return solvers.solve_monolithic(ops, f_load, noise_load, newton,
+                                        initial_guess=init)
+    if method == "split":
+        eta, rep = solvers.solve_stochastic_full(ops, xi, noise_load, newton)
+    elif method == "modified":
+        eta, rep = solvers.solve_stochastic_modified(ops, xi, noise_load)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return xi + eta, rep
+
+
+def _exception_report(method: str, exc: Exception) -> SolveReport:
+    return SolveReport(False, 0, float("inf"), method=method,
+                       failure=f"{type(exc).__name__}: {exc}")
+
+
 def run_experiment(cfg: McConfig, jobs: int = 1) -> McStats:
-    """Run all requested methods over M shared noise draws and reduce."""
+    """Run all requested methods over M shared noise draws and reduce.
+
+    Monolithic and split solve each sample on its own, concurrently when
+    ``jobs > 1``. Modified solves all samples afterwards from one
+    factorization of K(xi), which is released before the reduction. An
+    exception inside one sample's solve fails that sample's report only.
+    """
     mesh = build_structured_mesh(cfg.mesh_n)
     dofs = build_dof_map(mesh)
     params = assembly.ProblemParams(nu=cfg.nu, sigma=cfg.sigma)
@@ -154,23 +186,22 @@ def run_experiment(cfg: McConfig, jobs: int = 1) -> McStats:
     grid = noise_mod.NoiseGrid(cfg.noise_n)
     amplitude = _noise_amplitude(cfg)
     forcing_norm = manufactured.forcing_l2_norm(cfg.nu)
+    batched = "modified" in cfg.methods
+    per_sample = [m for m in cfg.methods if m != "modified"]
 
     def run_sample(k: int) -> dict:
         draw = noise_mod.sample_noise(grid, amplitude,
                                       noise_mod.substream_key(cfg.base_seed, k))
         noise_load = assembly.assemble_noise_load(mesh, dofs, draw, geom=ops.geom)
         out: dict = {"kappa": noise_mod.noise_l2_norm(draw) / forcing_norm}
-        for method in cfg.methods:
-            if method == "monolithic":
-                init = xi if cfg.mono_init == "deterministic" else zero_field
-                fld, rep = solvers.solve_monolithic(ops, f_load, noise_load,
-                                                    cfg.newton, initial_guess=init)
-            elif method == "split":
-                eta, rep = solvers.solve_stochastic_full(ops, xi, noise_load, cfg.newton)
-                fld = xi + eta
-            else:
-                eta, rep = solvers.solve_stochastic_modified(ops, xi, noise_load)
-                fld = xi + eta
+        if batched:
+            out["noise_load"] = noise_load
+        for method in per_sample:
+            try:
+                fld, rep = solve_sample(method, ops, xi, f_load, noise_load,
+                                        cfg.newton, cfg.mono_init)
+            except Exception as exc:  # one bad sample must not abort the others
+                fld, rep = zero_field, _exception_report(method, exc)
             rep.sample_id = k
             out[method] = (fld, rep)
         return out
@@ -183,6 +214,19 @@ def run_experiment(cfg: McConfig, jobs: int = 1) -> McStats:
     else:
         for k in range(cfg.M):
             results[k] = run_sample(k)
+
+    if batched:
+        # after the Newton samples, so the factor of K(xi) lives only here
+        loads = np.column_stack([res.pop("noise_load") for res in results])
+        try:
+            block = [(xi + eta, rep)
+                     for eta, rep in solvers.solve_stochastic_modified(ops, xi, loads)]
+        except Exception as exc:
+            block = [(zero_field, _exception_report("modified", exc))
+                     for _ in range(cfg.M)]
+        for k, (fld, rep) in enumerate(block):
+            rep.sample_id = k
+            results[k]["modified"] = (fld, rep)
 
     # fixed-order reduction: per-method means plus pairwise-converged means
     per_method = {m: _MeanAccumulator(dofs) for m in cfg.methods}

@@ -1,6 +1,9 @@
 import json
 
 import pytest
+import scipy.sparse.linalg as spla
+
+from snsflow import solvers
 
 from snsflow.cli import EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, main
 
@@ -172,3 +175,28 @@ def test_hostile_input_is_one_line_usage_error(tmp_path, capsys, argv, config, n
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert named in err
+
+
+def test_singular_k_xi_fails_modified_samples_and_exits_2(tmp_path, monkeypatch, capsys):
+    # K(xi) is the converged Newton Jacobian, so only a stub can make it singular
+    real_modified, real_splu = solvers.solve_stochastic_modified, spla.splu
+    inside = []
+
+    def modified(*args, **kwargs):
+        inside.append(True)
+        return real_modified(*args, **kwargs)
+
+    def splu(matrix, *args, **kwargs):
+        if inside:
+            raise RuntimeError("Factor is exactly singular")
+        return real_splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "solve_stochastic_modified", modified)
+    monkeypatch.setattr(spla, "splu", splu)
+    code = run_cli("mc", "--mesh-n", "4", "--samples", "3", "--sigma", "1.0",
+                   "--methods", "monolithic,modified", "--out-dir", str(tmp_path))
+    assert code == EXIT_NOT_CONVERGED
+    assert capsys.readouterr().err == ""
+    stats = (tmp_path / "stats.csv").read_text().splitlines()
+    assert stats[1].startswith("monolithic,") and stats[1].endswith(",0")
+    assert stats[2].startswith("modified,") and stats[2].endswith(",3")

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from snsflow import assembly, manufactured as mf, solvers
 from snsflow.assembly import ProblemParams
@@ -229,6 +230,56 @@ def test_modified_reports_one_iteration():
     xi, _ = solve_deterministic_ns(ops, _forcing_load(mesh, dofs))
     _, rep = solve_stochastic_modified(ops, xi, _noise_load(mesh, dofs, ops, 1.0, 4))
     assert rep.iterations == 1
+
+
+def _modified_setup(n=6, samples=5):
+    mesh, dofs, ops = _setup(n)
+    xi, _ = solve_deterministic_ns(ops, _forcing_load(mesh, dofs))
+    loads = np.column_stack([_noise_load(mesh, dofs, ops, 1.5, n, seed=4, sample=k)
+                             for k in range(samples)])
+    return dofs, ops, xi, loads
+
+
+def test_batched_modified_equals_per_column_solves():
+    dofs, ops, xi, loads = _modified_setup()
+    block = solve_stochastic_modified(ops, xi, loads)
+    assert len(block) == loads.shape[1]
+    for j, (eta, rep) in enumerate(block):
+        eta_1, rep_1 = solve_stochastic_modified(ops, xi, loads[:, j].copy())
+        for part in ("velocity", "pressure"):
+            got, want = getattr(eta, part), getattr(eta_1, part)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert rep.converged and rep_1.converged
+        assert rep.iterations == rep_1.iterations == 1
+        assert abs(rep.final_residual - rep_1.final_residual) <= 1e-15
+
+
+def test_failed_factorization_fails_every_modified_column(monkeypatch):
+    dofs, ops, xi, loads = _modified_setup(n=4, samples=3)
+
+    def singular(matrix, *args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "splu", singular)
+    block = solve_stochastic_modified(ops, xi, loads)
+    assert len(block) == 3
+    for eta, rep in block:
+        assert not rep.converged and "exactly singular" in rep.failure
+        assert np.all(eta.velocity == 0) and np.all(eta.pressure == 0)
+
+
+def test_saddle_factor_solves_a_block_like_its_columns():
+    mesh, dofs, ops = _setup(3)
+    rhs = np.random.default_rng(2).standard_normal((dofs.n_velocity_dofs, 4))
+    factor = solvers.factor_saddle(ops.viscous, ops.divergence, ops.gauge, ops.mask)
+    block, failures = factor.solve(rhs)
+    assert failures == [""] * 4
+    for j in range(4):
+        x = linear_saddle_solve(ops.viscous, ops.divergence, rhs[:, j].copy(),
+                                ops.gauge, ops.mask)
+        assert np.abs(block[:, j] - x).max() <= 1e-13 * np.abs(x).max()
+    with pytest.raises(ValueError):
+        factor.solve(np.zeros((dofs.n_velocity_dofs, 2, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from snsflow import manufactured as mf, uq
+from snsflow import assembly, manufactured as mf, solvers, uq
 from snsflow.mesh import build_dof_map, build_structured_mesh
 from snsflow.solvers import FEField, NewtonConfig
 from snsflow.uq import (
@@ -207,3 +208,67 @@ def test_csv_writers(tmp_path):
     dofs = stats.mean_fields["split"].dofs
     assert len(field_lines) == 1 + dofs.n_scalar_nodes
     assert not list(tmp_path.glob(".tmp_*"))  # atomic writes leave no droppings
+
+
+def _counting(monkeypatch, owner, name, counts):
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_modified_factorizes_once_per_experiment(monkeypatch):
+    counts: dict[str, int] = {}
+    _counting(monkeypatch, spla, "splu", counts)
+    _counting(monkeypatch, assembly, "assemble_convection_linearized", counts)
+    per_m = {}
+    for samples in (1, 8):
+        counts.clear()
+        stats = run_experiment(small_config(M=samples, methods=("modified",)))
+        assert stats.converged_counts["modified"] == samples
+        per_m[samples] = dict(counts)
+    assert per_m[1] == per_m[8]
+    assert set(per_m[1]) == {"splu", "assemble_convection_linearized"}
+
+
+def test_residual_failure_in_one_column_fails_only_that_sample(monkeypatch):
+    real_splu = spla.splu
+
+    class CorruptThirdColumn:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            x = self.lu.solve(rhs)
+            if x.ndim == 2 and x.shape[1] > 1:
+                x[:, 2] *= 1.001
+            return x
+
+    monkeypatch.setattr(spla, "splu", lambda m, *a, **kw: CorruptThirdColumn(real_splu(m)))
+    stats = run_experiment(small_config(M=4, methods=("modified",)))
+    by_sample = {r.sample_id: r for r in stats.reports if r.method == "modified"}
+    assert stats.failed_counts["modified"] == 1
+    assert not by_sample[2].converged and "residual" in by_sample[2].failure
+    assert all(by_sample[k].converged for k in (0, 1, 3))
+
+
+def test_exception_in_one_sample_is_a_failed_report(monkeypatch):
+    real_full = solvers.solve_stochastic_full
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise FloatingPointError("boom")
+        return real_full(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "solve_stochastic_full", flaky)
+    stats = run_experiment(small_config(M=3, methods=("monolithic", "split")))
+    split = {r.sample_id: r for r in stats.reports if r.method == "split"}
+    assert not split[1].converged and "boom" in split[1].failure
+    assert split[0].converged and split[2].converged
+    assert stats.failed_counts == {"monolithic": 0, "split": 1}
+    assert stats.converged_counts["split"] == 2
