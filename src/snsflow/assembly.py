@@ -1,10 +1,13 @@
 """Quadrature and global assembly of the viscous, divergence, convection and
 load forms on the Taylor-Hood pair.
 
-Assembled operators are scipy.sparse CSR matrices (finalization sums duplicate
-entries). Velocity blocks follow the component-blocked numbering of
-:mod:`snsflow.mesh`. All element loops are vectorized with einsum; a single
-assembly call is sequential, distinct calls may run concurrently.
+Assembled operators are data vectors on the dof map's fixed saddle pattern
+(:class:`snsflow.mesh.SaddlePattern`): element blocks are computed with einsum
+and summed into their pattern slots by ``np.bincount``, so operators add as
+plain arrays and ``pattern.matrix(data)`` is the sparse matrix. Loads are
+summed over the same element-dof table. Velocity unknowns follow the
+component-blocked numbering of :mod:`snsflow.mesh`. A single assembly call is
+sequential, distinct calls may run concurrently.
 """
 
 from __future__ import annotations
@@ -14,14 +17,10 @@ from math import isfinite
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.special import roots_jacobi, roots_legendre
 
-from .ioutil import atomic_write_text
 from .mesh import DofMap, TriMesh, triangle_nodes
 from .noise import NoiseField
-
-SparseOperator = sp.csr_matrix
 
 DEFAULT_QUADRATURE_DEGREE = 5
 ELEVATED_QUADRATURE_DEGREE = 10
@@ -29,16 +28,13 @@ ELEVATED_QUADRATURE_DEGREE = 10
 
 @dataclass(frozen=True)
 class ProblemParams:
-    """Kinematic viscosity and noise amplitude."""
+    """Kinematic viscosity."""
 
     nu: float
-    sigma: float = 0.0
 
     def __post_init__(self):
         if not (isfinite(self.nu) and self.nu > 0):
             raise ValueError(f"viscosity must be positive and finite, got nu={self.nu}")
-        if not (isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"noise amplitude must be finite and >= 0, got sigma={self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -53,11 +49,6 @@ class QuadratureRule:
     points: np.ndarray   # (nq, 2)
     weights: np.ndarray  # (nq,)
     degree: int
-
-    @property
-    def barycentric(self) -> np.ndarray:
-        lam0 = 1.0 - self.points.sum(axis=1)
-        return np.column_stack([lam0, self.points])
 
 
 def triangle_rule_degree5() -> QuadratureRule:
@@ -166,53 +157,51 @@ class ElementGeometry:
         return np.stack([gx, gy], axis=2)
 
 
-def _scatter(values: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-             shape: tuple[int, int]) -> SparseOperator:
-    """Accumulate (T, ni, nj) element blocks into a finalized CSR matrix."""
-    ni, nj = values.shape[1], values.shape[2]
-    r = np.repeat(rows, nj, axis=1).ravel()
-    c = np.tile(cols, (1, ni)).ravel()
-    return sp.coo_matrix((values.ravel(), (r, c)), shape=shape).tocsr()
+def _velocity_data(dofs: DofMap, blocks: np.ndarray) -> np.ndarray:
+    """Sum (T, 12, 12) velocity element blocks into data on the saddle pattern."""
+    pattern = dofs.pattern
+    return np.bincount(pattern.v_slots.ravel(), weights=blocks.ravel(),
+                       minlength=pattern.nnz)
 
 
-def _block_diag2(block: SparseOperator) -> SparseOperator:
-    return sp.bmat([[block, None], [None, block]], format="csr")
+def _both_components(block: np.ndarray) -> np.ndarray:
+    """(T, 12, 12) blocks applying a (T, 6, 6) scalar block to each component."""
+    out = np.zeros((len(block), 12, 12))
+    out[:, :6, :6] = out[:, 6:, 6:] = block
+    return out
 
 
-def scalar_stiffness(geom: ElementGeometry, dofs: DofMap) -> SparseOperator:
-    tn = triangle_nodes(dofs)
-    nn = dofs.n_scalar_nodes
-    ke = np.einsum("q,t,tqid,tqjd->tij", geom.wq, geom.area, geom.grad2, geom.grad2)
-    return _scatter(ke, tn, tn, (nn, nn))
+def _velocity_load(dofs: DofMap, blocks: np.ndarray) -> np.ndarray:
+    """Sum (T, 12) element load blocks into a velocity vector."""
+    return np.bincount(dofs.element_dofs[:, :12].ravel(), weights=blocks.ravel(),
+                       minlength=dofs.n_velocity_dofs)
 
 
 def assemble_viscous(mesh: TriMesh, dofs: DofMap, nu: float,
-                     geom: ElementGeometry | None = None) -> SparseOperator:
+                     geom: ElementGeometry | None = None) -> np.ndarray:
     """Vector-valued viscous operator A with v^T A u = nu * int grad(u):grad(v)."""
     if not nu > 0:
         raise ValueError(f"viscosity must be positive, got nu={nu}")
     geom = geom or ElementGeometry(mesh)
-    return (nu * _block_diag2(scalar_stiffness(geom, dofs))).tocsr()
+    ke = np.einsum("q,t,tqid,tqjd->tij", geom.wq, geom.area, geom.grad2, geom.grad2)
+    return nu * _velocity_data(dofs, _both_components(ke))
 
 
 def assemble_divergence(mesh: TriMesh, dofs: DofMap,
-                        geom: ElementGeometry | None = None) -> SparseOperator:
-    """Divergence operator B with q^T B u = -int q div(u); rows are pressure dofs."""
+                        geom: ElementGeometry | None = None) -> np.ndarray:
+    """Divergence operator B with q^T B u = -int q div(u), together with B^T."""
     geom = geom or ElementGeometry(mesh)
-    tn = triangle_nodes(dofs)
-    nn = dofs.n_scalar_nodes
-    blocks = []
-    for d in range(2):
-        be = -np.einsum("q,t,qa,tqj->taj", geom.wq, geom.area, geom.phi1,
-                        geom.grad2[:, :, :, d])
-        blocks.append(_scatter(be, mesh.triangles, tn, (dofs.n_pressure_dofs, nn)))
-    return sp.hstack(blocks, format="csr")
+    be = -np.einsum("q,t,qa,tqjd->tadj", geom.wq, geom.area, geom.phi1,
+                    geom.grad2).reshape(mesh.n_triangles, 3, 12)
+    pattern = dofs.pattern
+    return np.bincount(pattern.div_slots.ravel(), weights=np.tile(be.ravel(), 2),
+                       minlength=pattern.nnz)
 
 
 def assemble_convection_linearized(
     mesh: TriMesh, dofs: DofMap, w: np.ndarray,
     geom: ElementGeometry | None = None,
-) -> tuple[SparseOperator, SparseOperator]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Linearizations of the convective trilinear form around the velocity w.
 
     Returns (N1, N2) with v^T N1 u = c(w, u, v) (w transports u) and
@@ -220,23 +209,14 @@ def assemble_convection_linearized(
     c(a, b, v) = int (a . grad) b . v.
     """
     geom = geom or ElementGeometry(mesh)
-    tn = triangle_nodes(dofs)
-    nn = dofs.n_scalar_nodes
     wq_vals = geom.velocity_at_quadrature(dofs, w)       # (T,nq,2)
     wgrad = geom.velocity_gradient_at_quadrature(dofs, w)  # (T,nq,i,j)
 
     adv = np.einsum("tqd,tqbd->tqb", wq_vals, geom.grad2)
     c1 = np.einsum("q,t,tqb,qa->tab", geom.wq, geom.area, adv, geom.phi2)
-    n1 = _block_diag2(_scatter(c1, tn, tn, (nn, nn)))
-
-    blocks = [[None, None], [None, None]]
-    for i in range(2):
-        for j in range(2):
-            ne = np.einsum("q,t,tq,qb,qa->tab", geom.wq, geom.area,
-                           wgrad[:, :, i, j], geom.phi2, geom.phi2)
-            blocks[i][j] = _scatter(ne, tn, tn, (nn, nn))
-    n2 = sp.bmat(blocks, format="csr")
-    return n1, n2
+    ne = np.einsum("q,t,tqij,qb,qa->tiajb", geom.wq, geom.area, wgrad,
+                   geom.phi2, geom.phi2).reshape(mesh.n_triangles, 12, 12)
+    return _velocity_data(dofs, _both_components(c1)), _velocity_data(dofs, ne)
 
 
 def assemble_load(mesh: TriMesh, dofs: DofMap,
@@ -250,13 +230,8 @@ def assemble_load(mesh: TriMesh, dofs: DofMap,
     f1, f2 = f(geom.qpoints[:, :, 0], geom.qpoints[:, :, 1])
     f1 = np.broadcast_to(np.asarray(f1, dtype=float), geom.qpoints.shape[:2])
     f2 = np.broadcast_to(np.asarray(f2, dtype=float), geom.qpoints.shape[:2])
-    tn = triangle_nodes(dofs)
-    nn = dofs.n_scalar_nodes
-    load = np.zeros(dofs.n_velocity_dofs)
-    for d, fd in enumerate((f1, f2)):
-        le = np.einsum("q,t,tq,qi->ti", geom.wq, geom.area, fd, geom.phi2)
-        np.add.at(load, d * nn + tn.ravel(), le.ravel())
-    return load
+    le = np.einsum("q,t,dtq,qi->tdi", geom.wq, geom.area, np.stack([f1, f2]), geom.phi2)
+    return _velocity_load(dofs, le)
 
 
 def assemble_noise_load(mesh: TriMesh, dofs: DofMap, noise: NoiseField,
@@ -283,17 +258,4 @@ def assemble_noise_load(mesh: TriMesh, dofs: DofMap, noise: NoiseField,
     fvals = scale * noise.zeta[cell]                     # (T, 2)
 
     phi_int = np.einsum("q,t,qi->ti", geom.wq, geom.area, geom.phi2)  # int_T phi_i
-    tn = triangle_nodes(dofs)
-    nn = dofs.n_scalar_nodes
-    load = np.zeros(dofs.n_velocity_dofs)
-    for d in range(2):
-        np.add.at(load, d * nn + tn.ravel(), (fvals[:, d:d + 1] * phi_int).ravel())
-    return load
-
-
-def operator_to_coo_text(op: SparseOperator, path: str) -> None:
-    """Debug dump in (row, col, value) coordinate text format."""
-    coo = op.tocoo()
-    lines = ["row,col,value"]
-    lines += [f"{r},{c},{v:.17g}" for r, c, v in zip(coo.row, coo.col, coo.data)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    return _velocity_load(dofs, fvals[:, :, None] * phi_int[:, None, :])

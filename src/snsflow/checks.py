@@ -11,7 +11,7 @@ hide in the other.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +83,12 @@ def quadrature_max_error(rule: assembly.QuadratureRule) -> float:
     return worst
 
 
+def velocity_block(dofs: DofMap, data: np.ndarray):
+    """The velocity-velocity block of an operator given as saddle-pattern data."""
+    n_u = dofs.n_velocity_dofs
+    return dofs.pattern.matrix(data)[:n_u, :n_u]
+
+
 # ---------------------------------------------------------------------------
 # pointwise divergence-free fields (the trilinear identities need them)
 
@@ -140,7 +146,7 @@ def trilinear_identity_defects(mesh: TriMesh, dofs: DofMap, w: np.ndarray,
     Both vanish exactly when w is pointwise divergence-free and zero on the
     boundary; the normalization uses L2 field norms.
     """
-    n1, _ = assembly.assemble_convection_linearized(mesh, dofs, w)
+    n1 = velocity_block(dofs, assembly.assemble_convection_linearized(mesh, dofs, w)[0])
     norm_w = max(manufactured.velocity_l2_norm(dofs, w), 1e-300)
     skew = annih = 0.0
     for _ in range(3):
@@ -163,9 +169,10 @@ def trilinear_value_defect(mesh: TriMesh, dofs: DofMap) -> float:
     u = manufactured.interpolate_velocity(dofs, lambda x, y: (x, 0.0 * y))
     v = u.copy()
     n1, _ = assembly.assemble_convection_linearized(mesh, dofs, w)
-    defect = abs(v @ (n1 @ u) - 0.25)
+    defect = abs(v @ (velocity_block(dofs, n1) @ u) - 0.25)
     u2 = manufactured.interpolate_velocity(dofs, lambda x, y: (0.0 * x, y))
     _, n2 = assembly.assemble_convection_linearized(mesh, dofs, w)
+    n2 = velocity_block(dofs, n2)
     defect = max(defect, abs(v @ (n2 @ u2) - 0.25))
     return defect
 
@@ -272,12 +279,16 @@ def dense_oracle_max_mismatch(n: int = 2, nu: float = 0.02) -> float:
         scale = max(np.abs(b).max(), 1e-300)
         return np.abs(a - b).max() / scale
 
-    worst = rel(assembly.assemble_viscous(mesh, dofs, nu).toarray(), oracle.viscous(nu))
-    worst = max(worst, rel(assembly.assemble_divergence(mesh, dofs).toarray(),
-                           oracle.divergence()))
+    n_u = dofs.n_velocity_dofs
+    worst = rel(velocity_block(dofs, assembly.assemble_viscous(mesh, dofs, nu)).toarray(),
+                oracle.viscous(nu))
+    saddle = dofs.pattern.matrix(assembly.assemble_divergence(mesh, dofs)).toarray()
+    b = oracle.divergence()
+    worst = max(worst, rel(saddle[n_u:, :n_u], b), rel(saddle[:n_u, n_u:], b.T))
     n1, n2 = assembly.assemble_convection_linearized(mesh, dofs, w)
     o1, o2 = oracle.convection(w)
-    worst = max(worst, rel(n1.toarray(), o1), rel(n2.toarray(), o2))
+    worst = max(worst, rel(velocity_block(dofs, n1).toarray(), o1),
+                rel(velocity_block(dofs, n2).toarray(), o2))
     load = assembly.assemble_load(
         mesh, dofs, lambda x, y: manufactured.exact_forcing(x, y, nu))
     oload = oracle.load(lambda x, y: manufactured.exact_forcing(x, y, nu))
@@ -319,7 +330,7 @@ def splitting_equivalence_max_defect(n: int = 8, sigma: float = 1.5,
     the sum of the splitting parts, over shared noise draws."""
     mesh = build_structured_mesh(n)
     dofs = build_dof_map(mesh)
-    ops = solvers.assemble_operators(mesh, dofs, ProblemParams(nu=nu, sigma=sigma))
+    ops = solvers.assemble_operators(mesh, dofs, ProblemParams(nu=nu))
     load = assembly.assemble_load(mesh, dofs,
                                   lambda x, y: manufactured.exact_forcing(x, y, nu))
     xi, _ = solvers.solve_deterministic_ns(ops, load)
@@ -350,7 +361,7 @@ def _mutated_convection():
 
     def flipped(mesh, dofs, w, geom=None):
         n1, n2 = original(mesh, dofs, w, geom=geom)
-        return (-n1).tocsr(), (-n2).tocsr()
+        return -n1, -n2
 
     assembly.assemble_convection_linearized = flipped
     try:
@@ -380,7 +391,7 @@ def run_verification(include_convergence: bool = False,
     results.append(CheckResult("quadrature_degree10", err10 <= 1e-13,
                                f"max_rel_err={err10:.2e} tol=1e-13"))
 
-    with (_mutated_convection() if mutate == "convection-sign" else _null_context()):
+    with (_mutated_convection() if mutate == "convection-sign" else nullcontext()):
         rng = np.random.default_rng(3)
         for n in (2, 4):
             mesh = build_structured_mesh(n)
@@ -433,11 +444,6 @@ def run_verification(include_convergence: bool = False,
             f"pressure_orders={['%.2f' % o for o in study['pressure_orders']]}"))
 
     return results
-
-
-@contextmanager
-def _null_context():
-    yield
 
 
 def diagnostics_line(cfg: uq.McConfig) -> str:

@@ -238,8 +238,7 @@ def _print_stats(st: uq.McStats) -> None:
 def cmd_solve(v: dict) -> int:
     mesh = build_structured_mesh(v["mesh_n"])
     dofs = build_dof_map(mesh)
-    params = assembly.ProblemParams(nu=v["nu"], sigma=v["sigma"])
-    ops = solvers.assemble_operators(mesh, dofs, params)
+    ops = solvers.assemble_operators(mesh, dofs, assembly.ProblemParams(nu=v["nu"]))
     f_load = assembly.assemble_load(mesh, dofs,
                                     lambda x, y: manufactured.exact_forcing(x, y, v["nu"]))
     newton = _newton_config(v)
@@ -263,10 +262,7 @@ def cmd_solve(v: dict) -> int:
     out = v["out_dir"]
     os.makedirs(out, exist_ok=True)
     uq.write_field_csv(os.path.join(out, f"field_{method}.csv"), fld)
-    lines = [solvers.SolveReport.csv_header()]
-    lines += [r.to_csv_row() for r in reports]
-    from .ioutil import atomic_write_text
-    atomic_write_text(os.path.join(out, "samples.csv"), "\n".join(lines) + "\n")
+    uq.write_samples_csv(os.path.join(out, "samples.csv"), reports)
 
     final = reports[-1]
     print(f"method={method} converged={int(final.converged)} "
@@ -285,7 +281,8 @@ def _run_mc_like(v: dict, runs: list[McConfig]) -> int:
         _print_stats(st)
         any_failures = any_failures or any(st.failed_counts[m] for m in cfg.methods)
     uq.write_stats_csv(os.path.join(out, "stats.csv"), all_stats)
-    uq.write_samples_csv(os.path.join(out, "samples.csv"), all_stats)
+    uq.write_samples_csv(os.path.join(out, "samples.csv"),
+                         [rep for st in all_stats for rep in st.reports])
     last = all_stats[-1]
     for method, fld in last.mean_fields.items():
         uq.write_field_csv(os.path.join(out, f"field_{method}.csv"), fld)

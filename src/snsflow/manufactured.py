@@ -101,14 +101,6 @@ def exact_forcing(x, y, nu: float):
             -nu * lap2 + u1 * u2x + u2 * u2y + py)
 
 
-def exact_fields(x, y, nu: float):
-    """(u, p, F) at one point or arrays of points."""
-    u = np.asarray(exact_velocity(x, y))
-    p = exact_pressure(x, y)
-    f = np.asarray(exact_forcing(x, y, nu))
-    return u, p, f
-
-
 def forcing_l2_norm(nu: float, degree: int = 2 * ELEVATED_QUADRATURE_DEGREE) -> float:
     """L2(Omega) norm of the body force, by high-order quadrature.
 

@@ -3,6 +3,8 @@
 The mesh family is the uniform n x n grid of squares, each split along the
 bottom-left -> top-right diagonal. Velocity uses quadratic (P2) nodes at the
 vertices and edge midpoints, pressure uses linear (P1) nodes at the vertices.
+Each dof map also fixes the sparsity pattern of the saddle matrix that every
+assembled operator is a data vector on.
 """
 
 from __future__ import annotations
@@ -10,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .ioutil import atomic_write_text
+import scipy.sparse as sp
 
 BOUNDARY_TOL = 1e-14
 
@@ -53,21 +54,51 @@ class TriMesh:
 
 
 @dataclass(frozen=True)
+class SaddlePattern:
+    """CSC sparsity of the saddle matrix [[V, B^T], [B, 0]] over [velocity, pressure].
+
+    V couples both velocity components of each triangle. ``v_slots[t, i, j]``
+    is the data index of entry (element_dofs[t, i], element_dofs[t, j]);
+    ``div_slots[0, t, a, j]`` that of B's entry (element_dofs[t, 12 + a],
+    element_dofs[t, j]) and ``div_slots[1, t, a, j]`` that of its transpose.
+    ``free`` drops the Dirichlet velocity dofs and pins pressure dof 0.
+    """
+
+    indptr: np.ndarray      # (n + 1,) int32
+    indices: np.ndarray     # (nnz,) int32 row indices, sorted within each column
+    v_slots: np.ndarray     # (T, 12, 12) int32
+    div_slots: np.ndarray   # (2, T, 3, 12) int32
+    free: np.ndarray        # (n,) bool
+
+    @property
+    def nnz(self) -> int:
+        return len(self.indices)
+
+    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
+        """The full saddle matrix whose values on this pattern are ``data``."""
+        n = len(self.free)
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(n, n))
+
+
+@dataclass(frozen=True)
 class DofMap:
     """Degree-of-freedom numbering for the P2/P1 velocity-pressure pair.
 
     Velocity dofs are component-blocked: dof(node m, component c) = c*(V+E) + m,
     with P2 node m a vertex (m < V) or an edge midpoint (m = V + edge index).
-    Pressure dofs are the vertices. ``pressure_gauge`` holds the weights of the
-    zero-mean constraint: gauge . p = integral of p over the domain.
+    Pressure dofs are the vertices; in the saddle unknowns [velocity, pressure]
+    vertex v is unknown n_velocity_dofs + v. ``pressure_gauge`` holds the
+    weights of the zero-mean constraint: gauge . p = integral of p over the
+    domain.
     """
 
     mesh: TriMesh
     n_velocity_dofs: int
     n_pressure_dofs: int
-    local_to_global: np.ndarray      # (T, 6, 2) velocity dof per (tri, local node, comp)
+    element_dofs: np.ndarray         # (T, 15) saddle unknowns: 6 u_x, 6 u_y, 3 p per tri
     dirichlet_mask: np.ndarray       # (n_velocity_dofs,) bool, True on the boundary
     pressure_gauge: np.ndarray       # (n_pressure_dofs,) P1 basis integrals
+    pattern: SaddlePattern = field(repr=False)
     node_coords: np.ndarray = field(repr=False)  # (V+E, 2) P2 node coordinates
 
     @property
@@ -136,46 +167,51 @@ def _on_boundary(points: np.ndarray) -> np.ndarray:
 
 def build_dof_map(mesh: TriMesh) -> DofMap:
     """Number the Taylor-Hood dofs and mark the homogeneous Dirichlet set."""
-    V, E, T = mesh.n_vertices, mesh.n_edges, mesh.n_triangles
+    V, E = mesh.n_vertices, mesh.n_edges
     nn = V + E
     node_coords = np.vstack([mesh.vertices, mesh.edge_midpoints])
 
     tri_nodes = np.hstack([mesh.triangles, V + mesh.triangle_edges])  # (T, 6)
-    local_to_global = np.empty((T, 6, 2), dtype=np.int64)
-    local_to_global[:, :, 0] = tri_nodes
-    local_to_global[:, :, 1] = nn + tri_nodes
+    element_dofs = np.hstack([tri_nodes, nn + tri_nodes, 2 * nn + mesh.triangles])
 
     node_on_boundary = np.concatenate([mesh.boundary_vertex_flags, mesh.boundary_edge_flags])
     dirichlet_mask = np.concatenate([node_on_boundary, node_on_boundary])
+    free = np.concatenate([~dirichlet_mask, np.arange(V) != 0])
 
-    gauge = np.zeros(V)
-    np.add.at(gauge, mesh.triangles.ravel(), np.repeat(mesh.signed_areas() / 3.0, 3))
+    gauge = np.bincount(mesh.triangles.ravel(), weights=np.repeat(mesh.signed_areas() / 3.0, 3),
+                        minlength=V)
 
     return DofMap(
         mesh=mesh,
         n_velocity_dofs=2 * nn,
         n_pressure_dofs=V,
-        local_to_global=local_to_global,
+        element_dofs=element_dofs,
         dirichlet_mask=dirichlet_mask,
         pressure_gauge=gauge,
+        pattern=_saddle_pattern(element_dofs, free),
         node_coords=node_coords,
+    )
+
+
+def _saddle_pattern(element_dofs: np.ndarray, free: np.ndarray) -> SaddlePattern:
+    """Number the distinct (row, col) pairs of all element blocks in CSC order."""
+    n, T = len(free), len(element_dofs)
+    vel, prs = element_dofs[:, :12], element_dofs[:, 12:]
+    keys = [vel[:, None, :] * n + vel[:, :, None],   # V: (row u_i, col u_j)
+            vel[:, None, :] * n + prs[:, :, None],   # B: (row p_a, col u_j)
+            prs[:, :, None] * n + vel[:, None, :]]   # B^T: (row u_j, col p_a)
+    unique, slots = np.unique(np.concatenate([k.ravel() for k in keys]),
+                              return_inverse=True)
+    slots = slots.astype(np.int32)
+    return SaddlePattern(
+        indptr=np.searchsorted(unique, n * np.arange(n + 1)).astype(np.int32),
+        indices=(unique % n).astype(np.int32),
+        v_slots=slots[:T * 144].reshape(T, 12, 12),
+        div_slots=slots[T * 144:].reshape(2, T, 3, 12),
+        free=free,
     )
 
 
 def triangle_nodes(dofs: DofMap) -> np.ndarray:
     """(T, 6) global P2 scalar-node indices per triangle."""
-    return dofs.local_to_global[:, :, 0]
-
-
-def mesh_to_csv(mesh: TriMesh, path: str) -> None:
-    """Dump the mesh in a sectioned CSV for debugging and plotting."""
-    lines = ["# vertices", "index,x,y"]
-    lines += [f"{i},{p[0]:.17g},{p[1]:.17g}" for i, p in enumerate(mesh.vertices)]
-    lines += ["# triangles", "index,v0,v1,v2"]
-    lines += [f"{i},{t[0]},{t[1]},{t[2]}" for i, t in enumerate(mesh.triangles)]
-    lines += ["# edges", "index,v0,v1,mx,my,boundary"]
-    lines += [
-        f"{i},{e[0]},{e[1]},{m[0]:.17g},{m[1]:.17g},{int(b)}"
-        for i, (e, m, b) in enumerate(zip(mesh.edges, mesh.edge_midpoints, mesh.boundary_edge_flags))
-    ]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    return dofs.element_dofs[:, :6]

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ioutil import atomic_write_text
-
 
 @dataclass(frozen=True)
 class NoiseGrid:
@@ -83,13 +81,3 @@ def noise_l2_norm(field: NoiseField) -> float:
     V * (sigma/sqrt(V))^2 |zeta_k|^2 = sigma^2 |zeta_k|^2.
     """
     return float(field.sigma * np.sqrt(np.sum(field.zeta ** 2)))
-
-
-def noise_to_csv(field: NoiseField, path: str) -> None:
-    """Dump a realization as (cell_i, cell_j, zeta_x, zeta_y) rows."""
-    n = field.grid.n_noise
-    lines = ["cell_i,cell_j,zeta_x,zeta_y"]
-    for k in range(field.grid.n_cells):
-        iy, ix = divmod(k, n)
-        lines.append(f"{ix},{iy},{field.zeta[k, 0]:.17g},{field.zeta[k, 1]:.17g}")
-    atomic_write_text(path, "\n".join(lines) + "\n")

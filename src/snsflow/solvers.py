@@ -10,12 +10,18 @@ Four solution paths share one sparse saddle-point solver:
     factorization per experiment, one multi-RHS solve
   * monolithic: Newton on the full equation per noise sample
 
-Only the free unknowns are factorized: the Dirichlet velocity dofs are
-dropped, and so is pressure dof 0 together with its continuity row. That row
-is redundant: the pressure basis sums to one, so the continuity rows of B u
-sum to -int div u = 0 for any u vanishing on the boundary. Pinning p_0 = 0
-fixes the constant pressure mode, and the solution is then shifted to zero
-gauge-weighted mean, p -= (g . p) / sum(g).
+Every operator is a data vector on the dof map's fixed saddle pattern, so a
+Jacobian is an array sum such as ``stokes + n1 + n2``, a residual is one
+product of the full saddle matrix with [u; p], and a factorization takes the
+free rows and columns of that matrix.
+
+Only the free unknowns (``pattern.free``, set once per dof map) are
+factorized: the Dirichlet velocity dofs are dropped, and so is pressure dof 0
+together with its continuity row. That row is redundant: the pressure basis
+sums to one, so the continuity rows of B u sum to -int div u = 0 for any u
+vanishing on the boundary. Pinning p_0 = 0 fixes the constant pressure mode,
+and the solution is then shifted to zero gauge-weighted mean,
+p -= (g . p) / sum(g).
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import assembly
-from .assembly import ElementGeometry, ProblemParams, SparseOperator
+from .assembly import ElementGeometry, ProblemParams
 from .mesh import DofMap, TriMesh
 
 RESIDUAL_CHECK_FACTOR = 1e-10
@@ -44,9 +50,6 @@ class FEField:
     velocity: np.ndarray
     pressure: np.ndarray
     dofs: DofMap
-
-    def copy(self) -> "FEField":
-        return FEField(self.velocity.copy(), self.pressure.copy(), self.dofs)
 
     def __add__(self, other: "FEField") -> "FEField":
         if other.dofs is not self.dofs:
@@ -98,14 +101,15 @@ class SolveReport:
 
 @dataclass
 class AssembledOperators:
-    """Constant blocks shared by every solve on one (mesh, dofs, params)."""
+    """Constant operators shared by every solve on one (mesh, dofs, params).
+
+    ``stokes`` is the pattern data of [[A, B^T], [B, 0]].
+    """
 
     mesh: TriMesh
     dofs: DofMap
     geom: ElementGeometry
-    viscous: SparseOperator
-    divergence: SparseOperator
-    gauge: np.ndarray
+    stokes: np.ndarray
 
     @property
     def mask(self) -> np.ndarray:
@@ -114,14 +118,21 @@ class AssembledOperators:
 
 def assemble_operators(mesh: TriMesh, dofs: DofMap, params: ProblemParams) -> AssembledOperators:
     geom = ElementGeometry(mesh)
-    return AssembledOperators(
-        mesh=mesh,
-        dofs=dofs,
-        geom=geom,
-        viscous=assembly.assemble_viscous(mesh, dofs, params.nu, geom=geom),
-        divergence=assembly.assemble_divergence(mesh, dofs, geom=geom),
-        gauge=dofs.pressure_gauge,
-    )
+    stokes = (assembly.assemble_viscous(mesh, dofs, params.nu, geom=geom)
+              + assembly.assemble_divergence(mesh, dofs, geom=geom))
+    return AssembledOperators(mesh=mesh, dofs=dofs, geom=geom, stokes=stokes)
+
+
+def _saddle_residual(dofs: DofMap, data: np.ndarray, u: np.ndarray, p: np.ndarray,
+                     load: np.ndarray) -> np.ndarray:
+    """[A u + B^T p - load; B u] for the operator ``data``, Dirichlet rows zeroed.
+
+    ``u``, ``p`` and ``load`` may carry one column per load.
+    """
+    residual = dofs.pattern.matrix(data) @ np.concatenate([u, p])
+    residual[:dofs.n_velocity_dofs] -= load
+    residual[:dofs.n_velocity_dofs][dofs.dirichlet_mask] = 0.0
+    return residual
 
 
 @dataclass
@@ -172,45 +183,30 @@ class SaddleFactor:
         return solution.reshape((n_total,) + rhs.shape[1:]), failures
 
 
-def factor_saddle(a_block: SparseOperator, b_block: SparseOperator,
-                  gauge: np.ndarray, mask: np.ndarray) -> SaddleFactor:
-    """Build [[A, B^T], [B, 0]] on the free unknowns and factorize it once.
+def factor_saddle(dofs: DofMap, data: np.ndarray) -> SaddleFactor:
+    """Factorize the saddle matrix with pattern data ``data`` on its free unknowns.
 
     The unknown layout is [velocity, pressure]. The Dirichlet velocity dofs
     and pressure dof 0 are dropped before factorization; solves return them
-    as zero and shift the pressure to zero gauge-weighted mean. Dimension
-    mismatches raise ValueError; a failed factorization raises
-    SingularSystemError.
+    as zero and shift the pressure to zero gauge-weighted mean. A failed
+    factorization raises SingularSystemError.
     """
-    n_u, n_p = a_block.shape[0], b_block.shape[0]
-    if a_block.shape[0] != a_block.shape[1]:
-        raise ValueError(f"velocity block must be square, got {a_block.shape}")
-    if b_block.shape[1] != n_u:
-        raise ValueError(f"divergence block shape {b_block.shape} does not match "
-                         f"{n_u} velocity dofs")
-    if gauge.shape != (n_p,):
-        raise ValueError(f"gauge vector length {gauge.shape} does not match "
-                         f"{n_p} pressure dofs")
-    free = np.ones(n_u + n_p, dtype=bool)
-    free[:n_u][mask] = False
-    free[n_u] = False  # pressure pin
-    matrix = sp.bmat([[a_block, b_block.T], [b_block, None]],
-                     format="csr")[free][:, free].tocsc()
+    free = dofs.pattern.free
+    matrix = dofs.pattern.matrix(data)[free][:, free]
     try:
         lu = spla.splu(matrix)
     except RuntimeError as exc:  # SuperLU signals exact singularity this way
         raise SingularSystemError(f"sparse factorization failed: {exc}") from exc
-    return SaddleFactor(matrix, lu, free, gauge, n_u, spla.norm(matrix))
+    return SaddleFactor(matrix, lu, free, dofs.pressure_gauge, dofs.n_velocity_dofs,
+                        spla.norm(matrix))
 
 
-def linear_saddle_solve(a_block: SparseOperator, b_block: SparseOperator,
-                        rhs: np.ndarray, gauge: np.ndarray,
-                        mask: np.ndarray) -> np.ndarray:
+def linear_saddle_solve(dofs: DofMap, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """One factorization and one solve; see ``factor_saddle`` and ``SaddleFactor.solve``.
 
     A column that fails its checks raises SingularSystemError.
     """
-    solution, failures = factor_saddle(a_block, b_block, gauge, mask).solve(rhs)
+    solution, failures = factor_saddle(dofs, data).solve(rhs)
     failed = [f for f in failures if f]
     if failed:
         raise SingularSystemError(failed[0])
@@ -219,13 +215,13 @@ def linear_saddle_solve(a_block: SparseOperator, b_block: SparseOperator,
 
 def solve_stokes(ops: AssembledOperators, load: np.ndarray) -> FEField:
     """Linear solve without convection; the deterministic initial guess."""
-    x = linear_saddle_solve(ops.viscous, ops.divergence, load, ops.gauge, ops.mask)
+    x = linear_saddle_solve(ops.dofs, ops.stokes, load)
     n_u = ops.dofs.n_velocity_dofs
     return FEField(x[:n_u], x[n_u:], ops.dofs)
 
 
 def _newton(ops: AssembledOperators, load: np.ndarray,
-            frozen_convection: SparseOperator | None,
+            frozen_convection: np.ndarray | None,
             u0: np.ndarray, p0: np.ndarray, cfg: NewtonConfig,
             presolves: int = 0) -> tuple[FEField, SolveReport]:
     """Newton iteration on A u + c(u,u,.) [+ frozen terms] + B^T p = load.
@@ -234,20 +230,17 @@ def _newton(ops: AssembledOperators, load: np.ndarray,
     equation; the Jacobian and the convection residual are reassembled from
     the current iterate every step (full Newton).
     """
-    mesh, dofs, gauge = ops.mesh, ops.dofs, ops.gauge
+    mesh, dofs = ops.mesh, ops.dofs
     n_u = dofs.n_velocity_dofs
-    mask = ops.mask
     u, p = u0.copy(), p0.copy()
-    u[mask] = 0.0
+    u[ops.mask] = 0.0
     history: list[float] = []
     solves = presolves
     for _ in range(cfg.max_iter + 1):
         n1, n2 = assembly.assemble_convection_linearized(mesh, dofs, u, geom=ops.geom)
-        linear_part = ops.viscous + n1 if frozen_convection is None \
-            else ops.viscous + n1 + frozen_convection
-        r_u = linear_part @ u + ops.divergence.T @ p - load
-        r_u[mask] = 0.0
-        residual = np.concatenate([r_u, ops.divergence @ u])
+        linear_part = ops.stokes + n1 if frozen_convection is None \
+            else ops.stokes + n1 + frozen_convection
+        residual = _saddle_residual(dofs, linear_part, u, p, load)
         r_norm = float(np.linalg.norm(residual))
         history.append(r_norm)
         if not np.isfinite(r_norm):
@@ -258,9 +251,8 @@ def _newton(ops: AssembledOperators, load: np.ndarray,
             return FEField(u, p, dofs), SolveReport(True, solves, r_norm, history)
         if solves - presolves >= cfg.max_iter:
             break
-        jacobian = (linear_part + n2).tocsr()
         try:
-            x = linear_saddle_solve(jacobian, ops.divergence, -residual, gauge, mask)
+            x = linear_saddle_solve(dofs, linear_part + n2, -residual)
         except SingularSystemError as exc:
             return (FEField(u, p, dofs),
                     SolveReport(False, solves, r_norm, history, failure=str(exc)))
@@ -290,8 +282,7 @@ def solve_stochastic_full(ops: AssembledOperators, xi: FEField,
     cfg = cfg or NewtonConfig()
     n1, n2 = assembly.assemble_convection_linearized(ops.mesh, ops.dofs,
                                                      xi.velocity, geom=ops.geom)
-    frozen = (n1 + n2).tocsr()
-    fld, report = _newton(ops, noise_load, frozen,
+    fld, report = _newton(ops, noise_load, n1 + n2,
                           np.zeros(ops.dofs.n_velocity_dofs),
                           np.zeros(ops.dofs.n_pressure_dofs), cfg)
     report.method = "split"
@@ -313,18 +304,15 @@ def solve_stochastic_modified(
     n_u = ops.dofs.n_velocity_dofs
     n1, n2 = assembly.assemble_convection_linearized(ops.mesh, ops.dofs,
                                                      xi.velocity, geom=ops.geom)
-    a_eff = (ops.viscous + n1 + n2).tocsr()
+    k_xi = ops.stokes + n1 + n2
     try:
-        x, failures = factor_saddle(a_eff, ops.divergence, ops.gauge,
-                                    ops.mask).solve(loads)
+        x, failures = factor_saddle(ops.dofs, k_xi).solve(loads)
     except SingularSystemError as exc:
         x = np.zeros((n_u + ops.dofs.n_pressure_dofs, loads.shape[1]))
         failures = [str(exc)] * loads.shape[1]
     velocity, pressure = x[:n_u], x[n_u:]
-    r_u = a_eff @ velocity + ops.divergence.T @ pressure - loads
-    r_u[ops.mask] = 0.0
-    r_norms = np.hypot(np.linalg.norm(r_u, axis=0),
-                       np.linalg.norm(ops.divergence @ velocity, axis=0))
+    r_norms = np.linalg.norm(_saddle_residual(ops.dofs, k_xi, velocity, pressure, loads),
+                             axis=0)
     out = []
     for j, failure in enumerate(failures):
         if failure:

@@ -176,8 +176,7 @@ def run_experiment(cfg: McConfig, jobs: int = 1) -> McStats:
     """
     mesh = build_structured_mesh(cfg.mesh_n)
     dofs = build_dof_map(mesh)
-    params = assembly.ProblemParams(nu=cfg.nu, sigma=cfg.sigma)
-    ops = solvers.assemble_operators(mesh, dofs, params)
+    ops = solvers.assemble_operators(mesh, dofs, assembly.ProblemParams(nu=cfg.nu))
     f_load = assembly.assemble_load(mesh, dofs,
                                     lambda x, y: manufactured.exact_forcing(x, y, cfg.nu))
     xi, xi_report = solvers.solve_deterministic_ns(ops, f_load, cfg.newton)
@@ -337,10 +336,9 @@ def write_stats_csv(path: str, stats_rows: list[McStats]) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def write_samples_csv(path: str, stats_rows: list[McStats]) -> None:
-    lines = [SolveReport.csv_header()]
-    for st in stats_rows:
-        lines += [rep.to_csv_row() for rep in st.reports]
+def write_samples_csv(path: str, reports: list[SolveReport]) -> None:
+    """One row per solve, in the order given."""
+    lines = [SolveReport.csv_header()] + [rep.to_csv_row() for rep in reports]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from snsflow import assembly
 from snsflow.assembly import (
     ProblemParams,
     assemble_convection_linearized,
@@ -16,6 +15,7 @@ from snsflow.checks import (
     divergence_free_velocity_fields,
     trilinear_identity_defects,
     trilinear_value_defect,
+    velocity_block,
 )
 from snsflow.manufactured import exact_forcing, interpolate_velocity
 from snsflow.mesh import build_dof_map, build_structured_mesh
@@ -42,31 +42,34 @@ def dofs4(mesh4):
     return build_dof_map(mesh4)
 
 
+def _divergence_block(dofs, data):
+    n_u = dofs.n_velocity_dofs
+    return dofs.pattern.matrix(data)[n_u:, :n_u]
+
+
 def test_problem_params_validation():
-    ProblemParams(nu=0.02, sigma=0.0)
+    ProblemParams(nu=0.02)
     with pytest.raises(ValueError):
         ProblemParams(nu=0.0)
-    with pytest.raises(ValueError):
-        ProblemParams(nu=0.1, sigma=-1.0)
 
 
 def test_viscous_is_symmetric_and_duplicate_free(mesh4, dofs4):
-    a = assemble_viscous(mesh4, dofs4, 0.02)
+    a = velocity_block(dofs4, assemble_viscous(mesh4, dofs4, 0.02))
     assert a.has_canonical_format  # finalized: duplicates summed
     defect = abs(a - a.T).max()
     assert defect <= 1e-12 * abs(a).max()
 
 
 def test_viscous_annihilates_constants_on_interior(mesh4, dofs4):
-    a = assemble_viscous(mesh4, dofs4, 0.3)
+    a = velocity_block(dofs4, assemble_viscous(mesh4, dofs4, 0.3))
     const = interpolate_velocity(dofs4, lambda x, y: (np.ones_like(x), np.ones_like(y)))
     resid = a @ const
     assert np.abs(resid[~dofs4.dirichlet_mask]).max() <= 1e-13
 
 
 def test_viscous_linear_in_viscosity(mesh2, dofs2):
-    a1 = assemble_viscous(mesh2, dofs2, 0.02)
-    a2 = assemble_viscous(mesh2, dofs2, 0.04)
+    a1 = velocity_block(dofs2, assemble_viscous(mesh2, dofs2, 0.02))
+    a2 = velocity_block(dofs2, assemble_viscous(mesh2, dofs2, 0.04))
     assert abs(a2 - 2 * a1).max() <= 1e-15
 
 
@@ -75,13 +78,13 @@ def test_viscous_energy_of_linear_field_is_nu():
     mesh = build_structured_mesh(1)
     dofs = build_dof_map(mesh)
     nu = 0.37
-    a = assemble_viscous(mesh, dofs, nu)
+    a = velocity_block(dofs, assemble_viscous(mesh, dofs, nu))
     u = interpolate_velocity(dofs, lambda x, y: (x, 0.0 * y))
     assert u @ (a @ u) == pytest.approx(nu, rel=1e-13)
 
 
 def test_viscous_positive_definite_on_free_subspace(mesh2, dofs2):
-    a = assemble_viscous(mesh2, dofs2, 1.0).toarray()
+    a = velocity_block(dofs2, assemble_viscous(mesh2, dofs2, 1.0)).toarray()
     free = ~dofs2.dirichlet_mask
     eigvals = np.linalg.eigvalsh(a[np.ix_(free, free)])
     assert eigvals.min() > 1e-10
@@ -90,13 +93,13 @@ def test_viscous_positive_definite_on_free_subspace(mesh2, dofs2):
 
 
 def test_divergence_annihilates_divergence_free_polynomial(mesh4, dofs4):
-    b = assemble_divergence(mesh4, dofs4)
+    b = _divergence_block(dofs4, assemble_divergence(mesh4, dofs4))
     u = interpolate_velocity(dofs4, lambda x, y: (y, 0.0 * x))
     assert np.abs(b @ u).max() <= 1e-13
 
 
 def test_divergence_of_linear_field_against_constant_pressure(mesh4, dofs4):
-    b = assemble_divergence(mesh4, dofs4)
+    b = _divergence_block(dofs4, assemble_divergence(mesh4, dofs4))
     u = interpolate_velocity(dofs4, lambda x, y: (x, 0.0 * y))
     q = np.ones(dofs4.n_pressure_dofs)
     assert q @ (b @ u) == pytest.approx(-1.0, rel=1e-13)
@@ -104,14 +107,15 @@ def test_divergence_of_linear_field_against_constant_pressure(mesh4, dofs4):
 
 def test_divergence_theorem_for_tangential_field(mesh4, dofs4):
     # u.n = 0 on the boundary and q = 1: the form must vanish
-    b = assemble_divergence(mesh4, dofs4)
+    b = _divergence_block(dofs4, assemble_divergence(mesh4, dofs4))
     u = interpolate_velocity(dofs4, lambda x, y: (x * (1 - x), y * (1 - y)))
     q = np.ones(dofs4.n_pressure_dofs)
     assert abs(q @ (b @ u)) <= 1e-13
 
 
 def test_convection_vanishes_for_zero_wind(mesh2, dofs2):
-    n1, n2 = assemble_convection_linearized(mesh2, dofs2, np.zeros(dofs2.n_velocity_dofs))
+    n1, n2 = (velocity_block(dofs2, op) for op in
+              assemble_convection_linearized(mesh2, dofs2, np.zeros(dofs2.n_velocity_dofs)))
     assert n1.nnz == 0 or abs(n1).max() == 0
     assert n2.nnz == 0 or abs(n2).max() == 0
 
@@ -198,18 +202,9 @@ def test_noise_load_cell_lookup(mesh4, dofs4):
     assert np.all(load[nn:] == 0)
 
 
-def test_operator_coo_dump(tmp_path, mesh2, dofs2):
-    a = assemble_viscous(mesh2, dofs2, 1.0)
-    path = tmp_path / "a.txt"
-    assembly.operator_to_coo_text(a, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "row,col,value"
-    assert len(lines) == a.nnz + 1
-
-
 def test_spd_system_solvable_after_masking(mesh2, dofs2):
     # the masked viscous block factorizes; a smoke test for downstream solvers
-    a = assemble_viscous(mesh2, dofs2, 0.5).tolil()
+    a = velocity_block(dofs2, assemble_viscous(mesh2, dofs2, 0.5)).tolil()
     mask = dofs2.dirichlet_mask
     for i in np.where(mask)[0]:
         a[i, :] = 0.0

@@ -77,12 +77,6 @@ def test_forcing_affine_in_viscosity():
     assert np.abs((f4 - f2) - (f6 - f4)).max() <= 1e-12
 
 
-def test_exact_fields_bundle():
-    u, p, f = mf.exact_fields(0.25, 0.75, 0.02)
-    assert u.shape == (2,) and f.shape == (2,)
-    assert p == pytest.approx(mf.exact_pressure(0.25, 0.75))
-
-
 def test_forcing_norm_frozen_and_rule_independent():
     assert mf.forcing_l2_norm(0.02) == pytest.approx(FORCING_NORM_NU002, rel=1e-10)
     assert mf.forcing_l2_norm(0.02, degree=30) == pytest.approx(FORCING_NORM_NU002, rel=1e-10)

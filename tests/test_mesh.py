@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from snsflow.checks import audit_mesh
-from snsflow.mesh import build_dof_map, build_structured_mesh, mesh_to_csv, triangle_nodes
+from snsflow.mesh import build_dof_map, build_structured_mesh, triangle_nodes
 
 
 def test_smallest_mesh_counts_and_euler():
@@ -70,10 +70,10 @@ def test_local_to_global_injective_and_surjective():
     mesh = build_structured_mesh(3)
     dofs = build_dof_map(mesh)
     for t in range(mesh.n_triangles):
-        flat = dofs.local_to_global[t].ravel()
-        assert len(set(flat.tolist())) == 12
-    covered = np.unique(dofs.local_to_global.ravel())
-    assert np.array_equal(covered, np.arange(dofs.n_velocity_dofs))
+        flat = dofs.element_dofs[t]
+        assert len(set(flat.tolist())) == 15
+    covered = np.unique(dofs.element_dofs.ravel())
+    assert np.array_equal(covered, np.arange(dofs.n_velocity_dofs + dofs.n_pressure_dofs))
 
 
 def test_node_coords_cover_vertices_then_midpoints():
@@ -96,11 +96,40 @@ def test_pressure_gauge_is_partition_of_unity_integral():
     assert dofs.pressure_gauge @ np.ones(dofs.n_pressure_dofs) == pytest.approx(1.0, abs=1e-14)
 
 
-def test_mesh_csv_dump_sections(tmp_path):
-    mesh = build_structured_mesh(2)
-    path = tmp_path / "mesh.csv"
-    mesh_to_csv(mesh, str(path))
-    text = path.read_text()
-    for section in ("# vertices", "# triangles", "# edges"):
-        assert section in text
-    assert text.count("\n") == 3 + 3 + mesh.n_vertices + mesh.n_triangles + mesh.n_edges
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_saddle_pattern_slots_land_on_element_dof_pairs(n):
+    dofs = build_dof_map(build_structured_mesh(n))
+    pat = dofs.pattern
+    for arr in (pat.indptr, pat.indices, pat.v_slots, pat.div_slots):
+        assert arr.dtype == np.int32
+    col_of = np.repeat(np.arange(len(pat.free)), np.diff(pat.indptr))
+    vel, prs = dofs.element_dofs[:, :12], dofs.element_dofs[:, 12:]
+
+    def lands_on(slots, rows, cols):
+        return (np.array_equal(pat.indices[slots], np.broadcast_to(rows, slots.shape))
+                and np.array_equal(col_of[slots], np.broadcast_to(cols, slots.shape)))
+
+    assert lands_on(pat.v_slots, vel[:, :, None], vel[:, None, :])
+    assert lands_on(pat.div_slots[0], prs[:, :, None], vel[:, None, :])   # B
+    assert lands_on(pat.div_slots[1], vel[:, None, :], prs[:, :, None])   # B^T
+    # every stored entry is some element's entry
+    slots = np.concatenate([pat.v_slots.ravel(), pat.div_slots.ravel()])
+    assert np.array_equal(np.unique(slots), np.arange(pat.nnz))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_saddle_pattern_is_sorted_duplicate_free_and_symmetric(n):
+    pat = build_dof_map(build_structured_mesh(n)).pattern
+    for c in range(len(pat.free)):
+        rows = pat.indices[pat.indptr[c]:pat.indptr[c + 1]]
+        assert np.all(np.diff(rows) > 0)
+    ones = pat.matrix(np.ones(pat.nnz))
+    assert (ones != ones.T).nnz == 0
+
+
+def test_free_set_drops_dirichlet_dofs_and_pressure_pin():
+    dofs = build_dof_map(build_structured_mesh(4))
+    pinned = np.zeros(dofs.n_pressure_dofs, dtype=bool)
+    pinned[0] = True
+    assert np.array_equal(~dofs.pattern.free,
+                          np.concatenate([dofs.dirichlet_mask, pinned]))

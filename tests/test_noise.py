@@ -7,7 +7,6 @@ from snsflow.noise import (
     NoiseGrid,
     evaluate_noise,
     noise_l2_norm,
-    noise_to_csv,
     sample_noise,
     substream_key,
 )
@@ -132,15 +131,6 @@ def test_l2_norm_second_moment():
             for k in range(1000)]
     expected = sigma ** 2 * 2 * grid.n_cells
     assert np.mean(vals) == pytest.approx(expected, rel=0.10)
-
-
-def test_noise_csv_dump(tmp_path):
-    field = sample_noise(NoiseGrid(3), 1.0, seed=5)
-    path = tmp_path / "noise.csv"
-    noise_to_csv(field, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "cell_i,cell_j,zeta_x,zeta_y"
-    assert len(lines) == 10
 
 
 def test_negative_amplitude_rejected():

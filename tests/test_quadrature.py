@@ -15,7 +15,7 @@ def test_default_rule_declared_degree_and_weights():
     assert rule.degree >= 5
     assert len(rule.weights) == 7
     assert rule.weights.sum() == pytest.approx(1.0, abs=1e-14)
-    assert np.all(rule.barycentric >= 0)
+    assert np.all(p1_shape(rule.points) >= 0)
 
 
 def test_default_rule_monomial_exactness():

@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 
 from snsflow import assembly, manufactured as mf, solvers
 from snsflow.assembly import ProblemParams
-from snsflow.checks import splitting_equivalence_max_defect
+from snsflow.checks import DenseOracle, splitting_equivalence_max_defect, velocity_block
 from snsflow.mesh import build_dof_map, build_structured_mesh
 from snsflow.noise import NoiseGrid, sample_noise, substream_key
 from snsflow.solvers import (
@@ -28,10 +28,10 @@ from snsflow.solvers import (
 NU = 0.02
 
 
-def _setup(n, nu=NU, sigma=0.0):
+def _setup(n, nu=NU):
     mesh = build_structured_mesh(n)
     dofs = build_dof_map(mesh)
-    ops = assemble_operators(mesh, dofs, ProblemParams(nu=nu, sigma=sigma))
+    ops = assemble_operators(mesh, dofs, ProblemParams(nu=nu))
     return mesh, dofs, ops
 
 
@@ -51,8 +51,7 @@ def _noise_load(mesh, dofs, ops, sigma, n_noise, seed=0, sample=0):
 
 def test_zero_rhs_gives_zero_solution():
     mesh, dofs, ops = _setup(2)
-    x = linear_saddle_solve(ops.viscous, ops.divergence,
-                            np.zeros(dofs.n_velocity_dofs), ops.gauge, mask=ops.mask)
+    x = linear_saddle_solve(dofs, ops.stokes, np.zeros(dofs.n_velocity_dofs))
     assert np.all(x == 0)
 
 
@@ -60,15 +59,14 @@ def test_matches_dense_factorization_oracle():
     mesh, dofs, ops = _setup(2)  # 50 velocity dofs
     rng = np.random.default_rng(8)
     rhs = rng.standard_normal(dofs.n_velocity_dofs)
-    x = linear_saddle_solve(ops.viscous, ops.divergence, rhs, ops.gauge, mask=ops.mask)
+    x = linear_saddle_solve(dofs, ops.stokes, rhs)
 
     n_u, n_p = dofs.n_velocity_dofs, dofs.n_pressure_dofs
+    gauge = dofs.pressure_gauge
     dense = np.zeros((n_u + n_p + 1, n_u + n_p + 1))
-    dense[:n_u, :n_u] = ops.viscous.toarray()
-    dense[n_u:n_u + n_p, :n_u] = ops.divergence.toarray()
-    dense[:n_u, n_u:n_u + n_p] = ops.divergence.toarray().T
-    dense[n_u:n_u + n_p, -1] = ops.gauge
-    dense[-1, n_u:n_u + n_p] = ops.gauge
+    dense[:n_u + n_p, :n_u + n_p] = dofs.pattern.matrix(ops.stokes).toarray()
+    dense[n_u:n_u + n_p, -1] = gauge
+    dense[-1, n_u:n_u + n_p] = gauge
     free = np.ones(len(dense), dtype=bool)
     free[:n_u][ops.mask] = False
     proj = np.diag(free.astype(float))
@@ -83,22 +81,28 @@ def test_matches_dense_factorization_oracle():
 def test_dimension_mismatch_is_a_value_error():
     mesh, dofs, ops = _setup(2)
     with pytest.raises(ValueError):
-        linear_saddle_solve(ops.viscous, ops.divergence,
-                            np.zeros(dofs.n_velocity_dofs - 1), ops.gauge, ops.mask)
-    with pytest.raises(ValueError):
-        linear_saddle_solve(ops.viscous, ops.divergence[:, :-2],
-                            np.zeros(dofs.n_velocity_dofs), ops.gauge, ops.mask)
-    with pytest.raises(ValueError):
-        linear_saddle_solve(ops.viscous, ops.divergence,
-                            np.zeros(dofs.n_velocity_dofs), ops.gauge[:-1], ops.mask)
+        linear_saddle_solve(dofs, ops.stokes, np.zeros(dofs.n_velocity_dofs - 1))
 
 
 def test_singular_system_is_distinguished():
     mesh, dofs, ops = _setup(2)
-    zero_block = sp.csr_matrix(ops.viscous.shape)  # vanishing viscosity
+    divergence_only = assembly.assemble_divergence(mesh, dofs)  # vanishing viscosity
     with pytest.raises(SingularSystemError):
-        linear_saddle_solve(zero_block, ops.divergence,
-                            np.ones(dofs.n_velocity_dofs), ops.gauge, mask=ops.mask)
+        linear_saddle_solve(dofs, divergence_only, np.ones(dofs.n_velocity_dofs))
+
+
+def test_free_dof_jacobian_matches_dense_oracle():
+    mesh, dofs, ops = _setup(2)
+    w = np.random.default_rng(5).standard_normal(dofs.n_velocity_dofs)
+    n1, n2 = assembly.assemble_convection_linearized(mesh, dofs, w, geom=ops.geom)
+    got = solvers.factor_saddle(dofs, ops.stokes + n1 + n2).matrix.toarray()
+
+    oracle = DenseOracle(mesh, dofs)
+    o1, o2 = oracle.convection(w)
+    b = oracle.divergence()
+    free = dofs.pattern.free
+    want = sp.bmat([[oracle.viscous(NU) + o1 + o2, b.T], [b, None]]).toarray()[free][:, free]
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_stokes_convergence_under_refinement():
@@ -158,7 +162,8 @@ def test_returned_fields_satisfy_constraints():
     mesh, dofs, ops = _setup(8)
     fld, _ = solve_deterministic_ns(ops, _forcing_load(mesh, dofs))
     assert np.all(fld.velocity[dofs.dirichlet_mask] == 0.0)
-    div_norm = np.linalg.norm(ops.divergence @ fld.velocity)
+    n_u = dofs.n_velocity_dofs
+    div_norm = np.linalg.norm(dofs.pattern.matrix(ops.stokes)[n_u:, :n_u] @ fld.velocity)
     assert div_norm <= 1e-9 * max(np.linalg.norm(fld.velocity), 1e-30)
     gauge_defect = abs(dofs.pressure_gauge @ fld.pressure)
     assert gauge_defect <= 1e-10 * max(np.linalg.norm(fld.pressure), 1e-30)
@@ -183,7 +188,7 @@ def test_per_sample_equivalence_oracle():
 
 
 def test_full_correction_converges_at_large_amplitude_from_zero():
-    mesh, dofs, ops = _setup(8, sigma=8.0)
+    mesh, dofs, ops = _setup(8)
     xi, _ = solve_deterministic_ns(ops, _forcing_load(mesh, dofs))
     noise_load = _noise_load(mesh, dofs, ops, 8.0, 8, seed=3)
     eta, rep = solve_stochastic_full(ops, xi, noise_load)
@@ -271,12 +276,11 @@ def test_failed_factorization_fails_every_modified_column(monkeypatch):
 def test_saddle_factor_solves_a_block_like_its_columns():
     mesh, dofs, ops = _setup(3)
     rhs = np.random.default_rng(2).standard_normal((dofs.n_velocity_dofs, 4))
-    factor = solvers.factor_saddle(ops.viscous, ops.divergence, ops.gauge, ops.mask)
+    factor = solvers.factor_saddle(dofs, ops.stokes)
     block, failures = factor.solve(rhs)
     assert failures == [""] * 4
     for j in range(4):
-        x = linear_saddle_solve(ops.viscous, ops.divergence, rhs[:, j].copy(),
-                                ops.gauge, ops.mask)
+        x = linear_saddle_solve(dofs, ops.stokes, rhs[:, j].copy())
         assert np.abs(block[:, j] - x).max() <= 1e-13 * np.abs(x).max()
     with pytest.raises(ValueError):
         factor.solve(np.zeros((dofs.n_velocity_dofs, 2, 2)))
@@ -296,7 +300,7 @@ def test_zero_amplitude_reproduces_deterministic_solution():
 
 
 def test_monolithic_minus_deterministic_equals_correction():
-    mesh, dofs, ops = _setup(8, sigma=1.5)
+    mesh, dofs, ops = _setup(8)
     load = _forcing_load(mesh, dofs)
     xi, _ = solve_deterministic_ns(ops, load)
     noise_load = _noise_load(mesh, dofs, ops, 1.5, 8, seed=9)
@@ -317,7 +321,7 @@ def test_default_initial_guess_is_the_deterministic_solution():
 
 
 def test_non_convergence_is_reported_not_raised():
-    mesh, dofs, ops = _setup(4, sigma=60.0)
+    mesh, dofs, ops = _setup(4)
     load = _forcing_load(mesh, dofs)
     noise_load = _noise_load(mesh, dofs, ops, 60.0, 4, seed=13)
     cfg = NewtonConfig(max_iter=4)
@@ -340,11 +344,11 @@ def test_jacobian_matches_directional_finite_differences():
 
     def residual(vec):
         n1, _ = assembly.assemble_convection_linearized(mesh, dofs, vec, geom=ops.geom)
-        r = ops.viscous @ vec + n1 @ vec
+        r = velocity_block(dofs, ops.stokes + n1) @ vec
         return r[free]
 
     n1, n2 = assembly.assemble_convection_linearized(mesh, dofs, u, geom=ops.geom)
-    jac = ops.viscous + n1 + n2
+    jac = velocity_block(dofs, ops.stokes + n1 + n2)
     eps = 1e-6
     for _ in range(10):
         d = rng.standard_normal(dofs.n_velocity_dofs)
