@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from . import assembly, manufactured, noise as noise_mod, solvers, uq
-from .assembly import ProblemParams, p1_shape, p2_shape
+from .assembly import p1_shape, p2_shape
 from .mesh import DofMap, TriMesh, build_dof_map, build_structured_mesh, triangle_nodes
 
 
@@ -303,12 +303,7 @@ def convergence_study(ns=(4, 8, 16), nu: float = 0.02) -> dict:
     """Deterministic solve against the closed-form solution under refinement."""
     vel_errors, prs_errors = [], []
     for n in ns:
-        mesh = build_structured_mesh(n)
-        dofs = build_dof_map(mesh)
-        ops = solvers.assemble_operators(mesh, dofs, ProblemParams(nu=nu))
-        load = assembly.assemble_load(mesh, dofs,
-                                      lambda x, y: manufactured.exact_forcing(x, y, nu))
-        fld, rep = solvers.solve_deterministic_ns(ops, load)
+        _, _, fld, rep = uq.prepare(build_dof_map(build_structured_mesh(n)), nu)
         if not rep.converged:
             raise RuntimeError(f"deterministic solve failed to converge at n={n}")
         vel_errors.append(manufactured.l2_error(fld, manufactured.exact_velocity))
@@ -328,19 +323,12 @@ def splitting_equivalence_max_defect(n: int = 8, sigma: float = 1.5,
                                      nu: float = 0.02) -> float:
     """Largest per-sample relative L2 gap between the monolithic solution and
     the sum of the splitting parts, over shared noise draws."""
-    mesh = build_structured_mesh(n)
-    dofs = build_dof_map(mesh)
-    ops = solvers.assemble_operators(mesh, dofs, ProblemParams(nu=nu))
-    load = assembly.assemble_load(mesh, dofs,
-                                  lambda x, y: manufactured.exact_forcing(x, y, nu))
-    xi, _ = solvers.solve_deterministic_ns(ops, load)
-    grid = noise_mod.NoiseGrid(n)
-    amplitude = sigma * math.sqrt(grid.cell_volume)
+    dofs = build_dof_map(build_structured_mesh(n))
+    ops, load, xi, _ = uq.prepare(dofs, nu)
+    cfg = uq.McConfig(M=samples, base_seed=seed, sigma=sigma, nu=nu, mesh_n=n, noise_n=n)
+    loads, _ = uq.noise_loads(cfg, ops, range(samples))
     worst = 0.0
-    for k in range(samples):
-        draw = noise_mod.sample_noise(grid, amplitude,
-                                      noise_mod.substream_key(seed, k))
-        noise_load = assembly.assemble_noise_load(mesh, dofs, draw, geom=ops.geom)
+    for noise_load in loads.T:
         eta, rep_s = solvers.solve_stochastic_full(ops, xi, noise_load)
         mono, rep_m = solvers.solve_monolithic(ops, load, noise_load,
                                                initial_guess=xi)

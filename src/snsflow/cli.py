@@ -1,5 +1,5 @@
-"""Command-line front end: single solves, Monte Carlo runs, amplitude sweeps,
-and the verification battery.
+"""Command-line front end: single solves, Monte Carlo runs (over sample counts
+or noise amplitudes), and the verification battery.
 
 Flags may be combined with a JSON config file (``--config``); explicit flags
 win over file values, file values win over built-in defaults. All randomness
@@ -16,9 +16,7 @@ import os
 import sys
 from math import isfinite
 
-import numpy as np
-
-from . import assembly, checks, manufactured, noise as noise_mod, solvers, uq
+from . import checks, solvers, uq
 from .mesh import build_dof_map, build_structured_mesh
 from .solvers import NewtonConfig
 from .uq import McConfig
@@ -44,7 +42,6 @@ DEFAULTS = {
     "out_dir": ".",
     "init": _MC.mono_init,
     "sample_index": 0,
-    "sigmas": "0.8,1.6,2.4,3.2,4,8",
 }
 
 
@@ -94,12 +91,6 @@ def build_parser() -> _Parser:
     p_mc.add_argument("--init", choices=["deterministic", "zero"],
                       help="monolithic initial guess")
 
-    p_sweep = sub.add_parser("sweep", help="noise-amplitude sweep at fixed M")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--samples", help="sample count per amplitude")
-    p_sweep.add_argument("--sigmas", help="comma list of amplitudes")
-    p_sweep.add_argument("--init", choices=["deterministic", "zero"])
-
     p_verify = sub.add_parser("verify", help="run the verification battery")
     _add_common(p_verify)
     p_verify.add_argument("--convergence", action="store_true",
@@ -145,7 +136,7 @@ def _config_type_ok(key: str, value) -> bool:
         return value is None or isinstance(value, int)
     if isinstance(default, int):
         return isinstance(value, int)
-    return isinstance(value, str) or (key in ("samples", "sigmas")
+    return isinstance(value, str) or (key == "samples"
                                       and isinstance(value, (int, float)))
 
 
@@ -178,7 +169,6 @@ def _validate(merged: dict) -> dict:
         raise UsageError("--samples must be an integer or comma list of integers")
     if not out["samples_list"] or min(out["samples_list"]) < 1:
         raise UsageError("--samples must contain positive integers")
-    out["sigma_list"] = _amplitudes(out["sigmas"], "--sigmas")
     methods = tuple(m.strip() for m in str(out["methods"]).split(",") if m.strip())
     bad = set(methods) - set(uq.METHODS)
     if bad or not methods:
@@ -194,19 +184,14 @@ def _validate(merged: dict) -> dict:
     return out
 
 
-def _amplitudes(text, flag: str) -> list[float]:
+def _amplitudes(text) -> list[float]:
     try:
         values = [float(s) for s in str(text).split(",") if s]
     except ValueError:
         values = []
     if not values or not all(isfinite(s) and s >= 0 for s in values):
-        raise UsageError(f"{flag} must be a comma list of finite non-negative numbers")
+        raise UsageError("--sigma-sweep must be a comma list of finite non-negative numbers")
     return values
-
-
-def _newton_config(v: dict) -> NewtonConfig:
-    return NewtonConfig(abs_tol=v["newton_tol"], rel_tol=v["newton_tol"],
-                        max_iter=v["newton_max_iter"], damping=v["damping"])
 
 
 def _mc_config(v: dict, m: int, sigma: float | None = None) -> McConfig:
@@ -218,7 +203,8 @@ def _mc_config(v: dict, m: int, sigma: float | None = None) -> McConfig:
         mesh_n=v["mesh_n"],
         noise_n=v["noise_n"],
         methods=v["methods_tuple"],
-        newton=_newton_config(v),
+        newton=NewtonConfig(abs_tol=v["newton_tol"], rel_tol=v["newton_tol"],
+                            max_iter=v["newton_max_iter"], damping=v["damping"]),
         mono_init=v["init"],
     )
 
@@ -236,26 +222,17 @@ def _print_stats(st: uq.McStats) -> None:
 
 
 def cmd_solve(v: dict) -> int:
-    mesh = build_structured_mesh(v["mesh_n"])
-    dofs = build_dof_map(mesh)
-    ops = solvers.assemble_operators(mesh, dofs, assembly.ProblemParams(nu=v["nu"]))
-    f_load = assembly.assemble_load(mesh, dofs,
-                                    lambda x, y: manufactured.exact_forcing(x, y, v["nu"]))
-    newton = _newton_config(v)
+    cfg = _mc_config(v, 1)
     method = v["method"]
-
-    xi, xi_report = solvers.solve_deterministic_ns(ops, f_load, newton)
+    dofs = build_dof_map(build_structured_mesh(cfg.mesh_n))
+    ops, f_load, xi, xi_report = uq.prepare(dofs, cfg.nu, cfg.newton)
     reports = [xi_report]
     if method == "deterministic":
         fld = xi
     else:
-        grid = noise_mod.NoiseGrid(v["noise_n"])
-        amplitude = v["sigma"] * np.sqrt(grid.cell_volume)
-        draw = noise_mod.sample_noise(
-            grid, amplitude, noise_mod.substream_key(v["seed"], v["sample_index"]))
-        noise_load = assembly.assemble_noise_load(mesh, dofs, draw, geom=ops.geom)
-        fld, rep = uq.solve_sample(method, ops, xi, f_load, noise_load, newton,
-                                   v["init"])
+        loads, _ = uq.noise_loads(cfg, ops, [v["sample_index"]])
+        fld, rep = uq.solve_sample(method, ops, xi, f_load, loads[:, 0], cfg.newton,
+                                   cfg.mono_init)
         rep.sample_id = v["sample_index"]
         reports.append(rep)
 
@@ -270,7 +247,14 @@ def cmd_solve(v: dict) -> int:
     return EXIT_OK if final.converged else EXIT_NOT_CONVERGED
 
 
-def _run_mc_like(v: dict, runs: list[McConfig]) -> int:
+def cmd_mc(v: dict) -> int:
+    if v.get("sigma_sweep"):
+        sweep_sigmas = _amplitudes(v["sigma_sweep"])
+        if len(v["samples_list"]) != 1:
+            raise UsageError("--samples must be a single count with --sigma-sweep")
+        runs = [_mc_config(v, v["samples_list"][0], sigma=s) for s in sweep_sigmas]
+    else:
+        runs = [_mc_config(v, m) for m in v["samples_list"]]
     out = v["out_dir"]
     os.makedirs(out, exist_ok=True)
     all_stats = []
@@ -289,21 +273,6 @@ def _run_mc_like(v: dict, runs: list[McConfig]) -> int:
     uq.write_field_csv(os.path.join(out, "field_deterministic.csv"),
                        last.deterministic_field)
     return EXIT_NOT_CONVERGED if any_failures else EXIT_OK
-
-
-def cmd_mc(v: dict) -> int:
-    if v.get("sigma_sweep"):
-        sweep_sigmas = _amplitudes(v["sigma_sweep"], "--sigma-sweep")
-        runs = [_mc_config(v, v["samples_list"][0], sigma=s) for s in sweep_sigmas]
-    else:
-        runs = [_mc_config(v, m) for m in v["samples_list"]]
-    return _run_mc_like(v, runs)
-
-
-def cmd_sweep(v: dict) -> int:
-    m = v["samples_list"][0]
-    runs = [_mc_config(v, m, sigma=s) for s in v["sigma_list"]]
-    return _run_mc_like(v, runs)
 
 
 def cmd_verify(v: dict, include_convergence: bool, mutate: str | None) -> int:
@@ -331,8 +300,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "mc":
             v["sigma_sweep"] = getattr(args, "sigma_sweep", None)
             return cmd_mc(v)
-        if args.command == "sweep":
-            return cmd_sweep(v)
         return cmd_verify(v, getattr(args, "convergence", False),
                           getattr(args, "mutate", None))
     except UsageError as exc:

@@ -59,21 +59,6 @@ def sample_noise(grid: NoiseGrid, sigma: float, seed: int) -> NoiseField:
     return NoiseField(grid=grid, sigma=float(sigma), zeta=zeta, seed=int(seed))
 
 
-def evaluate_noise(field: NoiseField, x: float, y: float) -> np.ndarray:
-    """Pointwise value (sigma / sqrt(V)) * zeta_k of the containing cell.
-
-    Points on interior cell boundaries resolve to the cell whose lower-left
-    corner they touch; the domain's upper edges fold into the last cells.
-    """
-    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-        raise ValueError(f"point ({x}, {y}) lies outside the unit square")
-    n = field.grid.n_noise
-    ix = min(int(np.floor(x * n)), n - 1)
-    iy = min(int(np.floor(y * n)), n - 1)
-    scale = field.sigma / np.sqrt(field.grid.cell_volume)
-    return scale * field.zeta[iy * n + ix]
-
-
 def noise_l2_norm(field: NoiseField) -> float:
     """Exact L2 norm of the realization: sigma * sqrt(sum_k |zeta_k|^2).
 

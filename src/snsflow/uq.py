@@ -1,8 +1,12 @@
 """Monte Carlo orchestration, error statistics, and smallness diagnostics.
 
-Samples are driven by per-index substreams of a counter-based generator, may
-execute concurrently, and are always reduced in sample order with compensated
-summation, so accumulated means are bit-identical across worker counts.
+An experiment is one data flow: ``prepare`` assembles the operators and the
+body load and solves the deterministic problem once; ``noise_loads`` turns
+(seed, sample index) into noise loads, sample k drawn from its own substream
+of a counter-based generator; ``run_experiment`` solves every requested
+method on those loads and reduces each sample as it arrives, in sample order
+with compensated summation, so accumulated means are bit-identical across
+worker counts. The CLI and the verification battery use the same two steps.
 
 The amplitude convention: ``sigma`` is the per-cell standard deviation of the
 piecewise-constant noise forcing, i.e. realizations are sampled with the
@@ -13,6 +17,7 @@ this reproduces the reference perturbation ratios kappa ~= 0.215 * sigma.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from math import exp, isfinite
 
@@ -140,6 +145,38 @@ def _noise_amplitude(cfg: McConfig) -> float:
     return cfg.sigma * np.sqrt(noise_mod.NoiseGrid(cfg.noise_n).cell_volume)
 
 
+def prepare(dofs: DofMap, nu: float, newton: NewtonConfig | None = None
+            ) -> tuple[solvers.AssembledOperators, np.ndarray, FEField, SolveReport]:
+    """Operators, body load and deterministic solution xi with its report."""
+    ops = solvers.assemble_operators(dofs.mesh, dofs, assembly.ProblemParams(nu=nu))
+    f_load = assembly.assemble_load(dofs.mesh, dofs,
+                                    lambda x, y: manufactured.exact_forcing(x, y, nu))
+    xi, xi_report = solvers.solve_deterministic_ns(ops, f_load, newton)
+    return ops, f_load, xi, xi_report
+
+
+def noise_loads(cfg: McConfig, ops: solvers.AssembledOperators,
+                samples) -> tuple[np.ndarray, np.ndarray]:
+    """Noise loads (n_u, k) and noise L2 norms (k,) of the given sample indices.
+
+    Sample k is the draw of substream (base_seed, k) at the white-noise
+    amplitude sigma * sqrt(cell volume).
+    """
+    grid = noise_mod.NoiseGrid(cfg.noise_n)
+    amplitude = _noise_amplitude(cfg)
+    samples = list(samples)
+    # Fortran order: the column one sample's solve reads is contiguous
+    loads = np.empty((ops.dofs.n_velocity_dofs, len(samples)), order="F")
+    norms = np.empty(len(samples))
+    for j, k in enumerate(samples):
+        draw = noise_mod.sample_noise(grid, amplitude,
+                                      noise_mod.substream_key(cfg.base_seed, k))
+        loads[:, j] = assembly.assemble_noise_load(ops.mesh, ops.dofs, draw,
+                                                   geom=ops.geom)
+        norms[j] = noise_mod.noise_l2_norm(draw)
+    return loads, norms
+
+
 def solve_sample(method: str, ops: solvers.AssembledOperators, xi: FEField,
                  f_load: np.ndarray, noise_load: np.ndarray, newton: NewtonConfig,
                  mono_init: str = "deterministic") -> tuple[FEField, SolveReport]:
@@ -169,89 +206,68 @@ def _exception_report(method: str, exc: Exception) -> SolveReport:
 def run_experiment(cfg: McConfig, jobs: int = 1) -> McStats:
     """Run all requested methods over M shared noise draws and reduce.
 
-    Monolithic and split solve each sample on its own, concurrently when
-    ``jobs > 1``. Modified solves all samples afterwards from one
-    factorization of K(xi), which is released before the reduction. An
-    exception inside one sample's solve fails that sample's report only.
+    Modified solves all samples first from one factorization of K(xi), which
+    is released before any Newton sample runs. Monolithic and split then
+    solve each sample on its own, concurrently when ``jobs > 1``, and each
+    sample is reduced as it arrives, in sample order. An exception inside one
+    sample's solve fails that sample's report only.
     """
-    mesh = build_structured_mesh(cfg.mesh_n)
-    dofs = build_dof_map(mesh)
-    ops = solvers.assemble_operators(mesh, dofs, assembly.ProblemParams(nu=cfg.nu))
-    f_load = assembly.assemble_load(mesh, dofs,
-                                    lambda x, y: manufactured.exact_forcing(x, y, cfg.nu))
-    xi, xi_report = solvers.solve_deterministic_ns(ops, f_load, cfg.newton)
+    dofs = build_dof_map(build_structured_mesh(cfg.mesh_n))
+    ops, f_load, xi, xi_report = prepare(dofs, cfg.nu, cfg.newton)
     zero_field = FEField.zeros(dofs)
-
-    grid = noise_mod.NoiseGrid(cfg.noise_n)
-    amplitude = _noise_amplitude(cfg)
     forcing_norm = manufactured.forcing_l2_norm(cfg.nu)
-    batched = "modified" in cfg.methods
+    loads, norms = noise_loads(cfg, ops, range(cfg.M))
+    kappas = norms / forcing_norm
+
+    modified = None
+    if "modified" in cfg.methods:
+        try:
+            modified = [(xi + eta, rep)
+                        for eta, rep in solvers.solve_stochastic_modified(ops, xi, loads)]
+        except Exception as exc:
+            modified = [(zero_field, _exception_report("modified", exc))
+                        for _ in range(cfg.M)]
+        for k, (_, rep) in enumerate(modified):
+            rep.sample_id = k
     per_sample = [m for m in cfg.methods if m != "modified"]
 
     def run_sample(k: int) -> dict:
-        draw = noise_mod.sample_noise(grid, amplitude,
-                                      noise_mod.substream_key(cfg.base_seed, k))
-        noise_load = assembly.assemble_noise_load(mesh, dofs, draw, geom=ops.geom)
-        out: dict = {"kappa": noise_mod.noise_l2_norm(draw) / forcing_norm}
-        if batched:
-            out["noise_load"] = noise_load
+        out = {}
         for method in per_sample:
             try:
-                fld, rep = solve_sample(method, ops, xi, f_load, noise_load,
+                fld, rep = solve_sample(method, ops, xi, f_load, loads[:, k],
                                         cfg.newton, cfg.mono_init)
             except Exception as exc:  # one bad sample must not abort the others
                 fld, rep = zero_field, _exception_report(method, exc)
             rep.sample_id = k
             out[method] = (fld, rep)
+        if modified is not None:
+            out["modified"] = modified[k]
         return out
 
-    results: list[dict | None] = [None] * cfg.M
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for k, res in zip(range(cfg.M), pool.map(run_sample, range(cfg.M))):
-                results[k] = res
-    else:
-        for k in range(cfg.M):
-            results[k] = run_sample(k)
-
-    if batched:
-        # after the Newton samples, so the factor of K(xi) lives only here
-        loads = np.column_stack([res.pop("noise_load") for res in results])
-        try:
-            block = [(xi + eta, rep)
-                     for eta, rep in solvers.solve_stochastic_modified(ops, xi, loads)]
-        except Exception as exc:
-            block = [(zero_field, _exception_report("modified", exc))
-                     for _ in range(cfg.M)]
-        for k, (fld, rep) in enumerate(block):
-            rep.sample_id = k
-            results[k]["modified"] = (fld, rep)
-
-    # fixed-order reduction: per-method means plus pairwise-converged means
+    # per-method means plus pairwise-converged means, added in sample order
     per_method = {m: _MeanAccumulator(dofs) for m in cfg.methods}
     failed = {m: 0 for m in cfg.methods}
     pairs = [m for m in ("split", "modified")
              if m in cfg.methods and "monolithic" in cfg.methods]
     pair_acc = {m: (_MeanAccumulator(dofs), _MeanAccumulator(dofs)) for m in pairs}
-    kappas = np.empty(cfg.M)
     reports: list[SolveReport] = [xi_report]
-    for k in range(cfg.M):
-        res = results[k]
-        kappas[k] = res["kappa"]
-        for method in cfg.methods:
-            fld, rep = res[method]
-            reports.append(rep)
-            if rep.converged:
-                per_method[method].add(fld)
-            else:
-                failed[method] += 1
-        for m in pairs:
-            fld_m, rep_m = res[m]
-            fld_r, rep_r = res["monolithic"]
-            if rep_m.converged and rep_r.converged:
-                acc_m, acc_r = pair_acc[m]
-                acc_m.add(fld_m)
-                acc_r.add(fld_r)
+    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        for res in (pool.map if pool else map)(run_sample, range(cfg.M)):
+            for method in cfg.methods:
+                fld, rep = res[method]
+                reports.append(rep)
+                if rep.converged:
+                    per_method[method].add(fld)
+                else:
+                    failed[method] += 1
+            for m in pairs:
+                fld_m, rep_m = res[m]
+                fld_r, rep_r = res["monolithic"]
+                if rep_m.converged and rep_r.converged:
+                    acc_m, acc_r = pair_acc[m]
+                    acc_m.add(fld_m)
+                    acc_r.add(fld_r)
 
     mean_fields = {m: acc.mean() for m, acc in per_method.items() if acc.mean() is not None}
     eps = {"split": (None, None), "modified": (None, None)}

@@ -1,5 +1,9 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
@@ -69,22 +73,27 @@ def test_mc_defaults_shrunk(tmp_path, capsys):
         assert (tmp_path / name).exists()
 
 
-def test_sweep_produces_row_per_amplitude(tmp_path, capsys):
-    code = run_cli("sweep", "--mesh-n", "4", "--samples", "2",
-                   "--sigmas", "0.5,1.0", "--out-dir", str(tmp_path))
-    assert code == EXIT_OK
-    out = capsys.readouterr().out
-    assert "sigma=0.5" in out and "sigma=1" in out
-    stats_lines = (tmp_path / "stats.csv").read_text().strip().splitlines()
-    assert len(stats_lines) == 1 + 2 * 3
-
-
 def test_mc_sigma_sweep_flag(tmp_path, capsys):
     code = run_cli("mc", "--mesh-n", "4", "--samples", "2",
                    "--sigma-sweep", "0.5,1.0", "--out-dir", str(tmp_path))
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "sigma=0.5" in out and "sigma=1" in out
+    stats_lines = (tmp_path / "stats.csv").read_text().strip().splitlines()
+    assert len(stats_lines) == 1 + 2 * 3  # one row per method and amplitude
+
+
+@pytest.mark.parametrize("method", ["monolithic", "split", "modified"])
+def test_solve_sample_matches_mc_sample(tmp_path, method):
+    common = ("--mesh-n", "4", "--noise-n", "2", "--sigma", "1.0", "--seed", "5")
+    assert run_cli("solve", "--method", method, "--sample-index", "0", *common,
+                   "--out-dir", str(tmp_path / "solve")) == EXIT_OK
+    assert run_cli("mc", "--samples", "1", "--methods", method, *common,
+                   "--out-dir", str(tmp_path / "mc")) == EXIT_OK
+    name = f"field_{method}.csv"
+    solved = np.loadtxt(tmp_path / "solve" / name, delimiter=",", skiprows=1)
+    mean = np.loadtxt(tmp_path / "mc" / name, delimiter=",", skiprows=1)
+    assert np.array_equal(solved, mean)
 
 
 def test_mc_paper_scale_defaults(tmp_path, capsys):
@@ -159,11 +168,12 @@ SOLVE = ["solve", "--method", "split"]
     ([*SOLVE, "--sample-index", "-1"], None, "--sample-index"),
     ([*SOLVE, "--sample-index", str(2 ** 64)], None, "--sample-index"),
     ([*SOLVE, "--mesh-n", "1"], None, "--mesh-n"),
-    (["sweep", "--sigmas", "0.5,nan"], None, "--sigmas"),
+    (["mc", "--sigma-sweep", "0.5,nan"], None, "--sigma-sweep"),
     (["mc", "--sigma-sweep=-1"], None, "--sigma-sweep"),
     (SOLVE, {"mesh_n": "4"}, "--config"),
     (SOLVE, {"nu": None}, "--config"),
     (SOLVE, 5, "--config"),
+    (["mc", "--samples", "2,3", "--sigma-sweep", "0.5,1"], None, "--samples"),
 ])
 def test_hostile_input_is_one_line_usage_error(tmp_path, capsys, argv, config, named):
     argv = [argv[0], "--mesh-n", "2", *argv[1:], "--out-dir", str(tmp_path)]
@@ -184,7 +194,10 @@ def test_singular_k_xi_fails_modified_samples_and_exits_2(tmp_path, monkeypatch,
 
     def modified(*args, **kwargs):
         inside.append(True)
-        return real_modified(*args, **kwargs)
+        try:
+            return real_modified(*args, **kwargs)
+        finally:
+            inside.clear()
 
     def splu(matrix, *args, **kwargs):
         if inside:
@@ -200,3 +213,14 @@ def test_singular_k_xi_fails_modified_samples_and_exits_2(tmp_path, monkeypatch,
     stats = (tmp_path / "stats.csv").read_text().splitlines()
     assert stats[1].startswith("monolithic,") and stats[1].endswith(",0")
     assert stats[2].startswith("modified,") and stats[2].endswith(",3")
+
+
+def test_perfbench_traced_names_exist(monkeypatch):
+    # the benchmark's tracer patches these module attributes by name
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
+    spec.loader.exec_module(spans)
+    for owner, attr, _ in spans.TARGETS:
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from snsflow.noise import (
     NoiseGrid,
-    evaluate_noise,
     noise_l2_norm,
     sample_noise,
     substream_key,
@@ -88,31 +87,6 @@ def test_substream_keys_are_injective_and_range_checked(a, b, bad, slot):
     args[slot] = bad
     with pytest.raises(ValueError):
         substream_key(*args)
-
-
-def test_evaluate_single_cell_everywhere():
-    from snsflow.noise import NoiseField
-    field = NoiseField(NoiseGrid(1), 2.0, np.array([[1.0, 1.0]]), seed=0)
-    for x, y in ((0.0, 0.0), (0.5, 0.25), (1.0, 1.0)):
-        assert np.allclose(evaluate_noise(field, x, y), (2.0, 2.0))
-
-
-def test_evaluate_cell_lookup_and_scale():
-    from snsflow.noise import NoiseField
-    zeta = np.arange(8, dtype=float).reshape(4, 2)
-    field = NoiseField(NoiseGrid(2), 0.7, zeta, seed=0)
-    # (0.9, 0.9) lives in cell (1,1) = index 3; scale = sigma / sqrt(1/4) = 2 sigma
-    assert np.allclose(evaluate_noise(field, 0.9, 0.9), 2 * 0.7 * zeta[3])
-    # interior cell boundaries resolve lower-left-inclusive
-    assert np.allclose(evaluate_noise(field, 0.5, 0.5), 2 * 0.7 * zeta[3])
-    assert np.allclose(evaluate_noise(field, 0.0, 0.5), 2 * 0.7 * zeta[2])
-
-
-def test_evaluate_zero_amplitude_and_domain_check():
-    field = sample_noise(NoiseGrid(2), 0.0, seed=4)
-    assert np.allclose(evaluate_noise(field, 0.3, 0.3), (0.0, 0.0))
-    with pytest.raises(ValueError):
-        evaluate_noise(field, 1.2, 0.5)
 
 
 def test_l2_norm_examples():

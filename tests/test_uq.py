@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -133,6 +135,58 @@ def test_reproducibility_and_jobs_independence():
                               b.mean_fields[method].pressure)
     assert a.eps_mh == b.eps_mh
     assert np.array_equal(a.kappa_samples, b.kappa_samples)
+
+
+def test_noise_loads_match_per_draw_assembly():
+    from snsflow import noise as noise_mod
+    cfg = small_config(noise_n=2)
+    dofs = build_dof_map(build_structured_mesh(cfg.mesh_n))
+    ops = solvers.assemble_operators(dofs.mesh, dofs, assembly.ProblemParams(cfg.nu))
+    samples = [0, 3, 7]
+    loads, norms = uq.noise_loads(cfg, ops, samples)
+    assert loads.shape == (dofs.n_velocity_dofs, 3) and norms.shape == (3,)
+    grid = noise_mod.NoiseGrid(cfg.noise_n)
+    amp = cfg.sigma * np.sqrt(grid.cell_volume)
+    for j, k in enumerate(samples):
+        draw = noise_mod.sample_noise(grid, amp, noise_mod.substream_key(cfg.base_seed, k))
+        expected = assembly.assemble_noise_load(dofs.mesh, dofs, draw, geom=ops.geom)
+        assert np.array_equal(loads[:, j], expected)
+        assert norms[j] == noise_mod.noise_l2_norm(draw)
+
+
+def test_reduction_follows_sample_order_not_arrival_order(monkeypatch):
+    cfg = small_config(M=4)
+    serial = run_experiment(cfg, jobs=1)
+    dofs = build_dof_map(build_structured_mesh(cfg.mesh_n))
+    ops, _, _, _ = uq.prepare(dofs, cfg.nu, cfg.newton)
+    loads, _ = uq.noise_loads(cfg, ops, range(cfg.M))
+    real_solve = uq.solve_sample
+    done = [threading.Event() for _ in range(cfg.M)]
+    arrival = []
+
+    def reversed_finish(method, ops, xi, f_load, noise_load, *args):
+        result = real_solve(method, ops, xi, f_load, noise_load, *args)
+        if method == "split":  # a sample's last Newton solve
+            k = next(j for j in range(cfg.M) if np.array_equal(loads[:, j], noise_load))
+            if k + 1 < cfg.M:
+                assert done[k + 1].wait(timeout=60)
+            arrival.append(k)
+            done[k].set()
+        return result
+
+    monkeypatch.setattr(uq, "solve_sample", reversed_finish)
+    threaded = run_experiment(cfg, jobs=4)
+    assert arrival == [3, 2, 1, 0]
+    assert [(r.method, r.sample_id) for r in threaded.reports] == \
+        [(r.method, r.sample_id) for r in serial.reports]
+    assert [r.sample_id for r in threaded.reports[1:]] == \
+        [k for k in range(cfg.M) for _ in cfg.methods]
+    for method in uq.METHODS:
+        assert np.array_equal(threaded.mean_fields[method].velocity,
+                              serial.mean_fields[method].velocity)
+        assert np.array_equal(threaded.mean_fields[method].pressure,
+                              serial.mean_fields[method].pressure)
+    assert (threaded.eps_sh, threaded.eps_mh) == (serial.eps_sh, serial.eps_mh)
 
 
 def test_kappa_definition_per_sample():
