@@ -73,14 +73,22 @@ def test_mc_defaults_shrunk(tmp_path, capsys):
         assert (tmp_path / name).exists()
 
 
+def test_sweep_produces_row_per_amplitude(tmp_path, capsys):
+    code = run_cli("mc", "--mesh-n", "4", "--samples", "2",
+                   "--sigma-sweep", "0.5,1.0,2.0", "--out-dir", str(tmp_path))
+    assert code == EXIT_OK
+    stats_lines = (tmp_path / "stats.csv").read_text().strip().splitlines()
+    assert len(stats_lines) == 1 + 3 * 3  # one row per method and amplitude
+    sigmas = [line.split(",")[1] for line in stats_lines[1:]]
+    assert sigmas == ["0.5"] * 3 + ["1"] * 3 + ["2"] * 3
+
+
 def test_mc_sigma_sweep_flag(tmp_path, capsys):
     code = run_cli("mc", "--mesh-n", "4", "--samples", "2",
                    "--sigma-sweep", "0.5,1.0", "--out-dir", str(tmp_path))
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "sigma=0.5" in out and "sigma=1" in out
-    stats_lines = (tmp_path / "stats.csv").read_text().strip().splitlines()
-    assert len(stats_lines) == 1 + 2 * 3  # one row per method and amplitude
 
 
 @pytest.mark.parametrize("method", ["monolithic", "split", "modified"])
