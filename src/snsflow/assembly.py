@@ -1,13 +1,17 @@
 """Quadrature and global assembly of the viscous, divergence, convection and
 load forms on the Taylor-Hood pair.
 
-Assembled operators are data vectors on the dof map's fixed saddle pattern
-(:class:`snsflow.mesh.SaddlePattern`): element blocks are computed with einsum
-and summed into their pattern slots by ``np.bincount``, so operators add as
-plain arrays and ``pattern.matrix(data)`` is the sparse matrix. Loads are
-summed over the same element-dof table. Velocity unknowns follow the
-component-blocked numbering of :mod:`snsflow.mesh`. A single assembly call is
-sequential, distinct calls may run concurrently.
+Element blocks are table contractions: :class:`ElementGeometry` builds the
+physical basis gradients and the quadrature-weighted basis tables once, and
+each kernel is one stacked matrix product against them, scaled by the element
+area. Assembled operators are data vectors on the dof map's fixed saddle
+pattern (:class:`snsflow.mesh.SaddlePattern`): element blocks are summed into
+their pattern slots by ``np.bincount``, so operators add as plain arrays and
+``pattern.matrix(data)`` is the sparse matrix. Loads, among them the Newton
+convection vector c(u, u, .), are summed over the same element-dof table.
+Velocity unknowns follow the component-blocked numbering of
+:mod:`snsflow.mesh`. A single assembly call is sequential, distinct calls may
+run concurrently.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .mesh import DofMap, TriMesh, triangle_nodes
+from .mesh import DofMap, TriMesh
 from .noise import NoiseField
 
 DEFAULT_QUADRATURE_DEGREE = 5
@@ -114,7 +118,13 @@ def p1_shape(points: np.ndarray) -> np.ndarray:
 
 
 class ElementGeometry:
-    """Per-element affine maps and basis tables for one quadrature rule."""
+    """Per-element affine maps and quadrature tables for one quadrature rule.
+
+    ``grad[t, i, 2*q + d]`` is d phi_i / dx_d of element t at point q; the
+    weighted tables ``wphi[q, a] = w_q phi_a`` and ``wphiphi[2*q + d, 12*a +
+    6*e + b] = w_q phi_a phi_b delta_de`` turn every element integral into one
+    stacked matmul, scaled by the element area.
+    """
 
     def __init__(self, mesh: TriMesh, rule: QuadratureRule | None = None):
         self.mesh = mesh
@@ -132,29 +142,29 @@ class ElementGeometry:
         inv_jt[:, 1, 1] = e1[:, 0] / det
         self.phi2, grad_ref = p2_shape(self.rule.points)
         self.phi1 = p1_shape(self.rule.points)
-        # physical gradients: grad[t,q,i,d]
-        self.grad2 = np.einsum("tde,qie->tqid", inv_jt, grad_ref)
+        nq = len(self.rule.points)
+        self.grad = (grad_ref.transpose(1, 0, 2).reshape(-1, 2)
+                     @ inv_jt.transpose(0, 2, 1)).reshape(len(tri), 6, 2 * nq)
         # quadrature point coordinates: x0 + xi*e1 + eta*e2
-        self.qpoints = (x0[:, None, :]
-                        + np.einsum("td,q->tqd", e1, self.rule.points[:, 0])
-                        + np.einsum("td,q->tqd", e2, self.rule.points[:, 1]))
+        self.qpoints = x0[:, None, :] + self.rule.points @ np.stack([e1, e2], axis=1)
         self.wq = self.rule.weights
+        self.wphi = self.wq[:, None] * self.phi2
+        self.wphiphi = (self.wphi[:, None, :, None, None] * np.eye(2)[:, None, :, None]
+                        * self.phi2[:, None, None, None, :]).reshape(2 * nq, 72)
+
+    def _coefficients(self, dofs: DofMap, u: np.ndarray) -> np.ndarray:
+        """(T, 2, 6) element coefficients of a velocity vector, by component."""
+        return u[dofs.element_dofs[:, :12]].reshape(len(self.area), 2, 6)
+
+    def _values_and_gradients(self, dofs: DofMap,
+                              u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(T, 2, nq) values u_i and (T, 2, nq, 2) gradients du_i/dx_j at the points."""
+        coef = self._coefficients(dofs, u)
+        return coef @ self.phi2.T, (coef @ self.grad).reshape(len(coef), 2, -1, 2)
 
     def velocity_at_quadrature(self, dofs: DofMap, u: np.ndarray) -> np.ndarray:
         """(T, nq, 2) values of a velocity coefficient vector."""
-        tn = triangle_nodes(dofs)
-        nn = dofs.n_scalar_nodes
-        ux = u[tn] @ self.phi2.T
-        uy = u[nn + tn] @ self.phi2.T
-        return np.stack([ux, uy], axis=2)
-
-    def velocity_gradient_at_quadrature(self, dofs: DofMap, u: np.ndarray) -> np.ndarray:
-        """(T, nq, 2, 2) entries du_i/dx_j."""
-        tn = triangle_nodes(dofs)
-        nn = dofs.n_scalar_nodes
-        gx = np.einsum("tb,tqbj->tqj", u[tn], self.grad2)
-        gy = np.einsum("tb,tqbj->tqj", u[nn + tn], self.grad2)
-        return np.stack([gx, gy], axis=2)
+        return (self._coefficients(dofs, u) @ self.phi2.T).transpose(0, 2, 1)
 
 
 def _velocity_data(dofs: DofMap, blocks: np.ndarray) -> np.ndarray:
@@ -171,6 +181,11 @@ def _both_components(block: np.ndarray) -> np.ndarray:
     return out
 
 
+def _transport(wind: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """(wind . grad) f at the points: wind (T, 2, nq), grad (T, k, nq, 2) -> (T, k, nq)."""
+    return grad[..., 0] * wind[:, None, 0] + grad[..., 1] * wind[:, None, 1]
+
+
 def _velocity_load(dofs: DofMap, blocks: np.ndarray) -> np.ndarray:
     """Sum (T, 12) element load blocks into a velocity vector."""
     return np.bincount(dofs.element_dofs[:, :12].ravel(), weights=blocks.ravel(),
@@ -183,16 +198,18 @@ def assemble_viscous(mesh: TriMesh, dofs: DofMap, nu: float,
     if not nu > 0:
         raise ValueError(f"viscosity must be positive, got nu={nu}")
     geom = geom or ElementGeometry(mesh)
-    ke = np.einsum("q,t,tqid,tqjd->tij", geom.wq, geom.area, geom.grad2, geom.grad2)
-    return nu * _velocity_data(dofs, _both_components(ke))
+    ke = (geom.grad * np.repeat(geom.wq, 2)) @ geom.grad.transpose(0, 2, 1)
+    return nu * _velocity_data(dofs, _both_components(geom.area[:, None, None] * ke))
 
 
 def assemble_divergence(mesh: TriMesh, dofs: DofMap,
                         geom: ElementGeometry | None = None) -> np.ndarray:
     """Divergence operator B with q^T B u = -int q div(u), together with B^T."""
     geom = geom or ElementGeometry(mesh)
-    be = -np.einsum("q,t,qa,tqjd->tadj", geom.wq, geom.area, geom.phi1,
-                    geom.grad2).reshape(mesh.n_triangles, 3, 12)
+    # table[(q, d'), (a, d)] = w_q psi_a delta_dd' for the P1 pressure basis psi
+    table = np.kron(geom.wq[:, None] * geom.phi1, np.eye(2))
+    be = (geom.grad @ table).reshape(mesh.n_triangles, 6, 3, 2)     # [t, j, a, d]
+    be = -(geom.area[:, None, None, None] * be).transpose(0, 2, 3, 1)
     pattern = dofs.pattern
     return np.bincount(pattern.div_slots.ravel(), weights=np.tile(be.ravel(), 2),
                        minlength=pattern.nnz)
@@ -209,14 +226,23 @@ def assemble_convection_linearized(
     c(a, b, v) = int (a . grad) b . v.
     """
     geom = geom or ElementGeometry(mesh)
-    wq_vals = geom.velocity_at_quadrature(dofs, w)       # (T,nq,2)
-    wgrad = geom.velocity_gradient_at_quadrature(dofs, w)  # (T,nq,i,j)
+    T, nq = mesh.n_triangles, len(geom.wq)
+    area = geom.area[:, None, None]
+    vals, grads = geom._values_and_gradients(dofs, w)
+    adv = _transport(vals, geom.grad.reshape(T, 6, nq, 2))          # (w . grad) phi_b
+    c1 = geom.wphi.T @ adv.transpose(0, 2, 1)
+    ne = (area * grads.reshape(T, 2, 2 * nq)) @ geom.wphiphi        # [t, i, (a, j, b)]
+    return (_velocity_data(dofs, _both_components(area * c1)),
+            _velocity_data(dofs, ne.reshape(T, 12, 12)))
 
-    adv = np.einsum("tqd,tqbd->tqb", wq_vals, geom.grad2)
-    c1 = np.einsum("q,t,tqb,qa->tab", geom.wq, geom.area, adv, geom.phi2)
-    ne = np.einsum("q,t,tqij,qb,qa->tiajb", geom.wq, geom.area, wgrad,
-                   geom.phi2, geom.phi2).reshape(mesh.n_triangles, 12, 12)
-    return _velocity_data(dofs, _both_components(c1)), _velocity_data(dofs, ne)
+
+def assemble_convection_load(mesh: TriMesh, dofs: DofMap, u: np.ndarray,
+                             geom: ElementGeometry | None = None) -> np.ndarray:
+    """Convection vector c(u, u, .) = N1(u) u, assembled without the matrix."""
+    geom = geom or ElementGeometry(mesh)
+    vals, grads = geom._values_and_gradients(dofs, u)
+    conv = _transport(vals, grads)                                   # (u . grad) u_i
+    return _velocity_load(dofs, geom.area[:, None, None] * (conv @ geom.wphi))
 
 
 def assemble_load(mesh: TriMesh, dofs: DofMap,
@@ -230,8 +256,8 @@ def assemble_load(mesh: TriMesh, dofs: DofMap,
     f1, f2 = f(geom.qpoints[:, :, 0], geom.qpoints[:, :, 1])
     f1 = np.broadcast_to(np.asarray(f1, dtype=float), geom.qpoints.shape[:2])
     f2 = np.broadcast_to(np.asarray(f2, dtype=float), geom.qpoints.shape[:2])
-    le = np.einsum("q,t,dtq,qi->tdi", geom.wq, geom.area, np.stack([f1, f2]), geom.phi2)
-    return _velocity_load(dofs, le)
+    le = np.stack([f1, f2], axis=1) @ geom.wphi
+    return _velocity_load(dofs, geom.area[:, None, None] * le)
 
 
 def assemble_noise_load(mesh: TriMesh, dofs: DofMap, noise: NoiseField,
@@ -257,5 +283,5 @@ def assemble_noise_load(mesh: TriMesh, dofs: DofMap, noise: NoiseField,
     scale = noise.sigma / np.sqrt(noise.grid.cell_volume)
     fvals = scale * noise.zeta[cell]                     # (T, 2)
 
-    phi_int = np.einsum("q,t,qi->ti", geom.wq, geom.area, geom.phi2)  # int_T phi_i
+    phi_int = np.outer(geom.area, geom.wphi.sum(axis=0))           # int_T phi_i
     return _velocity_load(dofs, fvals[:, :, None] * phi_int[:, None, :])

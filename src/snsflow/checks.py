@@ -288,7 +288,8 @@ def dense_oracle_max_mismatch(n: int = 2, nu: float = 0.02) -> float:
     n1, n2 = assembly.assemble_convection_linearized(mesh, dofs, w)
     o1, o2 = oracle.convection(w)
     worst = max(worst, rel(velocity_block(dofs, n1).toarray(), o1),
-                rel(velocity_block(dofs, n2).toarray(), o2))
+                rel(velocity_block(dofs, n2).toarray(), o2),
+                rel(assembly.assemble_convection_load(mesh, dofs, w), o1 @ w))
     load = assembly.assemble_load(
         mesh, dofs, lambda x, y: manufactured.exact_forcing(x, y, nu))
     oload = oracle.load(lambda x, y: manufactured.exact_forcing(x, y, nu))
@@ -344,18 +345,18 @@ def splitting_equivalence_max_defect(n: int = 8, sigma: float = 1.5,
 
 @contextmanager
 def _mutated_convection():
-    """Flip the sign of the convection assembly (sensitivity demonstration)."""
-    original = assembly.assemble_convection_linearized
-
-    def flipped(mesh, dofs, w, geom=None):
-        n1, n2 = original(mesh, dofs, w, geom=geom)
-        return -n1, -n2
-
-    assembly.assemble_convection_linearized = flipped
+    """Flip the sign of the convection assembly, matrices and residual vector
+    alike (sensitivity demonstration)."""
+    linearized = assembly.assemble_convection_linearized
+    load = assembly.assemble_convection_load
+    assembly.assemble_convection_linearized = \
+        lambda *args, **kwargs: tuple(-n for n in linearized(*args, **kwargs))
+    assembly.assemble_convection_load = lambda *args, **kwargs: -load(*args, **kwargs)
     try:
         yield
     finally:
-        assembly.assemble_convection_linearized = original
+        assembly.assemble_convection_linearized = linearized
+        assembly.assemble_convection_load = load
 
 
 def run_verification(include_convergence: bool = False,

@@ -12,7 +12,8 @@ Four solution paths share one sparse saddle-point solver:
 
 Every operator is a data vector on the dof map's fixed saddle pattern, so a
 Jacobian is an array sum such as ``stokes + n1 + n2``, a residual is one
-product of the full saddle matrix with [u; p], and a factorization takes the
+product of the linear saddle matrix with [u; p] (Newton subtracts the
+convection vector c(u,u,.) from the load), and a factorization takes the
 free rows and columns of that matrix.
 
 Only the free unknowns (``pattern.free``, set once per dof map) are
@@ -227,20 +228,20 @@ def _newton(ops: AssembledOperators, load: np.ndarray,
     """Newton iteration on A u + c(u,u,.) [+ frozen terms] + B^T p = load.
 
     ``frozen_convection`` adds the linear coupling terms of the correction
-    equation; the Jacobian and the convection residual are reassembled from
-    the current iterate every step (full Newton).
+    equation. The residual takes the convection term c(u,u,.) as a vector,
+    without a matrix; the Jacobian ``linear + N1(u) + N2(u)`` is assembled
+    from the current iterate only when a step is taken (full Newton).
     """
     mesh, dofs = ops.mesh, ops.dofs
     n_u = dofs.n_velocity_dofs
+    linear = ops.stokes if frozen_convection is None else ops.stokes + frozen_convection
     u, p = u0.copy(), p0.copy()
     u[ops.mask] = 0.0
     history: list[float] = []
     solves = presolves
     for _ in range(cfg.max_iter + 1):
-        n1, n2 = assembly.assemble_convection_linearized(mesh, dofs, u, geom=ops.geom)
-        linear_part = ops.stokes + n1 if frozen_convection is None \
-            else ops.stokes + n1 + frozen_convection
-        residual = _saddle_residual(dofs, linear_part, u, p, load)
+        conv = assembly.assemble_convection_load(mesh, dofs, u, geom=ops.geom)
+        residual = _saddle_residual(dofs, linear, u, p, load - conv)
         r_norm = float(np.linalg.norm(residual))
         history.append(r_norm)
         if not np.isfinite(r_norm):
@@ -251,8 +252,9 @@ def _newton(ops: AssembledOperators, load: np.ndarray,
             return FEField(u, p, dofs), SolveReport(True, solves, r_norm, history)
         if solves - presolves >= cfg.max_iter:
             break
+        n1, n2 = assembly.assemble_convection_linearized(mesh, dofs, u, geom=ops.geom)
         try:
-            x = linear_saddle_solve(dofs, linear_part + n2, -residual)
+            x = linear_saddle_solve(dofs, linear + n1 + n2, -residual)
         except SingularSystemError as exc:
             return (FEField(u, p, dofs),
                     SolveReport(False, solves, r_norm, history, failure=str(exc)))

@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from snsflow import assembly
 from snsflow.assembly import (
+    ElementGeometry,
     ProblemParams,
     assemble_convection_linearized,
+    assemble_convection_load,
     assemble_divergence,
     assemble_load,
     assemble_noise_load,
     assemble_viscous,
+    p2_shape,
+    triangle_rule_collapsed,
 )
 from snsflow.checks import (
     dense_oracle_max_mismatch,
@@ -212,3 +219,91 @@ def test_spd_system_solvable_after_masking(mesh2, dofs2):
         a[i, i] = 1.0
     x = spla.spsolve(a.tocsc(), np.ones(dofs2.n_velocity_dofs))
     assert np.all(np.isfinite(x))
+
+
+# ---------------------------------------------------------------------------
+# table contractions against the multi-operand einsum kernels they replaced
+
+def _einsum_kernels(mesh, dofs, w, nu, forcing, noise):
+    """Gradients and assembled operators and loads by the einsum formulas."""
+    tri = mesh.triangles
+    x0 = mesh.vertices[tri[:, 0]]
+    e1 = mesh.vertices[tri[:, 1]] - x0
+    e2 = mesh.vertices[tri[:, 2]] - x0
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    area = 0.5 * det
+    inv_jt = np.stack([np.stack([e2[:, 1], -e1[:, 1]], axis=1),
+                       np.stack([-e2[:, 0], e1[:, 0]], axis=1)], axis=1) / det[:, None, None]
+    geom = ElementGeometry(mesh)
+    wq, phi2, phi1 = geom.wq, geom.phi2, geom.phi1
+    grad2 = np.einsum("tde,qie->tqid", inv_jt, p2_shape(geom.rule.points)[1])
+    T = mesh.n_triangles
+    out = {"grad": grad2}
+
+    ke = np.einsum("q,t,tqid,tqjd->tij", wq, area, grad2, grad2)
+    out["viscous"] = nu * assembly._velocity_data(dofs, assembly._both_components(ke))
+    be = -np.einsum("q,t,qa,tqjd->tadj", wq, area, phi1, grad2).reshape(T, 3, 12)
+    out["divergence"] = np.bincount(dofs.pattern.div_slots.ravel(),
+                                    weights=np.tile(be.ravel(), 2),
+                                    minlength=dofs.pattern.nnz)
+
+    tn, nn = dofs.element_dofs[:, :6], dofs.n_scalar_nodes
+    vals = np.stack([w[tn] @ phi2.T, w[nn + tn] @ phi2.T], axis=2)
+    wgrad = np.stack([np.einsum("tb,tqbj->tqj", w[tn], grad2),
+                      np.einsum("tb,tqbj->tqj", w[nn + tn], grad2)], axis=2)
+    adv = np.einsum("tqd,tqbd->tqb", vals, grad2)
+    c1 = np.einsum("q,t,tqb,qa->tab", wq, area, adv, phi2)
+    ne = np.einsum("q,t,tqij,qb,qa->tiajb", wq, area, wgrad, phi2, phi2).reshape(T, 12, 12)
+    out["n1"] = assembly._velocity_data(dofs, assembly._both_components(c1))
+    out["n2"] = assembly._velocity_data(dofs, ne)
+
+    fine = ElementGeometry(mesh, triangle_rule_collapsed(assembly.ELEVATED_QUADRATURE_DEGREE))
+    qpoints = (x0[:, None, :] + np.einsum("td,q->tqd", e1, fine.rule.points[:, 0])
+               + np.einsum("td,q->tqd", e2, fine.rule.points[:, 1]))
+    f = np.stack(forcing(qpoints[:, :, 0], qpoints[:, :, 1]))
+    le = np.einsum("q,t,dtq,qi->tdi", fine.wq, area, f, fine.phi2)
+    out["body_load"] = assembly._velocity_load(dofs, le)
+
+    n_noise = noise.grid.n_noise
+    centroids = mesh.vertices[tri].mean(axis=1)
+    cell = (np.minimum((centroids[:, 1] * n_noise).astype(int), n_noise - 1) * n_noise
+            + np.minimum((centroids[:, 0] * n_noise).astype(int), n_noise - 1))
+    fvals = noise.sigma / np.sqrt(noise.grid.cell_volume) * noise.zeta[cell]
+    phi_int = np.einsum("q,t,qi->ti", wq, area, phi2)
+    out["noise_load"] = assembly._velocity_load(dofs, fvals[:, :, None] * phi_int[:, None, :])
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_element_tables_match_multi_operand_einsum(n):
+    mesh = build_structured_mesh(n)
+    dofs = build_dof_map(mesh)
+    w = np.random.default_rng(n).standard_normal(dofs.n_velocity_dofs)
+    noise = sample_noise(NoiseGrid(n), 1.3, seed=n)
+    forcing = lambda x, y: exact_forcing(x, y, 0.02)  # noqa: E731
+    want = _einsum_kernels(mesh, dofs, w, 0.02, forcing, noise)
+
+    geom = ElementGeometry(mesh)
+    n1, n2 = assemble_convection_linearized(mesh, dofs, w, geom=geom)
+    got = {
+        "grad": geom.grad.reshape(mesh.n_triangles, 6, -1, 2).transpose(0, 2, 1, 3),
+        "viscous": assemble_viscous(mesh, dofs, 0.02, geom=geom),
+        "divergence": assemble_divergence(mesh, dofs, geom=geom),
+        "n1": n1,
+        "n2": n2,
+        "body_load": assemble_load(mesh, dofs, forcing),
+        "noise_load": assemble_noise_load(mesh, dofs, noise, geom=geom),
+    }
+    for name, ref in want.items():
+        defect = np.abs(got[name] - ref).max() / np.abs(ref).max()
+        assert defect <= 1e-13, (name, defect)
+
+
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       scale=st.floats(min_value=1e-3, max_value=1e3))
+@settings(max_examples=25, deadline=None)
+def test_convection_load_is_n1_times_u(mesh4, dofs4, seed, scale):
+    u = scale * np.random.default_rng(seed).standard_normal(dofs4.n_velocity_dofs)
+    want = velocity_block(dofs4, assemble_convection_linearized(mesh4, dofs4, u)[0]) @ u
+    got = assemble_convection_load(mesh4, dofs4, u)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

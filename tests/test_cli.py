@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from snsflow import solvers
+from snsflow import assembly, checks, solvers
 
 from snsflow.cli import EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, main
 
@@ -154,6 +154,17 @@ def test_verify_detects_injected_sign_error(capsys):
     assert run_cli("verify", "--mutate", "convection-sign") == EXIT_USAGE
     out = capsys.readouterr().out
     assert "status=FAIL" in out
+
+
+def test_convection_sign_mutation_fails_exactly_the_assembly_checks():
+    # matrices and residual vector flip together, so the solves stay
+    # consistent and only the checks that pin the sign fail
+    kernels = (assembly.assemble_convection_linearized, assembly.assemble_convection_load)
+    results = checks.run_verification(mutate="convection-sign")
+    failed = {r.name for r in results if not r.passed}
+    assert failed == {"trilinear_value", "dense_assembly_oracle"}
+    assert (assembly.assemble_convection_linearized, assembly.assemble_convection_load) \
+        == kernels
 
 
 def test_verify_convergence_prints_observed_orders(capsys):

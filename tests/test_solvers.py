@@ -358,6 +358,32 @@ def test_jacobian_matches_directional_finite_differences():
         assert np.linalg.norm(fd - jd) <= 1e-5 * max(np.linalg.norm(jd), 1e-12)
 
 
+def test_newton_assembles_jacobian_only_for_steps(monkeypatch):
+    mesh, dofs, ops = _setup(6)
+    counts = {"assemble_convection_linearized": 0, "assemble_convection_load": 0}
+    for name in counts:
+        real = getattr(assembly, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(assembly, name, counted)
+
+    xi, rep = solve_deterministic_ns(ops, _forcing_load(mesh, dofs))
+    assert rep.converged and rep.iterations >= 3
+    steps = rep.iterations - 1  # the Stokes start counts as one solve
+    assert counts == {"assemble_convection_linearized": steps,
+                      "assemble_convection_load": len(rep.residual_history)}
+
+    counts.update(dict.fromkeys(counts, 0))
+    _, rep = solve_stochastic_full(ops, xi, _noise_load(mesh, dofs, ops, 1.6, 6))
+    assert rep.converged and rep.iterations >= 2
+    # one more linearization: the frozen coupling terms around xi
+    assert counts == {"assemble_convection_linearized": rep.iterations + 1,
+                      "assemble_convection_load": len(rep.residual_history)}
+
+
 def test_field_addition_requires_shared_dof_map():
     dofs_a = build_dof_map(build_structured_mesh(2))
     dofs_b = build_dof_map(build_structured_mesh(2))
