@@ -328,9 +328,10 @@ def splitting_equivalence_max_defect(n: int = 8, sigma: float = 1.5,
     ops, load, xi, _ = uq.prepare(dofs, nu)
     cfg = uq.McConfig(M=samples, base_seed=seed, sigma=sigma, nu=nu, mesh_n=n, noise_n=n)
     loads, _ = uq.noise_loads(cfg, ops, range(samples))
+    k_xi = solvers.LinearizedOperator(ops, xi)
     worst = 0.0
     for noise_load in loads.T:
-        eta, rep_s = solvers.solve_stochastic_full(ops, xi, noise_load)
+        eta, rep_s = solvers.solve_stochastic_full(ops, xi, noise_load, k_xi=k_xi)
         mono, rep_m = solvers.solve_monolithic(ops, load, noise_load,
                                                initial_guess=xi)
         if not (rep_s.converged and rep_m.converged):

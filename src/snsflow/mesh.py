@@ -61,14 +61,19 @@ class SaddlePattern:
     is the data index of entry (element_dofs[t, i], element_dofs[t, j]);
     ``div_slots[0, t, a, j]`` that of B's entry (element_dofs[t, 12 + a],
     element_dofs[t, j]) and ``div_slots[1, t, a, j]`` that of its transpose.
-    ``free`` drops the Dirichlet velocity dofs and pins pressure dof 0.
+    ``free`` drops the Dirichlet velocity dofs and pins pressure dof 0;
+    ``free_slots`` are the data indices of the entries in free rows and
+    columns, in the CSC order of that submatrix.
     """
 
     indptr: np.ndarray      # (n + 1,) int32
     indices: np.ndarray     # (nnz,) int32 row indices, sorted within each column
-    v_slots: np.ndarray     # (T, 12, 12) int32
-    div_slots: np.ndarray   # (2, T, 3, 12) int32
+    v_slots: np.ndarray     # (T, 12, 12) intp, as np.bincount takes them uncast
+    div_slots: np.ndarray   # (2, T, 3, 12) intp
     free: np.ndarray        # (n,) bool
+    free_indptr: np.ndarray   # (n_free + 1,) int32
+    free_indices: np.ndarray  # (nnz_free,) int32 free row indices
+    free_slots: np.ndarray    # (nnz_free,) intp
 
     @property
     def nnz(self) -> int:
@@ -78,6 +83,12 @@ class SaddlePattern:
         """The full saddle matrix whose values on this pattern are ``data``."""
         n = len(self.free)
         return sp.csc_matrix((data, self.indices, self.indptr), shape=(n, n))
+
+    def free_matrix(self, data: np.ndarray) -> sp.csc_matrix:
+        """The free rows and columns of ``matrix(data)``."""
+        n = len(self.free_indptr) - 1
+        return sp.csc_matrix((data[self.free_slots], self.free_indices, self.free_indptr),
+                             shape=(n, n))
 
 
 @dataclass(frozen=True)
@@ -202,13 +213,21 @@ def _saddle_pattern(element_dofs: np.ndarray, free: np.ndarray) -> SaddlePattern
             prs[:, :, None] * n + vel[:, None, :]]   # B^T: (row u_j, col p_a)
     unique, slots = np.unique(np.concatenate([k.ravel() for k in keys]),
                               return_inverse=True)
-    slots = slots.astype(np.int32)
+    slots = slots.astype(np.intp, copy=False)
+    rows, cols = unique % n, unique // n
+    free_slots = np.flatnonzero(free[rows] & free[cols])
+    renumber = np.cumsum(free) - 1
+    n_free = int(free.sum())
     return SaddlePattern(
         indptr=np.searchsorted(unique, n * np.arange(n + 1)).astype(np.int32),
-        indices=(unique % n).astype(np.int32),
+        indices=rows.astype(np.int32),
         v_slots=slots[:T * 144].reshape(T, 12, 12),
         div_slots=slots[T * 144:].reshape(2, T, 3, 12),
         free=free,
+        free_indptr=np.searchsorted(renumber[cols[free_slots]],
+                                    np.arange(n_free + 1)).astype(np.int32),
+        free_indices=renumber[rows[free_slots]].astype(np.int32),
+        free_slots=free_slots,
     )
 
 

@@ -3,12 +3,22 @@
 Four solution paths share one sparse saddle-point solver:
 
   * deterministic: Newton on a(u,v) + c(u,u,v) + b(v,p) = (F,v), Stokes start
-  * stochastic correction: Newton on the correction equation with coupling
-    terms around a frozen deterministic field, zero start
+  * stochastic correction (split): Newton on the correction equation with
+    coupling terms around a frozen deterministic field xi, zero start. Its
+    Jacobian J(eta) = K(xi) + N1(eta) + N2(eta) differs from
+    K(xi) = A + N1(xi) + N2(xi) by terms of the size of eta, so each step is
+    solved by GMRES left-preconditioned with the LU of K(xi) (inexact
+    Newton-Krylov, Knoll & Keyes, J. Comput. Phys. 193, 2004). A step whose
+    GMRES misses its tolerance within a fixed budget, and every step when
+    K(xi) could not be factorized, factorizes J(eta) directly instead.
   * modified correction: the same equation with the quadratic self-term
-    dropped, so linear with one operator K(xi) for every sample: one
+    dropped, so linear with the one operator K(xi) for every sample: one
     factorization per experiment, one multi-RHS solve
-  * monolithic: Newton on the full equation per noise sample
+  * monolithic: Newton on the full equation per noise sample, every step a
+    direct factorization; it is the independent reference for both splittings
+
+``LinearizedOperator`` holds K(xi) and its factor, so the modified and split
+corrections of one experiment share one assembly and one factorization.
 
 Every operator is a data vector on the dof map's fixed saddle pattern, so a
 Jacobian is an array sum such as ``stokes + n1 + n2``, a residual is one
@@ -27,6 +37,7 @@ p -= (g . p) / sum(g).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +49,14 @@ from .assembly import ElementGeometry, ProblemParams
 from .mesh import DofMap, TriMesh
 
 RESIDUAL_CHECK_FACTOR = 1e-10
+# Split Newton step k is accepted from GMRES when ||J d + r|| <= eta_k ||r|| with
+# the forcing term eta_k = min(INNER_RTOL, ||r_k|| / ||r_0||), which keeps
+# Newton's quadratic convergence (Eisenstat & Walker, SIAM J. Sci. Comput. 17,
+# 1996), within KRYLOV_CYCLES restart cycles of KRYLOV_BASIS vectors; otherwise
+# that step factorizes J directly. The fixed budget also caps the basis memory.
+INNER_RTOL = 1e-4
+KRYLOV_BASIS = 20
+KRYLOV_CYCLES = 2
 
 
 class SingularSystemError(RuntimeError):
@@ -81,7 +100,12 @@ class NewtonConfig:
 
 @dataclass
 class SolveReport:
-    """Outcome of one solve; iterations counts linear solves performed."""
+    """Outcome of one solve; iterations counts linear solves performed.
+
+    ``inner_iterations`` counts the GMRES iterations of a Newton-Krylov solve
+    and ``fallbacks`` its steps solved by a direct factorization instead; both
+    stay 0 on the direct paths.
+    """
 
     converged: bool
     iterations: int
@@ -90,6 +114,8 @@ class SolveReport:
     method: str = ""
     sample_id: int = -1
     failure: str = ""
+    inner_iterations: int = 0
+    fallbacks: int = 0
 
     def to_csv_row(self) -> str:
         return (f"{self.method},{self.sample_id},{int(self.converged)},"
@@ -136,36 +162,55 @@ def _saddle_residual(dofs: DofMap, data: np.ndarray, u: np.ndarray, p: np.ndarra
     return residual
 
 
+def _free_rows(dofs: DofMap, rhs: np.ndarray) -> np.ndarray:
+    """Free rows (n_free, k) of a velocity-block or full-system rhs, one column per load.
+
+    The pressure rows of a velocity-block rhs are zero.
+    """
+    free, n_u = dofs.pattern.free, dofs.n_velocity_dofs
+    if rhs.ndim not in (1, 2):
+        raise ValueError(f"rhs must be a vector or a block of columns, got {rhs.shape}")
+    columns = rhs.reshape(len(rhs), -1)
+    if len(columns) == len(free):
+        return columns[free]
+    if len(columns) != n_u:
+        raise ValueError(f"rhs length {len(rhs)} matches neither the velocity "
+                         f"block ({n_u}) nor the full system ({len(free)})")
+    free_u = free[:n_u]
+    b = np.zeros((np.count_nonzero(free), columns.shape[1]))
+    b[:np.count_nonzero(free_u)] = columns[free_u]   # free velocity rows come first
+    return b
+
+
+def _full_rows(dofs: DofMap, solved: np.ndarray) -> np.ndarray:
+    """Scatter a free-row solution to all unknowns, pressure at zero gauge mean."""
+    free, n_u, gauge = dofs.pattern.free, dofs.n_velocity_dofs, dofs.pressure_gauge
+    solution = np.zeros((len(free),) + solved.shape[1:])
+    solution[free] = solved
+    pressure = solution[n_u:]
+    pressure -= (gauge @ pressure) / gauge.sum()
+    return solution
+
+
 @dataclass
 class SaddleFactor:
     """LU factors of the saddle system on its free unknowns, for any number of loads."""
 
     matrix: sp.csc_matrix
     lu: spla.SuperLU
-    free: np.ndarray
-    gauge: np.ndarray
-    n_u: int
+    dofs: DofMap
     norm: float
 
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, list[str]]:
         """Solve for a 1-D rhs, or for every column of a 2-D block at once.
 
-        ``rhs`` rows cover the velocity block only (padded with zeros) or the
+        ``rhs`` rows cover the velocity block only (pressure rows zero) or the
         full system. Returns the solution, with full-system rows and the shape
         of ``rhs`` otherwise, and one failure reason per column, "" for a
         column that passed: non-finite values, or a residual
         ||K x - b|| > RESIDUAL_CHECK_FACTOR (||K|| ||x|| + ||b||).
         """
-        n_total = len(self.free)
-        if rhs.ndim not in (1, 2):
-            raise ValueError(f"rhs must be a vector or a block of columns, got {rhs.shape}")
-        columns = rhs.reshape(len(rhs), -1)
-        if len(columns) == self.n_u:
-            columns = np.vstack([columns, np.zeros((n_total - self.n_u, columns.shape[1]))])
-        elif len(columns) != n_total:
-            raise ValueError(f"rhs length {len(rhs)} matches neither the velocity "
-                             f"block ({self.n_u}) nor the full system ({n_total})")
-        b = columns[self.free]
+        b = _free_rows(self.dofs, rhs)
         solved = self.lu.solve(b)
         finite = np.isfinite(solved).all(axis=0)
         solved[:, ~finite] = 0.0
@@ -177,11 +222,8 @@ class SaddleFactor:
                     f"solve residual {r:.3e} exceeds {tol:.3e}; "
                     "system is numerically singular"
                     for ok, r, tol in zip(finite, residual, bound)]
-        solution = np.zeros((n_total, b.shape[1]))
-        solution[self.free] = solved
-        pressure = solution[self.n_u:]
-        pressure -= (self.gauge @ pressure) / self.gauge.sum()
-        return solution.reshape((n_total,) + rhs.shape[1:]), failures
+        solution = _full_rows(self.dofs, solved)
+        return solution.reshape((len(solution),) + rhs.shape[1:]), failures
 
 
 def factor_saddle(dofs: DofMap, data: np.ndarray) -> SaddleFactor:
@@ -192,14 +234,12 @@ def factor_saddle(dofs: DofMap, data: np.ndarray) -> SaddleFactor:
     as zero and shift the pressure to zero gauge-weighted mean. A failed
     factorization raises SingularSystemError.
     """
-    free = dofs.pattern.free
-    matrix = dofs.pattern.matrix(data)[free][:, free]
+    matrix = dofs.pattern.free_matrix(data)
     try:
         lu = spla.splu(matrix)
     except RuntimeError as exc:  # SuperLU signals exact singularity this way
         raise SingularSystemError(f"sparse factorization failed: {exc}") from exc
-    return SaddleFactor(matrix, lu, free, dofs.pressure_gauge, dofs.n_velocity_dofs,
-                        spla.norm(matrix))
+    return SaddleFactor(matrix, lu, dofs, spla.norm(matrix))
 
 
 def linear_saddle_solve(dofs: DofMap, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -221,49 +261,123 @@ def solve_stokes(ops: AssembledOperators, load: np.ndarray) -> FEField:
     return FEField(x[:n_u], x[n_u:], ops.dofs)
 
 
-def _newton(ops: AssembledOperators, load: np.ndarray,
-            frozen_convection: np.ndarray | None,
-            u0: np.ndarray, p0: np.ndarray, cfg: NewtonConfig,
-            presolves: int = 0) -> tuple[FEField, SolveReport]:
-    """Newton iteration on A u + c(u,u,.) [+ frozen terms] + B^T p = load.
+class LinearizedOperator:
+    """K(xi) = A + N1(xi) + N2(xi) around the frozen field xi, factorized on first use.
 
-    ``frozen_convection`` adds the linear coupling terms of the correction
-    equation. The residual takes the convection term c(u,u,.) as a vector,
-    without a matrix; the Jacobian ``linear + N1(u) + N2(u)`` is assembled
-    from the current iterate only when a step is taken (full Newton).
+    ``data`` is its pattern data: the linear part of the split correction
+    equation and the operator of the modified one. ``factor()`` factorizes it
+    once, under a lock so that concurrent samples share one factorization.
+    """
+
+    def __init__(self, ops: AssembledOperators, xi: FEField):
+        n1, n2 = assembly.assemble_convection_linearized(ops.mesh, ops.dofs,
+                                                         xi.velocity, geom=ops.geom)
+        self.dofs = ops.dofs
+        self.data = ops.stokes + n1 + n2
+        self._lock = threading.Lock()
+        self._factor: SaddleFactor | None = None
+        self._failure = ""
+
+    def factor(self) -> SaddleFactor:
+        """The LU of K(xi); raises SingularSystemError if it failed, now or before."""
+        with self._lock:
+            if self._factor is None and not self._failure:
+                try:
+                    self._factor = factor_saddle(self.dofs, self.data)
+                except SingularSystemError as exc:
+                    self._failure = str(exc)
+            if self._failure:
+                raise SingularSystemError(self._failure)
+            return self._factor
+
+
+def _krylov_step(dofs: DofMap, jacobian: np.ndarray, rhs: np.ndarray,
+                 precond: SaddleFactor, forcing: float) -> tuple[np.ndarray | None, int]:
+    """GMRES on J d = rhs to relative residual ``forcing``, left-preconditioned
+    by ``precond``.
+
+    Returns the full-system step, None when GMRES misses within its budget,
+    and the number of GMRES iterations.
+    """
+    matrix = dofs.pattern.free_matrix(jacobian)
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    d, info = spla.gmres(matrix, rhs[dofs.pattern.free], rtol=forcing,
+                         restart=KRYLOV_BASIS, maxiter=KRYLOV_CYCLES,
+                         M=spla.LinearOperator(matrix.shape, matvec=precond.lu.solve,
+                                               dtype=float),
+                         callback=count, callback_type="pr_norm")
+    if info != 0 or not np.isfinite(d).all():
+        return None, iterations
+    return _full_rows(dofs, d), iterations
+
+
+def _newton(ops: AssembledOperators, load: np.ndarray,
+            u0: np.ndarray, p0: np.ndarray, cfg: NewtonConfig,
+            presolves: int = 0,
+            k_xi: LinearizedOperator | None = None) -> tuple[FEField, SolveReport]:
+    """Newton iteration on A u + c(u,u,.) [+ N1(xi) u + N2(xi) u] + B^T p = load.
+
+    ``k_xi`` adds the linear coupling terms of the correction equation and
+    turns each step into a Newton-Krylov step preconditioned by its factor
+    (see ``_krylov_step``); a step GMRES misses, or any step when K(xi) could
+    not be factorized, is a fallback to the direct solve. Without ``k_xi``
+    every step is direct. The residual takes the convection term c(u,u,.) as
+    a vector, without a matrix; the Jacobian ``linear + N1(u) + N2(u)`` is
+    assembled from the current iterate only when a step is taken.
     """
     mesh, dofs = ops.mesh, ops.dofs
     n_u = dofs.n_velocity_dofs
-    linear = ops.stokes if frozen_convection is None else ops.stokes + frozen_convection
+    linear = ops.stokes if k_xi is None else k_xi.data
+    precond = None
+    if k_xi is not None:
+        try:
+            precond = k_xi.factor()
+        except SingularSystemError:
+            pass  # every step falls back to a direct factorization
     u, p = u0.copy(), p0.copy()
     u[ops.mask] = 0.0
     history: list[float] = []
-    solves = presolves
+    solves, inner, fallbacks = presolves, 0, 0
+
+    def report(converged: bool, r_norm: float, failure: str = "") -> tuple[FEField, SolveReport]:
+        return (FEField(u, p, dofs),
+                SolveReport(converged, solves, r_norm, history, failure=failure,
+                            inner_iterations=inner, fallbacks=fallbacks))
+
     for _ in range(cfg.max_iter + 1):
         conv = assembly.assemble_convection_load(mesh, dofs, u, geom=ops.geom)
         residual = _saddle_residual(dofs, linear, u, p, load - conv)
         r_norm = float(np.linalg.norm(residual))
         history.append(r_norm)
         if not np.isfinite(r_norm):
-            return (FEField(u, p, dofs),
-                    SolveReport(False, solves, r_norm, history,
-                                failure="residual diverged"))
+            return report(False, r_norm, "residual diverged")
         if r_norm <= max(cfg.abs_tol, cfg.rel_tol * history[0]):
-            return FEField(u, p, dofs), SolveReport(True, solves, r_norm, history)
+            return report(True, r_norm)
         if solves - presolves >= cfg.max_iter:
             break
         n1, n2 = assembly.assemble_convection_linearized(mesh, dofs, u, geom=ops.geom)
-        try:
-            x = linear_saddle_solve(dofs, linear + n1 + n2, -residual)
-        except SingularSystemError as exc:
-            return (FEField(u, p, dofs),
-                    SolveReport(False, solves, r_norm, history, failure=str(exc)))
+        jacobian = linear + n1 + n2
+        del n1, n2  # not held through the solve, where the peak memory is
+        x = None
+        if precond is not None:
+            x, its = _krylov_step(dofs, jacobian, -residual, precond,
+                                  min(INNER_RTOL, r_norm / history[0]))
+            inner += its
+        if x is None:
+            fallbacks += k_xi is not None
+            try:
+                x = linear_saddle_solve(dofs, jacobian, -residual)
+            except SingularSystemError as exc:
+                return report(False, r_norm, str(exc))
         u = u + cfg.damping * x[:n_u]
         p = p + cfg.damping * x[n_u:]
         solves += 1
-    return (FEField(u, p, dofs),
-            SolveReport(False, solves, history[-1], history,
-                        failure="max iterations reached"))
+    return report(False, history[-1], "max iterations reached")
 
 
 def solve_deterministic_ns(ops: AssembledOperators, f_load: np.ndarray,
@@ -271,50 +385,54 @@ def solve_deterministic_ns(ops: AssembledOperators, f_load: np.ndarray,
     """Steady Navier-Stokes solve with body force load; Stokes initial guess."""
     cfg = cfg or NewtonConfig()
     init = solve_stokes(ops, f_load)
-    fld, report = _newton(ops, f_load, None, init.velocity, init.pressure, cfg,
-                          presolves=1)
+    fld, report = _newton(ops, f_load, init.velocity, init.pressure, cfg, presolves=1)
     report.method = "deterministic"
     return fld, report
 
 
 def solve_stochastic_full(ops: AssembledOperators, xi: FEField,
                           noise_load: np.ndarray,
-                          cfg: NewtonConfig | None = None) -> tuple[FEField, SolveReport]:
-    """Nonlinear stochastic correction around the deterministic field xi."""
+                          cfg: NewtonConfig | None = None,
+                          k_xi: LinearizedOperator | None = None,
+                          ) -> tuple[FEField, SolveReport]:
+    """Nonlinear stochastic correction around the deterministic field xi.
+
+    Newton-Krylov on the factor of ``k_xi``, the shared K(xi) of this xi; one
+    is built when none is given.
+    """
     cfg = cfg or NewtonConfig()
-    n1, n2 = assembly.assemble_convection_linearized(ops.mesh, ops.dofs,
-                                                     xi.velocity, geom=ops.geom)
-    fld, report = _newton(ops, noise_load, n1 + n2,
-                          np.zeros(ops.dofs.n_velocity_dofs),
-                          np.zeros(ops.dofs.n_pressure_dofs), cfg)
+    if k_xi is None:
+        k_xi = LinearizedOperator(ops, xi)
+    fld, report = _newton(ops, noise_load, np.zeros(ops.dofs.n_velocity_dofs),
+                          np.zeros(ops.dofs.n_pressure_dofs), cfg, k_xi=k_xi)
     report.method = "split"
     return fld, report
 
 
 def solve_stochastic_modified(
         ops: AssembledOperators, xi: FEField, noise_load: np.ndarray,
+        k_xi: LinearizedOperator | None = None,
 ) -> tuple[FEField, SolveReport] | list[tuple[FEField, SolveReport]]:
     """Linearized stochastic correction: one factorization for every load.
 
     ``noise_load`` is one velocity load (n_u,) or a block of M loads
-    (n_u, M). K(xi) = A + N1(xi) + N2(xi) is assembled and factorized once,
+    (n_u, M). K(xi) (``k_xi``, built when none is given) is factorized once,
     and all columns are solved together. Returns one (correction, report)
     per column, or the single pair for a 1-D load. A failed factorization
     fails every report; a column that fails its checks fails only its own.
     """
     loads = noise_load.reshape(len(noise_load), -1)
     n_u = ops.dofs.n_velocity_dofs
-    n1, n2 = assembly.assemble_convection_linearized(ops.mesh, ops.dofs,
-                                                     xi.velocity, geom=ops.geom)
-    k_xi = ops.stokes + n1 + n2
+    if k_xi is None:
+        k_xi = LinearizedOperator(ops, xi)
     try:
-        x, failures = factor_saddle(ops.dofs, k_xi).solve(loads)
+        x, failures = k_xi.factor().solve(loads)
     except SingularSystemError as exc:
         x = np.zeros((n_u + ops.dofs.n_pressure_dofs, loads.shape[1]))
         failures = [str(exc)] * loads.shape[1]
     velocity, pressure = x[:n_u], x[n_u:]
-    r_norms = np.linalg.norm(_saddle_residual(ops.dofs, k_xi, velocity, pressure, loads),
-                             axis=0)
+    r_norms = np.linalg.norm(_saddle_residual(ops.dofs, k_xi.data, velocity, pressure,
+                                              loads), axis=0)
     out = []
     for j, failure in enumerate(failures):
         if failure:
@@ -335,7 +453,7 @@ def solve_monolithic(ops: AssembledOperators, f_load: np.ndarray,
     cfg = cfg or NewtonConfig()
     if initial_guess is None:
         initial_guess, _ = solve_deterministic_ns(ops, f_load, cfg)
-    fld, report = _newton(ops, f_load + noise_load, None,
-                          initial_guess.velocity, initial_guess.pressure, cfg)
+    fld, report = _newton(ops, f_load + noise_load, initial_guess.velocity,
+                          initial_guess.pressure, cfg)
     report.method = "monolithic"
     return fld, report

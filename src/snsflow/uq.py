@@ -19,6 +19,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from math import exp, isfinite
 
 import numpy as np
@@ -179,20 +180,23 @@ def noise_loads(cfg: McConfig, ops: solvers.AssembledOperators,
 
 def solve_sample(method: str, ops: solvers.AssembledOperators, xi: FEField,
                  f_load: np.ndarray, noise_load: np.ndarray, newton: NewtonConfig,
-                 mono_init: str = "deterministic") -> tuple[FEField, SolveReport]:
+                 mono_init: str = "deterministic",
+                 k_xi: solvers.LinearizedOperator | None = None,
+                 ) -> tuple[FEField, SolveReport]:
     """Solve one noise sample with one method; the full field is returned.
 
-    The splitting methods return xi plus their correction; ``mono_init``
-    picks the monolithic start, the deterministic field or zero.
+    The splitting methods return xi plus their correction, solved on the
+    shared K(xi) ``k_xi`` when one is given; ``mono_init`` picks the
+    monolithic start, the deterministic field or zero.
     """
     if method == "monolithic":
         init = xi if mono_init == "deterministic" else FEField.zeros(ops.dofs)
         return solvers.solve_monolithic(ops, f_load, noise_load, newton,
                                         initial_guess=init)
     if method == "split":
-        eta, rep = solvers.solve_stochastic_full(ops, xi, noise_load, newton)
+        eta, rep = solvers.solve_stochastic_full(ops, xi, noise_load, newton, k_xi)
     elif method == "modified":
-        eta, rep = solvers.solve_stochastic_modified(ops, xi, noise_load)
+        eta, rep = solvers.solve_stochastic_modified(ops, xi, noise_load, k_xi)
     else:
         raise ValueError(f"unknown method {method!r}")
     return xi + eta, rep
@@ -206,11 +210,14 @@ def _exception_report(method: str, exc: Exception) -> SolveReport:
 def run_experiment(cfg: McConfig, jobs: int = 1) -> McStats:
     """Run all requested methods over M shared noise draws and reduce.
 
-    Modified solves all samples first from one factorization of K(xi), which
-    is released before any Newton sample runs. Monolithic and split then
-    solve each sample on its own, concurrently when ``jobs > 1``, and each
-    sample is reduced as it arrives, in sample order. An exception inside one
-    sample's solve fails that sample's report only.
+    Monolithic solves every sample first. The splitting methods then share
+    one K(xi) and its factorization: modified solves all samples at once,
+    and split solves each sample by Newton-Krylov on that factor. The factor
+    is held to the end, so no factorization runs after it is freed (freed
+    factor pages then stayed resident and raised the peak memory).
+    Monolithic and split samples run concurrently when ``jobs > 1``; each
+    sample is reduced in sample order as its last solve arrives. An
+    exception inside one sample's solve fails that sample's report only.
     """
     dofs = build_dof_map(build_structured_mesh(cfg.mesh_n))
     ops, f_load, xi, xi_report = prepare(dofs, cfg.nu, cfg.newton)
@@ -219,31 +226,15 @@ def run_experiment(cfg: McConfig, jobs: int = 1) -> McStats:
     loads, norms = noise_loads(cfg, ops, range(cfg.M))
     kappas = norms / forcing_norm
 
-    modified = None
-    if "modified" in cfg.methods:
+    def solve_one(method: str, k_xi: solvers.LinearizedOperator | None,
+                  k: int) -> tuple[FEField, SolveReport]:
         try:
-            modified = [(xi + eta, rep)
-                        for eta, rep in solvers.solve_stochastic_modified(ops, xi, loads)]
-        except Exception as exc:
-            modified = [(zero_field, _exception_report("modified", exc))
-                        for _ in range(cfg.M)]
-        for k, (_, rep) in enumerate(modified):
-            rep.sample_id = k
-    per_sample = [m for m in cfg.methods if m != "modified"]
-
-    def run_sample(k: int) -> dict:
-        out = {}
-        for method in per_sample:
-            try:
-                fld, rep = solve_sample(method, ops, xi, f_load, loads[:, k],
-                                        cfg.newton, cfg.mono_init)
-            except Exception as exc:  # one bad sample must not abort the others
-                fld, rep = zero_field, _exception_report(method, exc)
-            rep.sample_id = k
-            out[method] = (fld, rep)
-        if modified is not None:
-            out["modified"] = modified[k]
-        return out
+            fld, rep = solve_sample(method, ops, xi, f_load, loads[:, k],
+                                    cfg.newton, cfg.mono_init, k_xi)
+        except Exception as exc:  # one bad sample must not abort the others
+            fld, rep = zero_field, _exception_report(method, exc)
+        rep.sample_id = k
+        return fld, rep
 
     # per-method means plus pairwise-converged means, added in sample order
     per_method = {m: _MeanAccumulator(dofs) for m in cfg.methods}
@@ -252,8 +243,30 @@ def run_experiment(cfg: McConfig, jobs: int = 1) -> McStats:
              if m in cfg.methods and "monolithic" in cfg.methods]
     pair_acc = {m: (_MeanAccumulator(dofs), _MeanAccumulator(dofs)) for m in pairs}
     reports: list[SolveReport] = [xi_report]
+    solved = {}  # method -> the (field, report) of every sample, in sample order
     with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        for res in (pool.map if pool else map)(run_sample, range(cfg.M)):
+        def solve_all(method: str, k_xi: solvers.LinearizedOperator | None = None):
+            return (pool.map if pool else map)(partial(solve_one, method, k_xi),
+                                               range(cfg.M))
+
+        if "monolithic" in cfg.methods:
+            solved["monolithic"] = list(solve_all("monolithic"))
+        k_xi = (solvers.LinearizedOperator(ops, xi)
+                if "split" in cfg.methods or "modified" in cfg.methods else None)
+        if "modified" in cfg.methods:
+            try:
+                solved["modified"] = [
+                    (xi + eta, rep)
+                    for eta, rep in solvers.solve_stochastic_modified(ops, xi, loads, k_xi)]
+            except Exception as exc:
+                solved["modified"] = [(zero_field, _exception_report("modified", exc))
+                                      for _ in range(cfg.M)]
+            for k, (_, rep) in enumerate(solved["modified"]):
+                rep.sample_id = k
+        if "split" in cfg.methods:
+            solved["split"] = solve_all("split", k_xi)  # streamed
+        for per_method_results in zip(*solved.values()):
+            res = dict(zip(solved, per_method_results))
             for method in cfg.methods:
                 fld, rep = res[method]
                 reports.append(rep)

@@ -100,8 +100,10 @@ def test_pressure_gauge_is_partition_of_unity_integral():
 def test_saddle_pattern_slots_land_on_element_dof_pairs(n):
     dofs = build_dof_map(build_structured_mesh(n))
     pat = dofs.pattern
-    for arr in (pat.indptr, pat.indices, pat.v_slots, pat.div_slots):
+    for arr in (pat.indptr, pat.indices):
         assert arr.dtype == np.int32
+    for arr in (pat.v_slots, pat.div_slots):   # np.bincount's index type: no cast per call
+        assert arr.dtype == np.intp
     col_of = np.repeat(np.arange(len(pat.free)), np.diff(pat.indptr))
     vel, prs = dofs.element_dofs[:, :12], dofs.element_dofs[:, 12:]
 
@@ -115,6 +117,17 @@ def test_saddle_pattern_slots_land_on_element_dof_pairs(n):
     # every stored entry is some element's entry
     slots = np.concatenate([pat.v_slots.ravel(), pat.div_slots.ravel()])
     assert np.array_equal(np.unique(slots), np.arange(pat.nnz))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_free_matrix_is_the_free_submatrix_entry_for_entry(n):
+    pat = build_dof_map(build_structured_mesh(n)).pattern
+    data = np.random.default_rng(n).standard_normal(pat.nnz)
+    got = pat.free_matrix(data)
+    want = pat.matrix(data)[pat.free][:, pat.free]
+    assert got.shape == want.shape and got.has_sorted_indices
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, part), getattr(want, part))
 
 
 @pytest.mark.parametrize("n", [1, 3])

@@ -1,5 +1,6 @@
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -284,6 +285,117 @@ def test_saddle_factor_solves_a_block_like_its_columns():
         assert np.abs(block[:, j] - x).max() <= 1e-13 * np.abs(x).max()
     with pytest.raises(ValueError):
         factor.solve(np.zeros((dofs.n_velocity_dofs, 2, 2)))
+
+
+def test_saddle_factor_pads_a_velocity_block_with_zero_pressure_rows():
+    mesh, dofs, ops = _setup(3)
+    rhs = np.random.default_rng(3).standard_normal((dofs.n_velocity_dofs, 3))
+    padded = np.vstack([rhs, np.zeros((dofs.n_pressure_dofs, 3))])
+    factor = solvers.factor_saddle(dofs, ops.stokes)
+    assert np.array_equal(factor.solve(rhs)[0], factor.solve(padded)[0])
+
+
+# ---------------------------------------------------------------------------
+# split correction by Newton-Krylov on the factor of K(xi)
+
+def _split_setup(sigma, n=8):
+    mesh, dofs, ops = _setup(n)
+    xi, _ = solve_deterministic_ns(ops, _forcing_load(mesh, dofs))
+    return ops, xi, _noise_load(mesh, dofs, ops, sigma, n, seed=3)
+
+
+def _gmres_missing(monkeypatch, misses=None):
+    """Make scipy's GMRES report a miss, on every call or the first ``misses``."""
+    real = spla.gmres
+    calls = []
+
+    def gmres(matrix, b, **kwargs):
+        calls.append(1)
+        if misses is None or len(calls) <= misses:
+            return np.zeros_like(b), 1
+        return real(matrix, b, **kwargs)
+
+    monkeypatch.setattr(spla, "gmres", gmres)
+    return calls
+
+
+def _assert_same_correction(got, want, rel=1e-10):
+    scale = np.abs(want.velocity).max()
+    assert np.abs(got.velocity - want.velocity).max() <= rel * scale
+
+
+@pytest.mark.parametrize("sigma", [1.6, 8.0])
+def test_newton_krylov_split_matches_direct_split(monkeypatch, sigma):
+    ops, xi, load = _split_setup(sigma)
+    k_xi = solvers.LinearizedOperator(ops, xi)
+    eta, rep = solve_stochastic_full(ops, xi, load, k_xi=k_xi)
+    assert rep.converged and rep.inner_iterations > 0
+    if sigma <= 4.0:
+        assert rep.fallbacks == 0
+
+    _gmres_missing(monkeypatch)
+    eta_d, rep_d = solve_stochastic_full(ops, xi, load, k_xi=k_xi)
+    assert rep_d.converged and rep_d.fallbacks == rep_d.iterations
+    _assert_same_correction(eta, eta_d)
+
+
+def test_gmres_miss_falls_back_to_a_direct_step(monkeypatch):
+    ops, xi, load = _split_setup(1.6)
+    eta, rep = solve_stochastic_full(ops, xi, load)
+    calls = _gmres_missing(monkeypatch, misses=1)
+    factorizations = []
+    real_splu = spla.splu
+
+    def splu(matrix, *args, **kwargs):
+        factorizations.append(1)
+        return real_splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", splu)
+    eta_f, rep_f = solve_stochastic_full(ops, xi, load)
+    assert rep_f.converged and rep_f.fallbacks == 1 and len(calls) >= 2
+    assert len(factorizations) == 2   # K(xi), then the one fallback step
+    _assert_same_correction(eta_f, eta)
+
+
+def test_split_converges_when_k_xi_factorization_fails(monkeypatch):
+    ops, xi, load = _split_setup(1.6)
+    eta, _ = solve_stochastic_full(ops, xi, load)
+    real_splu = spla.splu
+
+    def singular(matrix, *args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "splu", singular)
+    k_xi = solvers.LinearizedOperator(ops, xi)
+    with pytest.raises(SingularSystemError):
+        k_xi.factor()
+    monkeypatch.setattr(spla, "splu", real_splu)
+    with pytest.raises(SingularSystemError):   # the failure is kept, not retried
+        k_xi.factor()
+    eta_s, rep_s = solve_stochastic_full(ops, xi, load, k_xi=k_xi)
+    assert rep_s.converged and rep_s.inner_iterations == 0
+    assert rep_s.fallbacks == rep_s.iterations
+    _assert_same_correction(eta_s, eta)
+
+
+def test_direct_solves_report_no_inner_iterations():
+    ops, xi, load = _split_setup(1.6, n=4)
+    _, rep_m = solve_monolithic(ops, _forcing_load(ops.mesh, ops.dofs), load,
+                                   initial_guess=xi)
+    _, rep_l = solve_stochastic_modified(ops, xi, load)
+    for rep in (rep_m, rep_l):
+        assert rep.converged and rep.inner_iterations == rep.fallbacks == 0
+
+
+def test_concurrent_solves_on_one_factor_match_serial():
+    ops, xi, _ = _split_setup(1.6, n=6)
+    factor = solvers.LinearizedOperator(ops, xi).factor()
+    rhs = np.random.default_rng(5).standard_normal((ops.dofs.n_velocity_dofs, 32))
+    serial = [factor.solve(rhs[:, j].copy())[0] for j in range(32)]
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        for _ in range(5):
+            threaded = list(pool.map(lambda j: factor.solve(rhs[:, j].copy())[0], range(32)))
+            assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
 
 
 # ---------------------------------------------------------------------------

@@ -327,3 +327,18 @@ def test_exception_in_one_sample_is_a_failed_report(monkeypatch):
     assert split[0].converged and split[2].converged
     assert stats.failed_counts == {"monolithic": 0, "split": 1}
     assert stats.converged_counts["split"] == 2
+
+
+def test_split_adds_no_factorization_per_sample(monkeypatch):
+    counts: dict[str, int] = {}
+    _counting(monkeypatch, spla, "splu", counts)
+    per_m = {}
+    for samples in (1, 8):
+        counts.clear()
+        stats = run_experiment(small_config(M=samples, sigma=1.6,
+                                            methods=("split", "modified")))
+        assert stats.converged_counts == {"split": samples, "modified": samples}
+        split = [r for r in stats.reports if r.method == "split"]
+        assert all(r.inner_iterations > 0 and r.fallbacks == 0 for r in split)
+        per_m[samples] = counts["splu"]
+    assert per_m[1] == per_m[8]
