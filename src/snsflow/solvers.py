@@ -4,18 +4,25 @@ Four solution paths share one sparse saddle-point solver:
 
   * deterministic: Newton on a(u,v) + c(u,u,v) + b(v,p) = (F,v), Stokes start
   * stochastic correction (split): Newton on the correction equation with
-    coupling terms around a frozen deterministic field xi, zero start. Its
-    Jacobian J(eta) = K(xi) + N1(eta) + N2(eta) differs from
-    K(xi) = A + N1(xi) + N2(xi) by terms of the size of eta, so each step is
-    solved by GMRES left-preconditioned with the LU of K(xi) (inexact
-    Newton-Krylov, Knoll & Keyes, J. Comput. Phys. 193, 2004). A step whose
-    GMRES misses its tolerance within a fixed budget, and every step when
-    K(xi) could not be factorized, factorizes J(eta) directly instead.
+    coupling terms around a frozen deterministic field xi, zero start
   * modified correction: the same equation with the quadratic self-term
-    dropped, so linear with the one operator K(xi) for every sample: one
-    factorization per experiment, one multi-RHS solve
+    dropped, so linear with the one operator K(xi) = A + N1(xi) + N2(xi) for
+    every sample: one factorization per experiment, one multi-RHS solve
   * monolithic: Newton on the full equation per noise sample, every step a
     direct factorization; it is the independent reference for both splittings
+
+The deterministic and split Newton iterations are Newton-Krylov on the newest
+factor (Knoll & Keyes, J. Comput. Phys. 193, 2004): each step first runs GMRES
+left-preconditioned with the newest LU the solve holds, and a step with no
+factor yet, or one GMRES misses within a fixed budget, factorizes its own
+Jacobian, which then preconditions the following steps. Successive Jacobians
+differ by terms of the size of the Newton step, so one factor serves the rest
+of the solve. The deterministic solve has no factor at its first step:
+started on the Stokes LU, a later step still misses and factorizes, after
+about six times the GMRES iterations. The split solve starts from the shared
+factor of K(xi), from which its Jacobian J(eta) = K(xi) + N1(eta) + N2(eta)
+differs by terms of the size of eta; a sample's own fallback factor stays
+with that sample.
 
 ``LinearizedOperator`` holds K(xi) and its factor, so the modified and split
 corrections of one experiment share one assembly and one factorization.
@@ -49,7 +56,7 @@ from .assembly import ElementGeometry, ProblemParams
 from .mesh import DofMap, TriMesh
 
 RESIDUAL_CHECK_FACTOR = 1e-10
-# Split Newton step k is accepted from GMRES when ||J d + r|| <= eta_k ||r|| with
+# A Newton-Krylov step k is accepted from GMRES when ||J d + r|| <= eta_k ||r|| with
 # the forcing term eta_k = min(INNER_RTOL, ||r_k|| / ||r_0||), which keeps
 # Newton's quadratic convergence (Eisenstat & Walker, SIAM J. Sci. Comput. 17,
 # 1996), within KRYLOV_CYCLES restart cycles of KRYLOV_BASIS vectors; otherwise
@@ -103,8 +110,8 @@ class SolveReport:
     """Outcome of one solve; iterations counts linear solves performed.
 
     ``inner_iterations`` counts the GMRES iterations of a Newton-Krylov solve
-    and ``fallbacks`` its steps solved by a direct factorization instead; both
-    stay 0 on the direct paths.
+    and ``fallbacks`` the direct factorizations made inside it (a deterministic
+    solve without a GMRES miss reports 1); both stay 0 on the direct paths.
     """
 
     converged: bool
@@ -300,15 +307,26 @@ def _krylov_step(dofs: DofMap, jacobian: np.ndarray, rhs: np.ndarray,
     and the number of GMRES iterations.
     """
     matrix = dofs.pattern.free_matrix(jacobian)
+    b = rhs[dofs.pattern.free]
     iterations = 0
+    memo: list[np.ndarray] = []
 
     def count(_):
         nonlocal iterations
         iterations += 1
 
-    d, info = spla.gmres(matrix, rhs[dofs.pattern.free], rtol=forcing,
+    def precondition(v: np.ndarray) -> np.ndarray:
+        # scipy's gmres applies M to b to scale its tolerance, then again to
+        # the first residual of the zero start, which is b itself
+        if not np.array_equal(v, b):
+            return precond.lu.solve(v)
+        if not memo:
+            memo.append(precond.lu.solve(v))
+        return memo[0].copy()
+
+    d, info = spla.gmres(matrix, b, rtol=forcing,
                          restart=KRYLOV_BASIS, maxiter=KRYLOV_CYCLES,
-                         M=spla.LinearOperator(matrix.shape, matvec=precond.lu.solve,
+                         M=spla.LinearOperator(matrix.shape, matvec=precondition,
                                                dtype=float),
                          callback=count, callback_type="pr_norm")
     if info != 0 or not np.isfinite(d).all():
@@ -318,27 +336,29 @@ def _krylov_step(dofs: DofMap, jacobian: np.ndarray, rhs: np.ndarray,
 
 def _newton(ops: AssembledOperators, load: np.ndarray,
             u0: np.ndarray, p0: np.ndarray, cfg: NewtonConfig,
-            presolves: int = 0,
+            presolves: int = 0, krylov: bool = False,
             k_xi: LinearizedOperator | None = None) -> tuple[FEField, SolveReport]:
     """Newton iteration on A u + c(u,u,.) [+ N1(xi) u + N2(xi) u] + B^T p = load.
 
-    ``k_xi`` adds the linear coupling terms of the correction equation and
-    turns each step into a Newton-Krylov step preconditioned by its factor
-    (see ``_krylov_step``); a step GMRES misses, or any step when K(xi) could
-    not be factorized, is a fallback to the direct solve. Without ``k_xi``
-    every step is direct. The residual takes the convection term c(u,u,.) as
-    a vector, without a matrix; the Jacobian ``linear + N1(u) + N2(u)`` is
-    assembled from the current iterate only when a step is taken.
+    ``k_xi`` adds the linear coupling terms of the correction equation.
+    ``krylov`` makes it Newton-Krylov on the newest factor: a step first runs
+    GMRES preconditioned by the newest LU (see ``_krylov_step``), starting
+    from the factor of ``k_xi`` when it has one; a step with no factor, or one
+    GMRES misses, factorizes its Jacobian, counts a fallback and keeps that
+    factor for the following steps. Without ``krylov`` every step is direct.
+    The residual takes the convection term c(u,u,.) as a vector, without a
+    matrix; the Jacobian ``linear + N1(u) + N2(u)`` is assembled from the
+    current iterate only when a step is taken.
     """
     mesh, dofs = ops.mesh, ops.dofs
     n_u = dofs.n_velocity_dofs
     linear = ops.stokes if k_xi is None else k_xi.data
     precond = None
-    if k_xi is not None:
+    if krylov and k_xi is not None:
         try:
             precond = k_xi.factor()
         except SingularSystemError:
-            pass  # every step falls back to a direct factorization
+            pass  # the first step factorizes its own Jacobian
     u, p = u0.copy(), p0.copy()
     u[ops.mask] = 0.0
     history: list[float] = []
@@ -369,11 +389,17 @@ def _newton(ops: AssembledOperators, load: np.ndarray,
                                   min(INNER_RTOL, r_norm / history[0]))
             inner += its
         if x is None:
-            fallbacks += k_xi is not None
+            precond = None  # freed before the new factorization: one LU at a time
             try:
-                x = linear_saddle_solve(dofs, jacobian, -residual)
+                factor = factor_saddle(dofs, jacobian)
             except SingularSystemError as exc:
                 return report(False, r_norm, str(exc))
+            x, (failure,) = factor.solve(-residual)
+            if failure:
+                return report(False, r_norm, failure)
+            if krylov:
+                precond, fallbacks = factor, fallbacks + 1
+            del factor  # else held through the next step's factorization
         u = u + cfg.damping * x[:n_u]
         p = p + cfg.damping * x[n_u:]
         solves += 1
@@ -382,10 +408,15 @@ def _newton(ops: AssembledOperators, load: np.ndarray,
 
 def solve_deterministic_ns(ops: AssembledOperators, f_load: np.ndarray,
                            cfg: NewtonConfig | None = None) -> tuple[FEField, SolveReport]:
-    """Steady Navier-Stokes solve with body force load; Stokes initial guess."""
+    """Steady Navier-Stokes solve with body force load; Stokes initial guess.
+
+    Newton-Krylov on the newest factor: the first step factorizes
+    J(u_Stokes), and that LU preconditions GMRES in the later steps.
+    """
     cfg = cfg or NewtonConfig()
     init = solve_stokes(ops, f_load)
-    fld, report = _newton(ops, f_load, init.velocity, init.pressure, cfg, presolves=1)
+    fld, report = _newton(ops, f_load, init.velocity, init.pressure, cfg, presolves=1,
+                          krylov=True)
     report.method = "deterministic"
     return fld, report
 
@@ -397,14 +428,15 @@ def solve_stochastic_full(ops: AssembledOperators, xi: FEField,
                           ) -> tuple[FEField, SolveReport]:
     """Nonlinear stochastic correction around the deterministic field xi.
 
-    Newton-Krylov on the factor of ``k_xi``, the shared K(xi) of this xi; one
-    is built when none is given.
+    Newton-Krylov starting from the factor of ``k_xi``, the shared K(xi) of
+    this xi; one is built when none is given. A fallback's own factor
+    preconditions this sample's later steps and leaves ``k_xi`` untouched.
     """
     cfg = cfg or NewtonConfig()
     if k_xi is None:
         k_xi = LinearizedOperator(ops, xi)
     fld, report = _newton(ops, noise_load, np.zeros(ops.dofs.n_velocity_dofs),
-                          np.zeros(ops.dofs.n_pressure_dofs), cfg, k_xi=k_xi)
+                          np.zeros(ops.dofs.n_pressure_dofs), cfg, krylov=True, k_xi=k_xi)
     report.method = "split"
     return fld, report
 

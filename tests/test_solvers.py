@@ -170,6 +170,85 @@ def test_returned_fields_satisfy_constraints():
     assert gauge_defect <= 1e-10 * max(np.linalg.norm(fld.pressure), 1e-30)
 
 
+def _counting_splu(monkeypatch):
+    """Count factorizations; each factor made counts its own solves."""
+    real = spla.splu
+    factors = []
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu, self.solves = lu, 0
+
+        def solve(self, rhs):
+            self.solves += 1
+            return self.lu.solve(rhs)
+
+    def splu(matrix, *args, **kwargs):
+        factors.append(CountingLU(real(matrix, *args, **kwargs)))
+        return factors[-1]
+
+    monkeypatch.setattr(spla, "splu", splu)
+    return factors
+
+
+def _gmres_missing(monkeypatch, misses=None):
+    """Make scipy's GMRES report a miss, on every call or the first ``misses``."""
+    real = spla.gmres
+    calls = []
+
+    def gmres(matrix, b, **kwargs):
+        calls.append(1)
+        if misses is None or len(calls) <= misses:
+            return np.zeros_like(b), 1
+        return real(matrix, b, **kwargs)
+
+    monkeypatch.setattr(spla, "gmres", gmres)
+    return calls
+
+
+def _assert_same_correction(got, want, rel=1e-10):
+    scale = np.abs(want.velocity).max()
+    assert np.abs(got.velocity - want.velocity).max() <= rel * scale
+
+
+def _deterministic_setup(n=12):
+    mesh, dofs, ops = _setup(n)
+    return ops, _forcing_load(mesh, dofs)
+
+
+def test_newton_krylov_deterministic_matches_direct_newton(monkeypatch):
+    ops, load = _deterministic_setup()
+    xi, rep = solve_deterministic_ns(ops, load)
+    assert rep.converged and rep.inner_iterations > 0 and rep.fallbacks == 1
+
+    _gmres_missing(monkeypatch)
+    xi_d, rep_d = solve_deterministic_ns(ops, load)
+    assert rep_d.converged and rep_d.inner_iterations == 0
+    assert rep_d.fallbacks == rep_d.iterations - 1   # every Newton step direct
+    _assert_same_correction(xi, xi_d)
+
+
+def test_deterministic_solve_factorizes_twice(monkeypatch):
+    ops, load = _deterministic_setup()
+    factors = _counting_splu(monkeypatch)
+    _, rep = solve_deterministic_ns(ops, load)
+    assert rep.converged and len(factors) == 2   # the Stokes start, then J(u_Stokes)
+    # the Stokes LU solves only its own system; J(u_Stokes)'s preconditions the rest
+    assert factors[0].solves == 1 and factors[1].solves > 1
+
+
+def test_deterministic_gmres_miss_factorizes_once_more(monkeypatch):
+    ops, load = _deterministic_setup()
+    calls = _gmres_missing(monkeypatch, misses=1)
+    factors = _counting_splu(monkeypatch)
+    _, rep = solve_deterministic_ns(ops, load)
+    assert rep.converged and len(factors) == 3 and rep.fallbacks == 2
+    # the missed call reports no iterations, so these come from the later steps,
+    # preconditioned by the factor of the missed step
+    assert len(calls) >= 2 and rep.inner_iterations > 0
+    assert factors[2].solves > 1
+
+
 # ---------------------------------------------------------------------------
 # stochastic correction solves
 
@@ -304,26 +383,6 @@ def _split_setup(sigma, n=8):
     return ops, xi, _noise_load(mesh, dofs, ops, sigma, n, seed=3)
 
 
-def _gmres_missing(monkeypatch, misses=None):
-    """Make scipy's GMRES report a miss, on every call or the first ``misses``."""
-    real = spla.gmres
-    calls = []
-
-    def gmres(matrix, b, **kwargs):
-        calls.append(1)
-        if misses is None or len(calls) <= misses:
-            return np.zeros_like(b), 1
-        return real(matrix, b, **kwargs)
-
-    monkeypatch.setattr(spla, "gmres", gmres)
-    return calls
-
-
-def _assert_same_correction(got, want, rel=1e-10):
-    scale = np.abs(want.velocity).max()
-    assert np.abs(got.velocity - want.velocity).max() <= rel * scale
-
-
 @pytest.mark.parametrize("sigma", [1.6, 8.0])
 def test_newton_krylov_split_matches_direct_split(monkeypatch, sigma):
     ops, xi, load = _split_setup(sigma)
@@ -343,18 +402,50 @@ def test_gmres_miss_falls_back_to_a_direct_step(monkeypatch):
     ops, xi, load = _split_setup(1.6)
     eta, rep = solve_stochastic_full(ops, xi, load)
     calls = _gmres_missing(monkeypatch, misses=1)
-    factorizations = []
-    real_splu = spla.splu
-
-    def splu(matrix, *args, **kwargs):
-        factorizations.append(1)
-        return real_splu(matrix, *args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", splu)
+    factors = _counting_splu(monkeypatch)
     eta_f, rep_f = solve_stochastic_full(ops, xi, load)
     assert rep_f.converged and rep_f.fallbacks == 1 and len(calls) >= 2
-    assert len(factorizations) == 2   # K(xi), then the one fallback step
+    assert len(factors) == 2   # K(xi), then the one fallback step
+    # the steps after the fallback run GMRES on its factor, not on K(xi)'s
+    assert rep_f.inner_iterations > 0
+    assert factors[0].solves == 0 and factors[1].solves > 1
     _assert_same_correction(eta_f, eta)
+
+
+def test_krylov_step_applies_the_preconditioner_once_per_iteration_and_cycle(monkeypatch):
+    # J(u_Stokes) preconditioned by the Stokes LU needs a restart at forcing 1e-4
+    mesh, dofs, ops = _setup(6)
+    load = _forcing_load(mesh, dofs)
+    u = solve_stokes(ops, load).velocity
+    n1, n2 = assembly.assemble_convection_linearized(mesh, dofs, u, geom=ops.geom)
+    rhs = np.concatenate([np.where(ops.mask, 0.0, load), np.zeros(dofs.n_pressure_dofs)])
+    factors = _counting_splu(monkeypatch)
+    precond = solvers.factor_saddle(dofs, ops.stokes)
+    matvecs = []
+    real = spla.gmres
+
+    def gmres(matrix, b, **kwargs):
+        def matvec(v):
+            matvecs.append(1)
+            return matrix @ v
+        return real(spla.LinearOperator(matrix.shape, matvec=matvec, dtype=float), b, **kwargs)
+
+    monkeypatch.setattr(spla, "gmres", gmres)
+    x, its = solvers._krylov_step(dofs, ops.stokes + n1 + n2, rhs, precond, 1e-4)
+    # one product per iteration, and one for the true residual closing each cycle
+    cycles = len(matvecs) - its
+    assert x is not None and cycles == solvers.KRYLOV_CYCLES
+    assert factors[0].solves == its + cycles
+
+
+def test_split_at_sigma_8_falls_back_at_most_once_per_sample():
+    mesh, dofs, ops = _setup(12)
+    xi, _ = solve_deterministic_ns(ops, _forcing_load(mesh, dofs))
+    k_xi = solvers.LinearizedOperator(ops, xi)
+    for sample in range(8):
+        load = _noise_load(mesh, dofs, ops, 8.0, 12, seed=0, sample=sample)
+        _, rep = solve_stochastic_full(ops, xi, load, k_xi=k_xi)
+        assert rep.converged and rep.fallbacks <= 1
 
 
 def test_split_converges_when_k_xi_factorization_fails(monkeypatch):
@@ -373,8 +464,8 @@ def test_split_converges_when_k_xi_factorization_fails(monkeypatch):
     with pytest.raises(SingularSystemError):   # the failure is kept, not retried
         k_xi.factor()
     eta_s, rep_s = solve_stochastic_full(ops, xi, load, k_xi=k_xi)
-    assert rep_s.converged and rep_s.inner_iterations == 0
-    assert rep_s.fallbacks == rep_s.iterations
+    # the first step factorizes J(0) itself; that factor preconditions the rest
+    assert rep_s.converged and rep_s.inner_iterations > 0 and rep_s.fallbacks == 1
     _assert_same_correction(eta_s, eta)
 
 
