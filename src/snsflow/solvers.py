@@ -8,24 +8,27 @@ Four solution paths share one sparse saddle-point solver:
   * modified correction: the same equation with the quadratic self-term
     dropped, so linear with the one operator K(xi) = A + N1(xi) + N2(xi) for
     every sample: one factorization per experiment, one multi-RHS solve
-  * monolithic: Newton on the full equation per noise sample, every step a
-    direct factorization; it is the independent reference for both splittings
+  * monolithic: Newton on the full equation per noise sample; it is the
+    reference for both splittings, accepted on its own full residual
 
-The deterministic and split Newton iterations are Newton-Krylov on the newest
-factor (Knoll & Keyes, J. Comput. Phys. 193, 2004): each step first runs GMRES
-left-preconditioned with the newest LU the solve holds, and a step with no
-factor yet, or one GMRES misses within a fixed budget, factorizes its own
-Jacobian, which then preconditions the following steps. Successive Jacobians
-differ by terms of the size of the Newton step, so one factor serves the rest
-of the solve. The deterministic solve has no factor at its first step:
-started on the Stokes LU, a later step still misses and factorizes, after
-about six times the GMRES iterations. The split solve starts from the shared
-factor of K(xi), from which its Jacobian J(eta) = K(xi) + N1(eta) + N2(eta)
-differs by terms of the size of eta; a sample's own fallback factor stays
-with that sample.
+The Newton iterations are Newton-Krylov on the newest factor (Knoll & Keyes,
+J. Comput. Phys. 193, 2004): each step first runs GMRES left-preconditioned
+with the newest LU the solve holds, and a step with no factor yet, or one
+GMRES misses within a fixed budget, factorizes its own Jacobian, which then
+preconditions the following steps. Successive Jacobians differ by terms of
+the size of the Newton step, so one factor serves the rest of the solve. The
+deterministic solve has no factor at its first step: started on the Stokes
+LU, a later step still misses and factorizes, after about six times the
+GMRES iterations. The split solve starts from the shared factor of K(xi),
+from which its Jacobian J(eta) = K(xi) + N1(eta) + N2(eta) differs by terms
+of the size of eta; a sample's own fallback factor stays with that sample.
+A monolithic solve given K(xi) starts from xi, where its Jacobian is exactly
+K(xi), and at u = xi + eta its Jacobian is that same J(eta), so it takes the
+split rule; without K(xi) (a zero start, or a direct reference) every step
+is a direct factorization.
 
-``LinearizedOperator`` holds K(xi) and its factor, so the modified and split
-corrections of one experiment share one assembly and one factorization.
+``LinearizedOperator`` holds K(xi) and its factor, so the modified, split and
+monolithic solves of one experiment share one assembly and one factorization.
 
 Every operator is a data vector on the dof map's fixed saddle pattern, so a
 Jacobian is an array sum such as ``stokes + n1 + n2``, a residual is one
@@ -110,8 +113,10 @@ class SolveReport:
     """Outcome of one solve; iterations counts linear solves performed.
 
     ``inner_iterations`` counts the GMRES iterations of a Newton-Krylov solve
-    and ``fallbacks`` the direct factorizations made inside it (a deterministic
-    solve without a GMRES miss reports 1); both stay 0 on the direct paths.
+    (deterministic, split, and monolithic given K(xi)) and ``fallbacks`` the
+    direct factorizations made inside it (a deterministic solve without a
+    GMRES miss reports 1); both stay 0 on the direct paths (modified, and
+    monolithic without K(xi)).
     """
 
     converged: bool
@@ -298,22 +303,33 @@ class LinearizedOperator:
             return self._factor
 
 
+class _MissPredicted(Exception):
+    """Raised inside GMRES to abandon a step a restart cycle shows will miss."""
+
+
 def _krylov_step(dofs: DofMap, jacobian: np.ndarray, rhs: np.ndarray,
                  precond: SaddleFactor, forcing: float) -> tuple[np.ndarray | None, int]:
     """GMRES on J d = rhs to relative residual ``forcing``, left-preconditioned
     by ``precond``.
 
     Returns the full-system step, None when GMRES misses within its budget,
-    and the number of GMRES iterations.
+    and the number of GMRES iterations. A step is abandoned as a miss as soon
+    as a restart cycle ends with a true residual that, reduced at the same
+    rate per cycle, would not reach ``forcing`` within KRYLOV_CYCLES cycles:
+    restarted GMRES seldom converges faster in a later cycle than in the
+    first, so the rest of the budget would be spent on a step that then
+    factorizes anyway.
     """
     matrix = dofs.pattern.free_matrix(jacobian)
     b = rhs[dofs.pattern.free]
-    iterations = 0
+    b_norm = np.linalg.norm(b)
+    products = cycles = 0
     memo: list[np.ndarray] = []
 
-    def count(_):
-        nonlocal iterations
-        iterations += 1
+    def apply(v: np.ndarray) -> np.ndarray:
+        nonlocal products
+        products += 1
+        return matrix @ v
 
     def precondition(v: np.ndarray) -> np.ndarray:
         # scipy's gmres applies M to b to scale its tolerance, then again to
@@ -324,11 +340,23 @@ def _krylov_step(dofs: DofMap, jacobian: np.ndarray, rhs: np.ndarray,
             memo.append(precond.lu.solve(v))
         return memo[0].copy()
 
-    d, info = spla.gmres(matrix, b, rtol=forcing,
-                         restart=KRYLOV_BASIS, maxiter=KRYLOV_CYCLES,
-                         M=spla.LinearOperator(matrix.shape, matvec=precondition,
-                                               dtype=float),
-                         callback=count, callback_type="pr_norm")
+    def cycle_end(x: np.ndarray) -> None:
+        nonlocal cycles
+        cycles += 1
+        if (cycles < KRYLOV_CYCLES and np.linalg.norm(b - matrix @ x)
+                > forcing ** (cycles / KRYLOV_CYCLES) * b_norm):
+            raise _MissPredicted
+
+    shape = matrix.shape
+    try:
+        # one call, so scipy's tolerance control carries across restart cycles
+        d, info = spla.gmres(spla.LinearOperator(shape, matvec=apply, dtype=float), b,
+                             rtol=forcing, restart=KRYLOV_BASIS, maxiter=KRYLOV_CYCLES,
+                             M=spla.LinearOperator(shape, matvec=precondition, dtype=float),
+                             callback=cycle_end, callback_type="x")
+    except _MissPredicted:
+        d, info = None, 1
+    iterations = products - cycles   # each cycle ends with one product A x
     if info != 0 or not np.isfinite(d).all():
         return None, iterations
     return _full_rows(dofs, d), iterations
@@ -337,22 +365,27 @@ def _krylov_step(dofs: DofMap, jacobian: np.ndarray, rhs: np.ndarray,
 def _newton(ops: AssembledOperators, load: np.ndarray,
             u0: np.ndarray, p0: np.ndarray, cfg: NewtonConfig,
             presolves: int = 0, krylov: bool = False,
+            linear: np.ndarray | None = None,
             k_xi: LinearizedOperator | None = None) -> tuple[FEField, SolveReport]:
-    """Newton iteration on A u + c(u,u,.) [+ N1(xi) u + N2(xi) u] + B^T p = load.
+    """Newton iteration on linear [u; p] + c(u,u,.) = load.
 
-    ``k_xi`` adds the linear coupling terms of the correction equation.
-    ``krylov`` makes it Newton-Krylov on the newest factor: a step first runs
-    GMRES preconditioned by the newest LU (see ``_krylov_step``), starting
-    from the factor of ``k_xi`` when it has one; a step with no factor, or one
-    GMRES misses, factorizes its Jacobian, counts a fallback and keeps that
-    factor for the following steps. Without ``krylov`` every step is direct.
-    The residual takes the convection term c(u,u,.) as a vector, without a
-    matrix; the Jacobian ``linear + N1(u) + N2(u)`` is assembled from the
-    current iterate only when a step is taken.
+    ``linear`` is the pattern data of the linear part, ``ops.stokes`` unless
+    given; the correction equation passes K(xi), which adds the coupling
+    terms N1(xi) u + N2(xi) u. ``krylov`` makes it Newton-Krylov on the
+    newest factor: a step first runs GMRES preconditioned by the newest LU
+    (see ``_krylov_step``), starting from the factor of ``k_xi`` when it has
+    one; a step with no factor, or one GMRES misses, factorizes its Jacobian,
+    counts a fallback and keeps that factor for the following steps. Without
+    ``krylov`` every step is direct. ``k_xi`` only preconditions: the residual
+    and the Jacobian are those of ``linear``. The residual takes the
+    convection term c(u,u,.) as a vector, without a matrix; the Jacobian
+    ``linear + N1(u) + N2(u)`` is assembled from the current iterate only
+    when a step is taken.
     """
     mesh, dofs = ops.mesh, ops.dofs
     n_u = dofs.n_velocity_dofs
-    linear = ops.stokes if k_xi is None else k_xi.data
+    if linear is None:
+        linear = ops.stokes
     precond = None
     if krylov and k_xi is not None:
         try:
@@ -436,7 +469,8 @@ def solve_stochastic_full(ops: AssembledOperators, xi: FEField,
     if k_xi is None:
         k_xi = LinearizedOperator(ops, xi)
     fld, report = _newton(ops, noise_load, np.zeros(ops.dofs.n_velocity_dofs),
-                          np.zeros(ops.dofs.n_pressure_dofs), cfg, krylov=True, k_xi=k_xi)
+                          np.zeros(ops.dofs.n_pressure_dofs), cfg, krylov=True,
+                          linear=k_xi.data, k_xi=k_xi)
     report.method = "split"
     return fld, report
 
@@ -480,12 +514,20 @@ def solve_stochastic_modified(
 
 def solve_monolithic(ops: AssembledOperators, f_load: np.ndarray,
                      noise_load: np.ndarray, cfg: NewtonConfig | None = None,
-                     initial_guess: FEField | None = None) -> tuple[FEField, SolveReport]:
-    """Full per-sample solve; defaults to the deterministic solution as start."""
+                     initial_guess: FEField | None = None,
+                     k_xi: LinearizedOperator | None = None) -> tuple[FEField, SolveReport]:
+    """Full per-sample solve; defaults to the deterministic solution as start.
+
+    Direct Newton, unless ``k_xi`` gives the shared K(xi) of the deterministic
+    field xi the solve starts from: its Jacobian at xi is exactly K(xi), and
+    at u = xi + eta it is J(eta) of the split correction, so the solve is then
+    Newton-Krylov starting from that factor, like the split one. Either way a
+    sample converges only on the residual of its own full equation.
+    """
     cfg = cfg or NewtonConfig()
     if initial_guess is None:
         initial_guess, _ = solve_deterministic_ns(ops, f_load, cfg)
     fld, report = _newton(ops, f_load + noise_load, initial_guess.velocity,
-                          initial_guess.pressure, cfg)
+                          initial_guess.pressure, cfg, krylov=k_xi is not None, k_xi=k_xi)
     report.method = "monolithic"
     return fld, report

@@ -19,7 +19,6 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
 from math import exp, isfinite
 
 import numpy as np
@@ -186,13 +185,17 @@ def solve_sample(method: str, ops: solvers.AssembledOperators, xi: FEField,
     """Solve one noise sample with one method; the full field is returned.
 
     The splitting methods return xi plus their correction, solved on the
-    shared K(xi) ``k_xi`` when one is given; ``mono_init`` picks the
-    monolithic start, the deterministic field or zero.
+    shared K(xi) ``k_xi`` (built when none is given); ``mono_init`` picks the
+    monolithic start, the deterministic field or zero. A monolithic solve
+    from xi starts from the factor of K(xi) too; from zero it stays direct
+    Newton, whose first Jacobian is far from K(xi).
     """
     if method == "monolithic":
-        init = xi if mono_init == "deterministic" else FEField.zeros(ops.dofs)
-        return solvers.solve_monolithic(ops, f_load, noise_load, newton,
-                                        initial_guess=init)
+        if mono_init == "zero":
+            return solvers.solve_monolithic(ops, f_load, noise_load, newton,
+                                            initial_guess=FEField.zeros(ops.dofs))
+        return solvers.solve_monolithic(ops, f_load, noise_load, newton, initial_guess=xi,
+                                        k_xi=k_xi or solvers.LinearizedOperator(ops, xi))
     if method == "split":
         eta, rep = solvers.solve_stochastic_full(ops, xi, noise_load, newton, k_xi)
     elif method == "modified":
@@ -210,14 +213,16 @@ def _exception_report(method: str, exc: Exception) -> SolveReport:
 def run_experiment(cfg: McConfig, jobs: int = 1) -> McStats:
     """Run all requested methods over M shared noise draws and reduce.
 
-    Monolithic solves every sample first. The splitting methods then share
-    one K(xi) and its factorization: modified solves all samples at once,
-    and split solves each sample by Newton-Krylov on that factor. The factor
-    is held to the end, so no factorization runs after it is freed (freed
-    factor pages then stayed resident and raised the peak memory).
-    Monolithic and split samples run concurrently when ``jobs > 1``; each
-    sample is reduced in sample order as its last solve arrives. An
-    exception inside one sample's solve fails that sample's report only.
+    Every method shares one K(xi) and its factorization, built first:
+    modified solves all samples at once on it, then each sample's split
+    solve, and its monolithic solve when it starts from xi, runs by
+    Newton-Krylov from that factor (a zero start stays direct Newton). The
+    factor is held to the end, so no factorization runs after it is freed
+    (freed factor pages then stayed resident and raised the peak memory).
+    Samples run concurrently when ``jobs > 1``; each is reduced in sample
+    order as it arrives, and no Newton sample's field is held past its
+    reduction. An exception inside one sample's solve fails that sample's
+    report only.
     """
     dofs = build_dof_map(build_structured_mesh(cfg.mesh_n))
     ops, f_load, xi, xi_report = prepare(dofs, cfg.nu, cfg.newton)
@@ -226,8 +231,9 @@ def run_experiment(cfg: McConfig, jobs: int = 1) -> McStats:
     loads, norms = noise_loads(cfg, ops, range(cfg.M))
     kappas = norms / forcing_norm
 
-    def solve_one(method: str, k_xi: solvers.LinearizedOperator | None,
-                  k: int) -> tuple[FEField, SolveReport]:
+    k_xi = solvers.LinearizedOperator(ops, xi)   # factorized on first use
+
+    def solve_one(method: str, k: int) -> tuple[FEField, SolveReport]:
         try:
             fld, rep = solve_sample(method, ops, xi, f_load, loads[:, k],
                                     cfg.newton, cfg.mono_init, k_xi)
@@ -236,6 +242,21 @@ def run_experiment(cfg: McConfig, jobs: int = 1) -> McStats:
         rep.sample_id = k
         return fld, rep
 
+    newton_methods = [m for m in ("monolithic", "split") if m in cfg.methods]
+
+    def solve_newton(k: int) -> dict[str, tuple[FEField, SolveReport]]:
+        return {m: solve_one(m, k) for m in newton_methods}
+
+    modified = None
+    if "modified" in cfg.methods:
+        try:
+            modified = [(xi + eta, rep)
+                        for eta, rep in solvers.solve_stochastic_modified(ops, xi, loads, k_xi)]
+        except Exception as exc:
+            modified = [(zero_field, _exception_report("modified", exc)) for _ in range(cfg.M)]
+        for k, (_, rep) in enumerate(modified):
+            rep.sample_id = k
+
     # per-method means plus pairwise-converged means, added in sample order
     per_method = {m: _MeanAccumulator(dofs) for m in cfg.methods}
     failed = {m: 0 for m in cfg.methods}
@@ -243,30 +264,10 @@ def run_experiment(cfg: McConfig, jobs: int = 1) -> McStats:
              if m in cfg.methods and "monolithic" in cfg.methods]
     pair_acc = {m: (_MeanAccumulator(dofs), _MeanAccumulator(dofs)) for m in pairs}
     reports: list[SolveReport] = [xi_report]
-    solved = {}  # method -> the (field, report) of every sample, in sample order
     with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        def solve_all(method: str, k_xi: solvers.LinearizedOperator | None = None):
-            return (pool.map if pool else map)(partial(solve_one, method, k_xi),
-                                               range(cfg.M))
-
-        if "monolithic" in cfg.methods:
-            solved["monolithic"] = list(solve_all("monolithic"))
-        k_xi = (solvers.LinearizedOperator(ops, xi)
-                if "split" in cfg.methods or "modified" in cfg.methods else None)
-        if "modified" in cfg.methods:
-            try:
-                solved["modified"] = [
-                    (xi + eta, rep)
-                    for eta, rep in solvers.solve_stochastic_modified(ops, xi, loads, k_xi)]
-            except Exception as exc:
-                solved["modified"] = [(zero_field, _exception_report("modified", exc))
-                                      for _ in range(cfg.M)]
-            for k, (_, rep) in enumerate(solved["modified"]):
-                rep.sample_id = k
-        if "split" in cfg.methods:
-            solved["split"] = solve_all("split", k_xi)  # streamed
-        for per_method_results in zip(*solved.values()):
-            res = dict(zip(solved, per_method_results))
+        for k, res in enumerate((pool.map if pool else map)(solve_newton, range(cfg.M))):
+            if modified is not None:
+                res["modified"] = modified[k]
             for method in cfg.methods:
                 fld, rep = res[method]
                 reports.append(rep)

@@ -207,14 +207,16 @@ def test_hostile_input_is_one_line_usage_error(tmp_path, capsys, argv, config, n
 
 
 def test_singular_k_xi_fails_modified_samples_and_exits_2(tmp_path, monkeypatch, capsys):
-    # K(xi) is the converged Newton Jacobian, so only a stub can make it singular
-    real_modified, real_splu = solvers.solve_stochastic_modified, spla.splu
+    # K(xi) is the converged Newton Jacobian, so only a stub can make it
+    # singular; it fails wherever K(xi) is factorized, and the monolithic
+    # samples, which start from that factor, must survive on their own
+    real_factor, real_splu = solvers.LinearizedOperator.factor, spla.splu
     inside = []
 
-    def modified(*args, **kwargs):
+    def factor(self):
         inside.append(True)
         try:
-            return real_modified(*args, **kwargs)
+            return real_factor(self)
         finally:
             inside.clear()
 
@@ -223,7 +225,7 @@ def test_singular_k_xi_fails_modified_samples_and_exits_2(tmp_path, monkeypatch,
             raise RuntimeError("Factor is exactly singular")
         return real_splu(matrix, *args, **kwargs)
 
-    monkeypatch.setattr(solvers, "solve_stochastic_modified", modified)
+    monkeypatch.setattr(solvers.LinearizedOperator, "factor", factor)
     monkeypatch.setattr(spla, "splu", splu)
     code = run_cli("mc", "--mesh-n", "4", "--samples", "3", "--sigma", "1.0",
                    "--methods", "monolithic,modified", "--out-dir", str(tmp_path))

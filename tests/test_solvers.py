@@ -412,8 +412,10 @@ def test_gmres_miss_falls_back_to_a_direct_step(monkeypatch):
     _assert_same_correction(eta_f, eta)
 
 
-def test_krylov_step_applies_the_preconditioner_once_per_iteration_and_cycle(monkeypatch):
-    # J(u_Stokes) preconditioned by the Stokes LU needs a restart at forcing 1e-4
+def _stokes_preconditioned_step(monkeypatch):
+    """J(u_Stokes), its Newton rhs and the Stokes LU at n=6, with ``splu`` and
+    scipy's GMRES matrix products counted. This LU needs a restart to bring
+    the step to forcing 1e-4."""
     mesh, dofs, ops = _setup(6)
     load = _forcing_load(mesh, dofs)
     u = solve_stokes(ops, load).velocity
@@ -431,11 +433,31 @@ def test_krylov_step_applies_the_preconditioner_once_per_iteration_and_cycle(mon
         return real(spla.LinearOperator(matrix.shape, matvec=matvec, dtype=float), b, **kwargs)
 
     monkeypatch.setattr(spla, "gmres", gmres)
-    x, its = solvers._krylov_step(dofs, ops.stokes + n1 + n2, rhs, precond, 1e-4)
+    return dofs, ops.stokes + n1 + n2, rhs, precond, factors, matvecs
+
+
+def test_krylov_step_applies_the_preconditioner_once_per_iteration_and_cycle(monkeypatch):
+    dofs, jacobian, rhs, precond, factors, matvecs = _stokes_preconditioned_step(monkeypatch)
+    x, its = solvers._krylov_step(dofs, jacobian, rhs, precond, 1e-4)
     # one product per iteration, and one for the true residual closing each cycle
     cycles = len(matvecs) - its
     assert x is not None and cycles == solvers.KRYLOV_CYCLES
     assert factors[0].solves == its + cycles
+
+
+def test_krylov_step_abandons_a_step_its_first_cycle_shows_will_miss(monkeypatch):
+    dofs, jacobian, rhs, precond, _, matvecs = _stokes_preconditioned_step(monkeypatch)
+    # forcing 1e-10 is out of reach of the whole budget of two cycles
+    matrix = dofs.pattern.free_matrix(jacobian)
+    _, info = spla.gmres(matrix, rhs[dofs.pattern.free], rtol=1e-10,
+                         restart=solvers.KRYLOV_BASIS, maxiter=solvers.KRYLOV_CYCLES,
+                         M=spla.LinearOperator(matrix.shape, matvec=precond.lu.solve,
+                                               dtype=float))
+    assert info != 0
+    matvecs.clear()
+    x, its = solvers._krylov_step(dofs, jacobian, rhs, precond, 1e-10)
+    # one cycle: its products plus the one for the true residual closing it
+    assert x is None and 0 < its <= solvers.KRYLOV_BASIS and len(matvecs) == its + 1
 
 
 def test_split_at_sigma_8_falls_back_at_most_once_per_sample():
@@ -446,6 +468,25 @@ def test_split_at_sigma_8_falls_back_at_most_once_per_sample():
         load = _noise_load(mesh, dofs, ops, 8.0, 12, seed=0, sample=sample)
         _, rep = solve_stochastic_full(ops, xi, load, k_xi=k_xi)
         assert rep.converged and rep.fallbacks <= 1
+
+
+def test_split_at_sigma_8_misses_within_one_restart_cycle(monkeypatch):
+    mesh, dofs, ops = _setup(12)
+    xi, _ = solve_deterministic_ns(ops, _forcing_load(mesh, dofs))
+    k_xi = solvers.LinearizedOperator(ops, xi)
+    real, steps = solvers._krylov_step, []
+
+    def recorded(*args):
+        steps.append(real(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(solvers, "_krylov_step", recorded)
+    for sample in (1, 3):   # the samples of seed 0 that fall back at n=12
+        load = _noise_load(mesh, dofs, ops, 8.0, 12, seed=0, sample=sample)
+        _, rep = solve_stochastic_full(ops, xi, load, k_xi=k_xi)
+        assert rep.converged and rep.fallbacks == 1
+    misses = [its for x, its in steps if x is None]
+    assert len(misses) == 2 and max(misses) <= solvers.KRYLOV_BASIS
 
 
 def test_split_converges_when_k_xi_factorization_fails(monkeypatch):
@@ -513,6 +554,36 @@ def test_monolithic_minus_deterministic_equals_correction():
     diff = FEField(mono.velocity - xi.velocity, mono.pressure - xi.pressure, dofs)
     gap = mf.l2_error(diff, eta)
     assert gap <= 1e-10 * max(mf.velocity_l2_norm(dofs, mono.velocity), 1e-30)
+
+
+@pytest.mark.parametrize("sigma", [1.6, 8.0])
+def test_newton_krylov_monolithic_matches_direct_monolithic(monkeypatch, sigma):
+    ops, xi, load = _split_setup(sigma)
+    f_load = _forcing_load(ops.mesh, ops.dofs)
+    k_xi = solvers.LinearizedOperator(ops, xi)
+    mono, rep = solve_monolithic(ops, f_load, load, initial_guess=xi, k_xi=k_xi)
+    assert rep.converged and rep.inner_iterations > 0
+    if sigma <= 4.0:
+        assert rep.fallbacks == 0
+
+    _gmres_missing(monkeypatch)
+    mono_d, rep_d = solve_monolithic(ops, f_load, load, initial_guess=xi, k_xi=k_xi)
+    assert rep_d.converged and rep_d.fallbacks == rep_d.iterations
+    _assert_same_correction(mono, mono_d)
+
+
+def test_newton_krylov_monolithic_minus_deterministic_equals_correction():
+    mesh, dofs, ops = _setup(8)
+    load = _forcing_load(mesh, dofs)
+    xi, _ = solve_deterministic_ns(ops, load)
+    k_xi = solvers.LinearizedOperator(ops, xi)
+    for sample in range(3):
+        noise_load = _noise_load(mesh, dofs, ops, 1.5, 8, seed=9, sample=sample)
+        eta, rep_s = solve_stochastic_full(ops, xi, noise_load, k_xi=k_xi)
+        mono, rep_m = solve_monolithic(ops, load, noise_load, initial_guess=xi, k_xi=k_xi)
+        assert rep_s.converged and rep_m.converged and rep_m.inner_iterations > 0
+        gap = mf.l2_error(mono, xi + eta)
+        assert gap <= 1e-10 * mf.velocity_l2_norm(dofs, mono.velocity)
 
 
 def test_default_initial_guess_is_the_deterministic_solution():

@@ -101,13 +101,14 @@ def test_two_sample_mean_against_direct_average():
     load = assembly.assemble_load(mesh, dofs,
                                   lambda x, y: mf.exact_forcing(x, y, cfg.nu))
     xi, _ = solvers.solve_deterministic_ns(ops, load)
+    k_xi = solvers.LinearizedOperator(ops, xi)   # shared by the samples, as in the run
     grid = noise_mod.NoiseGrid(cfg.noise_n)
     amp = cfg.sigma * np.sqrt(grid.cell_volume)
     acc = np.zeros(dofs.n_velocity_dofs)
     for k in range(2):
         draw = noise_mod.sample_noise(grid, amp, noise_mod.substream_key(cfg.base_seed, k))
         nl = assembly.assemble_noise_load(mesh, dofs, draw, geom=ops.geom)
-        fld, rep = solvers.solve_monolithic(ops, load, nl, initial_guess=xi)
+        fld, rep = solvers.solve_monolithic(ops, load, nl, initial_guess=xi, k_xi=k_xi)
         assert rep.converged
         acc += fld.velocity
     assert np.abs(stats.mean_fields["monolithic"].velocity - acc / 2).max() <= 1e-14
@@ -335,10 +336,19 @@ def test_split_adds_no_factorization_per_sample(monkeypatch):
     per_m = {}
     for samples in (1, 8):
         counts.clear()
-        stats = run_experiment(small_config(M=samples, sigma=1.6,
-                                            methods=("split", "modified")))
-        assert stats.converged_counts == {"split": samples, "modified": samples}
-        split = [r for r in stats.reports if r.method == "split"]
-        assert all(r.inner_iterations > 0 and r.fallbacks == 0 for r in split)
+        stats = run_experiment(small_config(M=samples, sigma=1.6))
+        assert stats.converged_counts == {m: samples for m in uq.METHODS}
+        newton = [r for r in stats.reports if r.method in ("monolithic", "split")]
+        assert len(newton) == 2 * samples
+        assert all(r.inner_iterations > 0 and r.fallbacks == 0 for r in newton)
         per_m[samples] = counts["splu"]
     assert per_m[1] == per_m[8]
+
+
+def test_monolithic_is_newton_krylov_only_from_the_deterministic_start():
+    for start, krylov in (("deterministic", True), ("zero", False)):
+        cfg = small_config(M=2, sigma=1.6, mono_init=start, methods=("monolithic",))
+        mono = [r for r in run_experiment(cfg).reports if r.method == "monolithic"]
+        assert len(mono) == cfg.M and all(r.converged for r in mono)
+        # a zero start is far from K(xi), so it stays direct Newton
+        assert all((r.inner_iterations > 0) == krylov and r.fallbacks == 0 for r in mono)
