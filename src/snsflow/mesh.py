@@ -4,7 +4,8 @@ The mesh family is the uniform n x n grid of squares, each split along the
 bottom-left -> top-right diagonal. Velocity uses quadratic (P2) nodes at the
 vertices and edge midpoints, pressure uses linear (P1) nodes at the vertices.
 Each dof map also fixes the sparsity pattern of the saddle matrix that every
-assembled operator is a data vector on.
+assembled operator is a data vector on, and the nested-dissection order in
+which its free unknowns are eliminated.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 
 BOUNDARY_TOL = 1e-14
+# Nested dissection stops at regions of at most this many unknowns.
+DISSECTION_LEAF = 8
 
 
 @dataclass(frozen=True)
@@ -61,9 +64,13 @@ class SaddlePattern:
     is the data index of entry (element_dofs[t, i], element_dofs[t, j]);
     ``div_slots[0, t, a, j]`` that of B's entry (element_dofs[t, 12 + a],
     element_dofs[t, j]) and ``div_slots[1, t, a, j]`` that of its transpose.
-    ``free`` drops the Dirichlet velocity dofs and pins pressure dof 0;
-    ``free_slots`` are the data indices of the entries in free rows and
-    columns, in the CSC order of that submatrix.
+    ``free`` drops the Dirichlet velocity dofs and pins pressure dof 0.
+    ``free_order`` lists the free unknowns in a nested-dissection elimination
+    order (see ``_nested_dissection``): free unknown ``free_order[k]`` is row
+    and column k of the free matrix, so ``free_matrix`` is already permuted
+    for a factorization in natural order. ``free_slots`` are the data indices
+    of the entries in free rows and columns, in the CSC order of that
+    permuted submatrix.
     """
 
     indptr: np.ndarray      # (n + 1,) int32
@@ -71,6 +78,7 @@ class SaddlePattern:
     v_slots: np.ndarray     # (T, 12, 12) intp, as np.bincount takes them uncast
     div_slots: np.ndarray   # (2, T, 3, 12) intp
     free: np.ndarray        # (n,) bool
+    free_order: np.ndarray  # (n_free,) intp unknowns, a permutation of flatnonzero(free)
     free_indptr: np.ndarray   # (n_free + 1,) int32
     free_indices: np.ndarray  # (nnz_free,) int32 free row indices
     free_slots: np.ndarray    # (nnz_free,) intp
@@ -85,7 +93,7 @@ class SaddlePattern:
         return sp.csc_matrix((data, self.indices, self.indptr), shape=(n, n))
 
     def free_matrix(self, data: np.ndarray) -> sp.csc_matrix:
-        """The free rows and columns of ``matrix(data)``."""
+        """The free rows and columns of ``matrix(data)``, both in ``free_order``."""
         n = len(self.free_indptr) - 1
         return sp.csc_matrix((data[self.free_slots], self.free_indices, self.free_indptr),
                              shape=(n, n))
@@ -189,6 +197,9 @@ def build_dof_map(mesh: TriMesh) -> DofMap:
     dirichlet_mask = np.concatenate([node_on_boundary, node_on_boundary])
     free = np.concatenate([~dirichlet_mask, np.arange(V) != 0])
 
+    # each unknown's P2 node on the integer lattice of spacing h/2
+    lattice = np.rint(np.vstack([node_coords, node_coords, mesh.vertices])
+                      * (2 * mesh.n)).astype(np.intp)
     gauge = np.bincount(mesh.triangles.ravel(), weights=np.repeat(mesh.signed_areas() / 3.0, 3),
                         minlength=V)
 
@@ -199,13 +210,18 @@ def build_dof_map(mesh: TriMesh) -> DofMap:
         element_dofs=element_dofs,
         dirichlet_mask=dirichlet_mask,
         pressure_gauge=gauge,
-        pattern=_saddle_pattern(element_dofs, free),
+        pattern=_saddle_pattern(element_dofs, free, lattice),
         node_coords=node_coords,
     )
 
 
-def _saddle_pattern(element_dofs: np.ndarray, free: np.ndarray) -> SaddlePattern:
-    """Number the distinct (row, col) pairs of all element blocks in CSC order."""
+def _saddle_pattern(element_dofs: np.ndarray, free: np.ndarray,
+                    lattice: np.ndarray) -> SaddlePattern:
+    """Number the distinct (row, col) pairs of all element blocks in CSC order.
+
+    ``lattice`` holds the integer P2-lattice point of each unknown; it fixes
+    the elimination order of the free unknowns.
+    """
     n, T = len(free), len(element_dofs)
     vel, prs = element_dofs[:, :12], element_dofs[:, 12:]
     keys = [vel[:, None, :] * n + vel[:, :, None],   # V: (row u_i, col u_j)
@@ -215,20 +231,75 @@ def _saddle_pattern(element_dofs: np.ndarray, free: np.ndarray) -> SaddlePattern
                               return_inverse=True)
     slots = slots.astype(np.intp, copy=False)
     rows, cols = unique % n, unique // n
+    free_order = np.flatnonzero(free)
+    free_order = free_order[_nested_dissection(lattice[free_order])]
+    n_free = len(free_order)
+    position = np.full(n, -1)
+    position[free_order] = np.arange(n_free)
     free_slots = np.flatnonzero(free[rows] & free[cols])
-    renumber = np.cumsum(free) - 1
-    n_free = int(free.sum())
+    free_rows, free_cols = position[rows[free_slots]], position[cols[free_slots]]
+    csc = np.argsort(free_cols * n_free + free_rows)   # keys are distinct
     return SaddlePattern(
         indptr=np.searchsorted(unique, n * np.arange(n + 1)).astype(np.int32),
         indices=rows.astype(np.int32),
         v_slots=slots[:T * 144].reshape(T, 12, 12),
         div_slots=slots[T * 144:].reshape(2, T, 3, 12),
         free=free,
-        free_indptr=np.searchsorted(renumber[cols[free_slots]],
-                                    np.arange(n_free + 1)).astype(np.int32),
-        free_indices=renumber[rows[free_slots]].astype(np.int32),
-        free_slots=free_slots,
+        free_order=free_order,
+        free_indptr=np.searchsorted(free_cols[csc], np.arange(n_free + 1)).astype(np.int32),
+        free_indices=free_rows[csc].astype(np.int32),
+        free_slots=free_slots[csc],
     )
+
+
+def _nested_dissection(points: np.ndarray) -> np.ndarray:
+    """Nested-dissection elimination order of unknowns at integer lattice ``points``.
+
+    Recursive coordinate bisection (George, SIAM J. Numer. Anal. 10, 1973) of
+    the lattice's bounding box: a box is cut across its longer side at the
+    vertex line (an even lattice coordinate) nearest its middle. No element
+    crosses a vertex line, so the unknowns on it separate the two halves, and
+    they are numbered after both. A box of at most DISSECTION_LEAF unknowns,
+    or one no vertex line cuts, is a leaf. Unknowns of one leaf or separator
+    keep their given order. Returns indices into ``points``.
+    """
+    size = points.max(axis=0) + 1
+    # inclusive 2-D prefix sums of the unknowns per lattice point
+    counts = np.zeros(size + 1, dtype=np.intp)
+    counts[1:, 1:] = np.bincount(points[:, 0] * size[1] + points[:, 1],
+                                 minlength=size[0] * size[1]).reshape(size)
+    counts = counts.cumsum(axis=0).cumsum(axis=1)
+    rank = np.empty(size, dtype=np.intp)   # post-order number of each point's leaf or separator
+    pieces = 0
+
+    def number(lo: list[int], hi: list[int]) -> None:
+        nonlocal pieces
+        rank[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1] = pieces
+        pieces += 1
+
+    def moved(corner: list[int], axis: int, value: int) -> list[int]:
+        corner = corner.copy()
+        corner[axis] = value
+        return corner
+
+    def dissect(lo: list[int], hi: list[int]) -> None:
+        inside = (counts[hi[0] + 1, hi[1] + 1] - counts[lo[0], hi[1] + 1]
+                  - counts[hi[0] + 1, lo[1]] + counts[lo[0], lo[1]])
+        if inside > DISSECTION_LEAF:
+            longer = int(hi[1] - lo[1] > hi[0] - lo[0])
+            for axis in (longer, 1 - longer):
+                first, last = lo[axis] + 2 - lo[axis] % 2, hi[axis] - 2 + hi[axis] % 2
+                if first <= last:   # a vertex line lies strictly inside
+                    cut = min(max(2 * round((lo[axis] + hi[axis]) / 4), first), last)
+                    dissect(lo, moved(hi, axis, cut - 1))
+                    dissect(moved(lo, axis, cut + 1), hi)
+                    number(moved(lo, axis, cut), moved(hi, axis, cut))
+                    return
+        number(lo, hi)
+
+    dissect([0, 0], [int(size[0]) - 1, int(size[1]) - 1])
+    # ties keep the given order; distinct keys make any sort stable
+    return np.argsort(rank[points[:, 0], points[:, 1]] * len(points) + np.arange(len(points)))
 
 
 def triangle_nodes(dofs: DofMap) -> np.ndarray:

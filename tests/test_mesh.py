@@ -124,10 +124,32 @@ def test_free_matrix_is_the_free_submatrix_entry_for_entry(n):
     pat = build_dof_map(build_structured_mesh(n)).pattern
     data = np.random.default_rng(n).standard_normal(pat.nnz)
     got = pat.free_matrix(data)
-    want = pat.matrix(data)[pat.free][:, pat.free]
+    want = pat.matrix(data)[pat.free_order][:, pat.free_order]
+    want.sort_indices()
     assert got.shape == want.shape and got.has_sorted_indices
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, part), getattr(want, part))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_free_order_is_a_permutation_of_the_free_unknowns(n):
+    pat = build_dof_map(build_structured_mesh(n)).pattern
+    assert np.array_equal(np.sort(pat.free_order), np.flatnonzero(pat.free))
+
+
+def test_free_order_numbers_a_separating_vertex_line_last():
+    dofs = build_dof_map(build_structured_mesh(4))
+    pat = dofs.pattern
+    # the unknowns' P2 lattice columns: u_x, u_y at the nodes, p at the vertices
+    x = np.rint(8 * np.concatenate([dofs.node_coords[:, 0], dofs.node_coords[:, 0],
+                                    dofs.mesh.vertices[:, 0]]))
+    ordered = x[pat.free_order]
+    line = ordered == 4   # the first cut: the middle vertex line of the 8 x 8 lattice
+    assert line[-np.count_nonzero(line):].all()
+    # and no entry couples an unknown left of it to one right of it
+    coupled = pat.free_matrix(np.ones(pat.nnz)).tocoo()
+    left, right = ordered < 4, ordered > 4
+    assert not (left[coupled.row] & right[coupled.col]).any()
 
 
 @pytest.mark.parametrize("n", [1, 3])

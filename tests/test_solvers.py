@@ -92,6 +92,22 @@ def test_singular_system_is_distinguished():
         linear_saddle_solve(dofs, divergence_only, np.ones(dofs.n_velocity_dofs))
 
 
+def test_stokes_factorization_at_n1_is_singular():
+    # two free velocity dofs (the diagonal's midpoint) against three free
+    # pressure dofs: B^T has a null vector, so the free system is singular
+    mesh, dofs, ops = _setup(1)
+    with pytest.raises(SingularSystemError):
+        solvers.factor_saddle(dofs, ops.stokes)
+
+
+def test_nested_dissection_order_fills_less_than_colamd():
+    mesh, dofs, ops = _setup(24)
+    xi, _ = solve_deterministic_ns(ops, _forcing_load(mesh, dofs))
+    k_xi = solvers.LinearizedOperator(ops, xi)
+    matrix = dofs.pattern.free_matrix(k_xi.data)
+    assert k_xi.factor().lu.nnz < spla.splu(matrix, permc_spec="COLAMD").nnz
+
+
 def test_free_dof_jacobian_matches_dense_oracle():
     mesh, dofs, ops = _setup(2)
     w = np.random.default_rng(5).standard_normal(dofs.n_velocity_dofs)
@@ -101,8 +117,8 @@ def test_free_dof_jacobian_matches_dense_oracle():
     oracle = DenseOracle(mesh, dofs)
     o1, o2 = oracle.convection(w)
     b = oracle.divergence()
-    free = dofs.pattern.free
-    want = sp.bmat([[oracle.viscous(NU) + o1 + o2, b.T], [b, None]]).toarray()[free][:, free]
+    order = dofs.pattern.free_order
+    want = sp.bmat([[oracle.viscous(NU) + o1 + o2, b.T], [b, None]]).toarray()[order][:, order]
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -449,7 +465,7 @@ def test_krylov_step_abandons_a_step_its_first_cycle_shows_will_miss(monkeypatch
     dofs, jacobian, rhs, precond, _, matvecs = _stokes_preconditioned_step(monkeypatch)
     # forcing 1e-10 is out of reach of the whole budget of two cycles
     matrix = dofs.pattern.free_matrix(jacobian)
-    _, info = spla.gmres(matrix, rhs[dofs.pattern.free], rtol=1e-10,
+    _, info = spla.gmres(matrix, rhs[dofs.pattern.free_order], rtol=1e-10,
                          restart=solvers.KRYLOV_BASIS, maxiter=solvers.KRYLOV_CYCLES,
                          M=spla.LinearOperator(matrix.shape, matvec=precond.lu.solve,
                                                dtype=float))
@@ -481,7 +497,7 @@ def test_split_at_sigma_8_misses_within_one_restart_cycle(monkeypatch):
         return steps[-1]
 
     monkeypatch.setattr(solvers, "_krylov_step", recorded)
-    for sample in (1, 3):   # the samples of seed 0 that fall back at n=12
+    for sample in (3, 11):   # two samples of seed 0 that fall back at n=12
         load = _noise_load(mesh, dofs, ops, 8.0, 12, seed=0, sample=sample)
         _, rep = solve_stochastic_full(ops, xi, load, k_xi=k_xi)
         assert rep.converged and rep.fallbacks == 1
