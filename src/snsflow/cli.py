@@ -16,6 +16,8 @@ import os
 import sys
 from math import isfinite
 
+import numpy as np
+
 from . import checks, solvers, uq
 from .mesh import build_dof_map, build_structured_mesh
 from .solvers import NewtonConfig
@@ -232,7 +234,7 @@ def cmd_solve(v: dict) -> int:
     else:
         loads, _ = uq.noise_loads(cfg, ops, [v["sample_index"]])
         fld, rep = uq.solve_sample(method, ops, xi, f_load, loads[:, 0], cfg.newton,
-                                   cfg.mono_init)
+                                   cfg.mono_init, xi_report=xi_report)
         rep.sample_id = v["sample_index"]
         reports.append(rep)
 
@@ -294,14 +296,17 @@ def main(argv: list[str] | None = None) -> int:
         merged = _merge_config(args)
         merged.setdefault("init", DEFAULTS["init"])
         v = _validate(merged)
-        if args.command == "solve":
-            v["method"] = args.method
-            return cmd_solve(v)
-        if args.command == "mc":
-            v["sigma_sweep"] = getattr(args, "sigma_sweep", None)
-            return cmd_mc(v)
-        return cmd_verify(v, getattr(args, "convergence", False),
-                          getattr(args, "mutate", None))
+        # extreme physics overflows into inf and NaN; those fail their reports,
+        # with a reason, instead of printing numpy warnings
+        with np.errstate(all="ignore"):
+            if args.command == "solve":
+                v["method"] = args.method
+                return cmd_solve(v)
+            if args.command == "mc":
+                v["sigma_sweep"] = getattr(args, "sigma_sweep", None)
+                return cmd_mc(v)
+            return cmd_verify(v, getattr(args, "convergence", False),
+                              getattr(args, "mutate", None))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -12,10 +12,11 @@ Four solution paths share one sparse saddle-point solver:
     reference for both splittings, accepted on its own full residual
 
 The Newton iterations are Newton-Krylov on the newest factor (Knoll & Keyes,
-J. Comput. Phys. 193, 2004): each step first runs GMRES left-preconditioned
-with the newest LU the solve holds, and a step with no factor yet, or one
-GMRES misses within a fixed budget, factorizes its own Jacobian, which then
-preconditions the following steps. Successive Jacobians differ by terms of
+J. Comput. Phys. 193, 2004): each step first runs a restarted GMRES of its
+own (``_krylov_step``), left-preconditioned with the newest LU the solve
+holds, and a step with no factor yet, or one GMRES misses within a fixed
+budget, factorizes its own Jacobian, which then preconditions the following
+steps. Successive Jacobians differ by terms of
 the size of the Newton step, so one factor serves the rest of the solve. The
 deterministic solve has no factor at its first step: started on the Stokes
 LU, a later step still misses and factorizes, after about six times the
@@ -27,8 +28,9 @@ K(xi), and at u = xi + eta its Jacobian is that same J(eta), so it takes the
 split rule; without K(xi) (a zero start, or a direct reference) every step
 is a direct factorization.
 
-``LinearizedOperator`` holds K(xi) and its factor, so the modified, split and
-monolithic solves of one experiment share one assembly and one factorization.
+``LinearizedOperator`` holds K(xi) and its factor, made once when it is built
+and read-only after, so the modified, split and monolithic solves of one
+experiment share one assembly and one factorization.
 
 Every operator is a data vector on the dof map's fixed saddle pattern, so a
 Jacobian is an array sum such as ``stokes + n1 + n2``, a residual is one
@@ -56,8 +58,8 @@ turns an exactly singular system (``--mesh-n 1``) into an exact zero pivot.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
+from math import hypot
 
 import numpy as np
 import scipy.sparse as sp
@@ -289,11 +291,12 @@ def solve_stokes(ops: AssembledOperators, load: np.ndarray) -> FEField:
 
 
 class LinearizedOperator:
-    """K(xi) = A + N1(xi) + N2(xi) around the frozen field xi, factorized on first use.
+    """K(xi) = A + N1(xi) + N2(xi) around the frozen field xi, factorized once.
 
     ``data`` is its pattern data: the linear part of the split correction
-    equation and the operator of the modified one. ``factor()`` factorizes it
-    once, under a lock so that concurrent samples share one factorization.
+    equation and the operator of the modified one. The constructor factorizes
+    it: ``factor`` is its LU, shared read-only by every sample, or None when
+    the factorization failed, and ``failure`` then says why ("" otherwise).
     """
 
     def __init__(self, ops: AssembledOperators, xi: FEField):
@@ -301,80 +304,77 @@ class LinearizedOperator:
                                                          xi.velocity, geom=ops.geom)
         self.dofs = ops.dofs
         self.data = ops.stokes + n1 + n2
-        self._lock = threading.Lock()
-        self._factor: SaddleFactor | None = None
-        self._failure = ""
-
-    def factor(self) -> SaddleFactor:
-        """The LU of K(xi); raises SingularSystemError if it failed, now or before."""
-        with self._lock:
-            if self._factor is None and not self._failure:
-                try:
-                    self._factor = factor_saddle(self.dofs, self.data)
-                except SingularSystemError as exc:
-                    self._failure = str(exc)
-            if self._failure:
-                raise SingularSystemError(self._failure)
-            return self._factor
-
-
-class _MissPredicted(Exception):
-    """Raised inside GMRES to abandon a step a restart cycle shows will miss."""
+        try:
+            self.factor, self.failure = factor_saddle(self.dofs, self.data), ""
+        except SingularSystemError as exc:
+            self.factor, self.failure = None, str(exc)
 
 
 def _krylov_step(dofs: DofMap, jacobian: np.ndarray, rhs: np.ndarray,
                  precond: SaddleFactor, forcing: float) -> tuple[np.ndarray | None, int]:
-    """GMRES on J d = rhs to relative residual ``forcing``, left-preconditioned
-    by ``precond``.
+    """Restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) on
+    J d = rhs to relative residual ``forcing``, left-preconditioned by ``precond``.
 
-    Returns the full-system step, None when GMRES misses within its budget,
-    and the number of GMRES iterations. A step is abandoned as a miss as soon
-    as a restart cycle ends with a true residual that, reduced at the same
-    rate per cycle, would not reach ``forcing`` within KRYLOV_CYCLES cycles:
-    restarted GMRES seldom converges faster in a later cycle than in the
-    first, so the rest of the budget would be spent on a step that then
-    factorizes anyway.
+    Returns the full-system step, or None on a miss, and the GMRES iteration
+    count. A cycle runs on z = LU^-1 r: classical Gram-Schmidt, run twice,
+    builds its basis, and Givens rotations reduce each Hessenberg column. It
+    stops when the rotated residual is at most ||z|| min(q, forcing ||b|| / ||r||),
+    after KRYLOV_BASIS vectors, or at a breakdown. The true residual decides:
+    accept at ||r|| <= forcing ||b||, and miss when cycle c ends above
+    forcing^(c / KRYLOV_CYCLES) ||b||, a rate that would not reach ``forcing``
+    within the budget (restarted GMRES seldom speeds up in a later cycle). q is
+    1, or 1/4 after a cycle that met its rotated target but not the true one,
+    as in SciPy's gmres.
     """
     matrix = dofs.pattern.free_matrix(jacobian)
     b = rhs[dofs.pattern.free_order]
-    b_norm = np.linalg.norm(b)
-    products = cycles = 0
-    memo: list[np.ndarray] = []
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        nonlocal products
-        products += 1
-        return matrix @ v
-
-    def precondition(v: np.ndarray) -> np.ndarray:
-        # scipy's gmres applies M to b to scale its tolerance, then again to
-        # the first residual of the zero start, which is b itself
-        if not np.array_equal(v, b):
-            return precond.lu.solve(v)
-        if not memo:
-            memo.append(precond.lu.solve(v))
-        return memo[0].copy()
-
-    def cycle_end(x: np.ndarray) -> None:
-        nonlocal cycles
-        cycles += 1
-        if (cycles < KRYLOV_CYCLES and np.linalg.norm(b - matrix @ x)
-                > forcing ** (cycles / KRYLOV_CYCLES) * b_norm):
-            raise _MissPredicted
-
-    shape = matrix.shape
-    try:
-        # one call, so scipy's tolerance control carries across restart cycles
-        d, info = spla.gmres(spla.LinearOperator(shape, matvec=apply, dtype=float), b,
-                             rtol=forcing, restart=KRYLOV_BASIS, maxiter=KRYLOV_CYCLES,
-                             M=spla.LinearOperator(shape, matvec=precondition, dtype=float),
-                             callback=cycle_end, callback_type="x")
-    except _MissPredicted:
-        d, info = None, 1
-    iterations = products - cycles   # each cycle ends with one product A x
-    if info != 0 or not np.isfinite(d).all():
-        return None, iterations
-    return _full_rows(dofs, d), iterations
+    b_norm = float(np.linalg.norm(b))
+    if b_norm == 0.0:
+        return np.zeros_like(rhs), 0
+    basis = np.empty((KRYLOV_BASIS + 1, len(b)))
+    x, r, r_norm, its, safety = np.zeros_like(b), b, b_norm, 0, 1.0
+    for cycle in range(1, KRYLOV_CYCLES + 1):
+        z = precond.lu.solve(r)
+        z_norm = float(np.linalg.norm(z))
+        target = z_norm * min(safety, forcing * b_norm / r_norm)
+        basis[0] = z / z_norm
+        g, columns, rotations = [z_norm], [], []
+        for j in range(KRYLOV_BASIS):
+            w = precond.lu.solve(matrix @ basis[j])
+            h = basis[:j + 1] @ w
+            w -= h @ basis[:j + 1]
+            again = basis[:j + 1] @ w
+            w -= again @ basis[:j + 1]
+            h_next = float(np.linalg.norm(w))
+            column = (h + again).tolist()
+            for i, (c, s) in enumerate(rotations):
+                column[i], column[i + 1] = (c * column[i] + s * column[i + 1],
+                                            c * column[i + 1] - s * column[i])
+            rho = hypot(column[j], h_next)
+            if rho == 0.0:   # J is singular on the Krylov space
+                return None, its
+            c, s = column[j] / rho, h_next / rho
+            column[j] = rho
+            columns.append(column)
+            rotations.append((c, s))
+            g[j:] = [c * g[j], -s * g[j]]
+            its += 1
+            if abs(g[-1]) <= target or h_next == 0.0:
+                break
+            basis[j + 1] = w / h_next
+        y = g[:-1]
+        for i in reversed(range(len(y))):
+            y[i] = (y[i] - sum(columns[k][i] * y[k] for k in range(i + 1, len(y)))
+                    ) / columns[i][i]
+        x = x + np.array(y) @ basis[:len(y)]
+        r = b - matrix @ x
+        r_norm = float(np.linalg.norm(r))
+        if r_norm <= forcing * b_norm:
+            return _full_rows(dofs, x), its
+        if h_next == 0.0 or not r_norm <= forcing ** (cycle / KRYLOV_CYCLES) * b_norm:
+            break
+        safety = 0.25 if abs(g[-1]) <= target else 1.0
+    return None, its
 
 
 def _newton(ops: AssembledOperators, load: np.ndarray,
@@ -401,12 +401,8 @@ def _newton(ops: AssembledOperators, load: np.ndarray,
     n_u = dofs.n_velocity_dofs
     if linear is None:
         linear = ops.stokes
-    precond = None
-    if krylov and k_xi is not None:
-        try:
-            precond = k_xi.factor()
-        except SingularSystemError:
-            pass  # the first step factorizes its own Jacobian
+    # without a factor of K(xi) the first step factorizes its own Jacobian
+    precond = k_xi.factor if krylov and k_xi is not None else None
     u, p = u0.copy(), p0.copy()
     u[ops.mask] = 0.0
     history: list[float] = []
@@ -507,22 +503,24 @@ def solve_stochastic_modified(
     n_u = ops.dofs.n_velocity_dofs
     if k_xi is None:
         k_xi = LinearizedOperator(ops, xi)
-    try:
-        x, failures = k_xi.factor().solve(loads)
-    except SingularSystemError as exc:
+    if k_xi.factor is not None:
+        x, failures = k_xi.factor.solve(loads)
+    else:
         x = np.zeros((n_u + ops.dofs.n_pressure_dofs, loads.shape[1]))
-        failures = [str(exc)] * loads.shape[1]
+        failures = [k_xi.failure] * loads.shape[1]
     velocity, pressure = x[:n_u], x[n_u:]
     r_norms = np.linalg.norm(_saddle_residual(ops.dofs, k_xi.data, velocity, pressure,
                                               loads), axis=0)
     out = []
     for j, failure in enumerate(failures):
+        r_norm = float(r_norms[j])
+        if not (failure or np.isfinite(r_norm)):
+            failure = "residual diverged"
         if failure:
             out.append((FEField.zeros(ops.dofs),
                         SolveReport(False, 1, float("inf"), [], method="modified",
                                     failure=failure)))
         else:
-            r_norm = float(r_norms[j])
             out.append((FEField(velocity[:, j], pressure[:, j], ops.dofs),
                         SolveReport(True, 1, r_norm, [r_norm], method="modified")))
     return out[0] if noise_load.ndim == 1 else out

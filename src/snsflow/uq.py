@@ -177,19 +177,30 @@ def noise_loads(cfg: McConfig, ops: solvers.AssembledOperators,
     return loads, norms
 
 
+def _xi_failed(method: str, xi_report: SolveReport) -> SolveReport:
+    return SolveReport(False, 0, float("inf"), method=method,
+                       failure=f"deterministic solve failed: {xi_report.failure}")
+
+
 def solve_sample(method: str, ops: solvers.AssembledOperators, xi: FEField,
                  f_load: np.ndarray, noise_load: np.ndarray, newton: NewtonConfig,
                  mono_init: str = "deterministic",
                  k_xi: solvers.LinearizedOperator | None = None,
+                 xi_report: SolveReport | None = None,
                  ) -> tuple[FEField, SolveReport]:
     """Solve one noise sample with one method; the full field is returned.
 
     The splitting methods return xi plus their correction, solved on the
-    shared K(xi) ``k_xi`` (built when none is given); ``mono_init`` picks the
-    monolithic start, the deterministic field or zero. A monolithic solve
-    from xi starts from the factor of K(xi) too; from zero it stays direct
-    Newton, whose first Jacobian is far from K(xi).
+    shared K(xi) ``k_xi`` (built when none is given). The correction is
+    defined around a converged xi, so when ``xi_report`` says the
+    deterministic solve failed they fail unsolved and return xi.
+    ``mono_init`` picks the monolithic start, the deterministic field or
+    zero. A monolithic solve from xi starts from the factor of K(xi) too,
+    converged xi or not, and is accepted only on its own full residual; from
+    zero it stays direct Newton, whose first Jacobian is far from K(xi).
     """
+    if method != "monolithic" and xi_report is not None and not xi_report.converged:
+        return xi, _xi_failed(method, xi_report)
     if method == "monolithic":
         if mono_init == "zero":
             return solvers.solve_monolithic(ops, f_load, noise_load, newton,
@@ -213,12 +224,14 @@ def _exception_report(method: str, exc: Exception) -> SolveReport:
 def run_experiment(cfg: McConfig, jobs: int = 1) -> McStats:
     """Run all requested methods over M shared noise draws and reduce.
 
-    Every method shares one K(xi) and its factorization, built first:
-    modified solves all samples at once on it, then each sample's split
-    solve, and its monolithic solve when it starts from xi, runs by
-    Newton-Krylov from that factor (a zero start stays direct Newton). The
-    factor is held to the end, so no factorization runs after it is freed
-    (freed factor pages then stayed resident and raised the peak memory).
+    Every method shares one K(xi) and its factorization, built first when a
+    requested method uses it: modified solves all samples at once on it, then
+    each sample's split solve, and its monolithic solve when it starts from
+    xi, runs by Newton-Krylov from that factor (a zero start stays direct
+    Newton). The factor is held to the end, so no factorization runs after it
+    is freed (freed factor pages then stayed resident and raised the peak
+    memory). When the deterministic solve fails, every split and modified
+    sample fails unsolved; a monolithic sample still starts from xi.
     Samples run concurrently when ``jobs > 1``; each is reduced in sample
     order as it arrives, and no Newton sample's field is held past its
     reduction. An exception inside one sample's solve fails that sample's
@@ -231,31 +244,37 @@ def run_experiment(cfg: McConfig, jobs: int = 1) -> McStats:
     loads, norms = noise_loads(cfg, ops, range(cfg.M))
     kappas = norms / forcing_norm
 
-    k_xi = solvers.LinearizedOperator(ops, xi)   # factorized on first use
+    uses_k_xi = (xi_report.converged and ("split" in cfg.methods or "modified" in cfg.methods)
+                 or "monolithic" in cfg.methods and cfg.mono_init == "deterministic")
+    k_xi = solvers.LinearizedOperator(ops, xi) if uses_k_xi else None
 
     def solve_one(method: str, k: int) -> tuple[FEField, SolveReport]:
         try:
             fld, rep = solve_sample(method, ops, xi, f_load, loads[:, k],
-                                    cfg.newton, cfg.mono_init, k_xi)
+                                    cfg.newton, cfg.mono_init, k_xi, xi_report)
         except Exception as exc:  # one bad sample must not abort the others
             fld, rep = zero_field, _exception_report(method, exc)
         rep.sample_id = k
         return fld, rep
 
     newton_methods = [m for m in ("monolithic", "split") if m in cfg.methods]
+    errors = np.geterr()   # pool threads start from numpy's default error state
 
     def solve_newton(k: int) -> dict[str, tuple[FEField, SolveReport]]:
-        return {m: solve_one(m, k) for m in newton_methods}
+        with np.errstate(**errors):
+            return {m: solve_one(m, k) for m in newton_methods}
 
     modified = None
-    if "modified" in cfg.methods:
+    if "modified" in cfg.methods and not xi_report.converged:
+        modified = [(zero_field, _xi_failed("modified", xi_report)) for _ in range(cfg.M)]
+    elif "modified" in cfg.methods:
         try:
             modified = [(xi + eta, rep)
                         for eta, rep in solvers.solve_stochastic_modified(ops, xi, loads, k_xi)]
         except Exception as exc:
             modified = [(zero_field, _exception_report("modified", exc)) for _ in range(cfg.M)]
-        for k, (_, rep) in enumerate(modified):
-            rep.sample_id = k
+    for k, (_, rep) in enumerate(modified or ()):
+        rep.sample_id = k
 
     # per-method means plus pairwise-converged means, added in sample order
     per_method = {m: _MeanAccumulator(dofs) for m in cfg.methods}
@@ -332,7 +351,7 @@ def mean_closeness_check(xi: FEField, stats: McStats) -> float:
 def diagnostics(cfg: McConfig) -> Diagnostics:
     """Evaluate the smallness indicator and the expected perturbation ratio."""
     forcing_norm = manufactured.forcing_l2_norm(cfg.nu)
-    indicator = forcing_norm / cfg.nu ** 2
+    indicator = float(forcing_norm / np.square(cfg.nu))   # inf, not OverflowError
     n_cells = noise_mod.NoiseGrid(cfg.noise_n).n_cells
     # mean of the chi distribution with 2*n_cells degrees of freedom
     chi_mean = np.sqrt(2.0) * exp(gammaln(n_cells + 0.5) - gammaln(n_cells))
@@ -377,8 +396,7 @@ def write_field_csv(path: str, fld: FEField) -> None:
     coords = fld.dofs.node_coords
     nn = fld.dofs.n_scalar_nodes
     u1, u2 = fld.velocity[:nn], fld.velocity[nn:]
-    mag = np.hypot(u1, u2)
-    lines = ["x,y,u1,u2,umag"]
-    lines += [f"{c[0]:.17g},{c[1]:.17g},{a:.17g},{b:.17g},{m:.17g}"
-              for c, a, b, m in zip(coords, u1, u2, mag)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = np.column_stack([coords, u1, u2, np.hypot(u1, u2)])
+    # one % format of a repeated row template: about 2x faster than row by row
+    body = ("%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist())
+    atomic_write_text(path, "x,y,u1,u2,umag\n" + body)

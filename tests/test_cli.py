@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -210,13 +211,14 @@ def test_singular_k_xi_fails_modified_samples_and_exits_2(tmp_path, monkeypatch,
     # K(xi) is the converged Newton Jacobian, so only a stub can make it
     # singular; it fails wherever K(xi) is factorized, and the monolithic
     # samples, which start from that factor, must survive on their own
-    real_factor, real_splu = solvers.LinearizedOperator.factor, spla.splu
-    inside = []
+    real_init, real_splu = solvers.LinearizedOperator.__init__, spla.splu
+    made, inside = [], []
 
-    def factor(self):
+    def init(self, *args):
+        made.append(self)
         inside.append(True)
         try:
-            return real_factor(self)
+            real_init(self, *args)
         finally:
             inside.clear()
 
@@ -225,15 +227,55 @@ def test_singular_k_xi_fails_modified_samples_and_exits_2(tmp_path, monkeypatch,
             raise RuntimeError("Factor is exactly singular")
         return real_splu(matrix, *args, **kwargs)
 
-    monkeypatch.setattr(solvers.LinearizedOperator, "factor", factor)
+    monkeypatch.setattr(solvers.LinearizedOperator, "__init__", init)
     monkeypatch.setattr(spla, "splu", splu)
     code = run_cli("mc", "--mesh-n", "4", "--samples", "3", "--sigma", "1.0",
                    "--methods", "monolithic,modified", "--out-dir", str(tmp_path))
     assert code == EXIT_NOT_CONVERGED
     assert capsys.readouterr().err == ""
+    assert len(made) == 1 and made[0].factor is None and "singular" in made[0].failure
     stats = (tmp_path / "stats.csv").read_text().splitlines()
     assert stats[1].startswith("monolithic,") and stats[1].endswith(",0")
     assert stats[2].startswith("modified,") and stats[2].endswith(",3")
+
+
+@pytest.mark.parametrize("argv, samples", [
+    (["--mesh-n", "12", "--samples", "3", "--newton-max-iter", "2",
+      "--methods", "modified"], 3),
+    (["--mesh-n", "2", "--noise-n", "2", "--samples", "2", "--nu", "1e10"], 2),
+])
+def test_failed_deterministic_solve_fails_every_splitting_sample(tmp_path, capsys, argv,
+                                                                 samples):
+    assert run_cli("mc", *argv, "--out-dir", str(tmp_path)) == EXIT_NOT_CONVERGED
+    out = capsys.readouterr().out
+    for method in ("split", "modified"):
+        if method in out:
+            assert f"failures_{method}={samples}" in out
+    rows = (tmp_path / "samples.csv").read_text().splitlines()[1:]
+    assert rows[0].startswith("deterministic,-1,0,")
+    assert all(",0,0," in row for row in rows if row.startswith(("split", "modified")))
+
+
+@pytest.mark.parametrize("method", ["split", "modified"])
+def test_solve_splitting_sample_fails_on_a_failed_deterministic_solve(tmp_path, capsys,
+                                                                      method):
+    code = run_cli("solve", "--method", method, "--mesh-n", "4", "--newton-max-iter", "2",
+                   "--out-dir", str(tmp_path))
+    assert code == EXIT_NOT_CONVERGED
+    assert f"method={method} converged=0 iterations=0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["--nu", "1e300"], ["--nu", "1e-300"],
+                                  ["--sigma", "1e300"], ["--sigma", "1e300", "--jobs", "2"]])
+def test_extreme_physics_fails_every_sample_without_warnings(tmp_path, capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("mc", "--mesh-n", "4", "--samples", "2", *argv,
+                       "--out-dir", str(tmp_path))
+    assert code == EXIT_NOT_CONVERGED
+    assert not caught and capsys.readouterr().err == ""
+    stats = (tmp_path / "stats.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[-1] for row in stats] == ["2", "2", "2"]
 
 
 def test_perfbench_traced_names_exist(monkeypatch):

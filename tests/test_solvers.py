@@ -105,7 +105,7 @@ def test_nested_dissection_order_fills_less_than_colamd():
     xi, _ = solve_deterministic_ns(ops, _forcing_load(mesh, dofs))
     k_xi = solvers.LinearizedOperator(ops, xi)
     matrix = dofs.pattern.free_matrix(k_xi.data)
-    assert k_xi.factor().lu.nnz < spla.splu(matrix, permc_spec="COLAMD").nnz
+    assert k_xi.factor.lu.nnz < spla.splu(matrix, permc_spec="COLAMD").nnz
 
 
 def test_free_dof_jacobian_matches_dense_oracle():
@@ -208,17 +208,17 @@ def _counting_splu(monkeypatch):
 
 
 def _gmres_missing(monkeypatch, misses=None):
-    """Make scipy's GMRES report a miss, on every call or the first ``misses``."""
-    real = spla.gmres
+    """Make every GMRES step miss, or the first ``misses`` of them."""
+    real = solvers._krylov_step
     calls = []
 
-    def gmres(matrix, b, **kwargs):
+    def krylov_step(*args):
         calls.append(1)
         if misses is None or len(calls) <= misses:
-            return np.zeros_like(b), 1
-        return real(matrix, b, **kwargs)
+            return None, 0
+        return real(*args)
 
-    monkeypatch.setattr(spla, "gmres", gmres)
+    monkeypatch.setattr(solvers, "_krylov_step", krylov_step)
     return calls
 
 
@@ -428,10 +428,21 @@ def test_gmres_miss_falls_back_to_a_direct_step(monkeypatch):
     _assert_same_correction(eta_f, eta)
 
 
+class _CountingMatrix:
+    """A free matrix that counts its products with vectors."""
+
+    def __init__(self, matrix, products):
+        self.matrix, self.products = matrix, products
+
+    def __matmul__(self, v):
+        self.products.append(1)
+        return self.matrix @ v
+
+
 def _stokes_preconditioned_step(monkeypatch):
     """J(u_Stokes), its Newton rhs and the Stokes LU at n=6, with ``splu`` and
-    scipy's GMRES matrix products counted. This LU needs a restart to bring
-    the step to forcing 1e-4."""
+    the products of the free matrices counted. This LU needs a restart to
+    bring the step to forcing 1e-4."""
     mesh, dofs, ops = _setup(6)
     load = _forcing_load(mesh, dofs)
     u = solve_stokes(ops, load).velocity
@@ -440,16 +451,33 @@ def _stokes_preconditioned_step(monkeypatch):
     factors = _counting_splu(monkeypatch)
     precond = solvers.factor_saddle(dofs, ops.stokes)
     matvecs = []
-    real = spla.gmres
-
-    def gmres(matrix, b, **kwargs):
-        def matvec(v):
-            matvecs.append(1)
-            return matrix @ v
-        return real(spla.LinearOperator(matrix.shape, matvec=matvec, dtype=float), b, **kwargs)
-
-    monkeypatch.setattr(spla, "gmres", gmres)
+    real = type(dofs.pattern).free_matrix
+    monkeypatch.setattr(type(dofs.pattern), "free_matrix",
+                        lambda pattern, data: _CountingMatrix(real(pattern, data), matvecs))
     return dofs, ops.stokes + n1 + n2, rhs, precond, factors, matvecs
+
+
+def _scipy_gmres(dofs, jacobian, rhs, precond, forcing):
+    """The reference: scipy's GMRES on the same free system, budget and LU."""
+    matrix = dofs.pattern.free_matrix(jacobian).matrix   # products not counted
+    iterations = []
+    d, info = spla.gmres(matrix, rhs[dofs.pattern.free_order], rtol=forcing,
+                         restart=solvers.KRYLOV_BASIS, maxiter=solvers.KRYLOV_CYCLES,
+                         # the SuperLU inside the counting wrapper: solves not counted
+                         M=spla.LinearOperator(matrix.shape, matvec=precond.lu.lu.solve,
+                                               dtype=float),
+                         callback=iterations.append, callback_type="pr_norm")
+    return d, info, len(iterations)
+
+
+def test_krylov_step_matches_scipy_gmres(monkeypatch):
+    dofs, jacobian, rhs, precond, _, _ = _stokes_preconditioned_step(monkeypatch)
+    d, info, scipy_its = _scipy_gmres(dofs, jacobian, rhs, precond, 1e-4)
+    x, its = solvers._krylov_step(dofs, jacobian, rhs, precond, 1e-4)
+    assert info == 0 and x is not None
+    assert scipy_its > solvers.KRYLOV_BASIS and its == scipy_its   # both restarted once
+    want = solvers._full_rows(dofs, d)
+    assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_krylov_step_applies_the_preconditioner_once_per_iteration_and_cycle(monkeypatch):
@@ -464,11 +492,7 @@ def test_krylov_step_applies_the_preconditioner_once_per_iteration_and_cycle(mon
 def test_krylov_step_abandons_a_step_its_first_cycle_shows_will_miss(monkeypatch):
     dofs, jacobian, rhs, precond, _, matvecs = _stokes_preconditioned_step(monkeypatch)
     # forcing 1e-10 is out of reach of the whole budget of two cycles
-    matrix = dofs.pattern.free_matrix(jacobian)
-    _, info = spla.gmres(matrix, rhs[dofs.pattern.free_order], rtol=1e-10,
-                         restart=solvers.KRYLOV_BASIS, maxiter=solvers.KRYLOV_CYCLES,
-                         M=spla.LinearOperator(matrix.shape, matvec=precond.lu.solve,
-                                               dtype=float))
+    _, info, _ = _scipy_gmres(dofs, jacobian, rhs, precond, 1e-10)
     assert info != 0
     matvecs.clear()
     x, its = solvers._krylov_step(dofs, jacobian, rhs, precond, 1e-10)
@@ -515,11 +539,9 @@ def test_split_converges_when_k_xi_factorization_fails(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", singular)
     k_xi = solvers.LinearizedOperator(ops, xi)
-    with pytest.raises(SingularSystemError):
-        k_xi.factor()
+    assert k_xi.factor is None and "exactly singular" in k_xi.failure
     monkeypatch.setattr(spla, "splu", real_splu)
-    with pytest.raises(SingularSystemError):   # the failure is kept, not retried
-        k_xi.factor()
+    assert k_xi.factor is None   # the failure is kept, not retried
     eta_s, rep_s = solve_stochastic_full(ops, xi, load, k_xi=k_xi)
     # the first step factorizes J(0) itself; that factor preconditions the rest
     assert rep_s.converged and rep_s.inner_iterations > 0 and rep_s.fallbacks == 1
@@ -537,7 +559,7 @@ def test_direct_solves_report_no_inner_iterations():
 
 def test_concurrent_solves_on_one_factor_match_serial():
     ops, xi, _ = _split_setup(1.6, n=6)
-    factor = solvers.LinearizedOperator(ops, xi).factor()
+    factor = solvers.LinearizedOperator(ops, xi).factor
     rhs = np.random.default_rng(5).standard_normal((ops.dofs.n_velocity_dofs, 32))
     serial = [factor.solve(rhs[:, j].copy())[0] for j in range(32)]
     with ThreadPoolExecutor(max_workers=8) as pool:

@@ -352,3 +352,76 @@ def test_monolithic_is_newton_krylov_only_from_the_deterministic_start():
         assert len(mono) == cfg.M and all(r.converged for r in mono)
         # a zero start is far from K(xi), so it stays direct Newton
         assert all((r.inner_iterations > 0) == krylov and r.fallbacks == 0 for r in mono)
+
+
+@pytest.mark.parametrize("methods, mono_init, max_iter, builds", [
+    (("monolithic",), "zero", 25, 0),
+    (("monolithic",), "deterministic", 25, 1),
+    (("split", "modified"), "deterministic", 25, 1),
+    (("split", "modified"), "deterministic", 2, 0),   # xi fails: nothing uses K(xi)
+    (uq.METHODS, "deterministic", 2, 1),   # monolithic still starts from xi
+])
+def test_k_xi_is_built_only_for_methods_that_use_it(monkeypatch, methods, mono_init,
+                                                    max_iter, builds):
+    made = []
+    real = solvers.LinearizedOperator
+
+    def recorded(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(solvers, "LinearizedOperator", recorded)
+    run_experiment(small_config(M=2, methods=methods, mono_init=mono_init,
+                                newton=NewtonConfig(max_iter=max_iter)))
+    assert len(made) == builds
+
+
+def test_failed_deterministic_solve_fails_every_splitting_sample_unsolved(monkeypatch):
+    counts: dict[str, int] = {}
+    _counting(monkeypatch, spla, "splu", counts)
+    cfg = small_config(M=3, newton=NewtonConfig(max_iter=2))
+    stats = run_experiment(cfg)
+    xi_report = stats.reports[0]
+    assert xi_report.method == "deterministic" and not xi_report.converged
+    assert stats.failed_counts["split"] == stats.failed_counts["modified"] == cfg.M
+    reason = f"deterministic solve failed: {xi_report.failure}"
+    for rep in stats.reports[1:]:
+        if rep.method == "monolithic":   # started from xi, judged on its own residual
+            assert rep.iterations > 0 and not rep.failure.startswith("deterministic")
+        else:
+            assert rep.failure == reason and rep.iterations == 0
+    # the Stokes start, the deterministic steps, K(xi) and the monolithic fallbacks
+    mono_fallbacks = sum(r.fallbacks for r in stats.reports if r.method == "monolithic")
+    assert counts["splu"] == 1 + xi_report.fallbacks + 1 + mono_fallbacks
+
+
+@pytest.mark.parametrize("nu, sigma", [(1e300, 1.0), (1e-300, 1.0), (0.02, 1e300)])
+def test_extreme_physics_fails_the_samples_with_a_reason(nu, sigma):
+    with np.errstate(all="ignore"):
+        stats = run_experiment(small_config(M=2, nu=nu, sigma=sigma))
+    samples = [r for r in stats.reports if r.method != "deterministic"]
+    assert len(samples) == 2 * len(uq.METHODS)
+    assert all(not r.converged and r.failure for r in samples)
+    assert stats.failed_counts == {m: 2 for m in uq.METHODS}
+
+
+def _row_by_row_field_text(fld: FEField) -> str:
+    coords, nn = fld.dofs.node_coords, fld.dofs.n_scalar_nodes
+    u1, u2 = fld.velocity[:nn], fld.velocity[nn:]
+    lines = ["x,y,u1,u2,umag"]
+    lines += [f"{c[0]:.17g},{c[1]:.17g},{a:.17g},{b:.17g},{m:.17g}"
+              for c, a, b, m in zip(coords, u1, u2, np.hypot(u1, u2))]
+    return "\n".join(lines) + "\n"
+
+
+def test_field_csv_bytes_equal_the_row_by_row_text(tmp_path):
+    dofs = build_dof_map(build_structured_mesh(3))
+    awkward = [-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, -2.5, 1 / 3,
+               np.pi, float("inf"), float("nan")]
+    velocity = np.random.default_rng(3).standard_normal(dofs.n_velocity_dofs)
+    velocity[:len(awkward)] = awkward
+    velocity[dofs.n_scalar_nodes:dofs.n_scalar_nodes + len(awkward)] = awkward[::-1]
+    fld = FEField(velocity, np.zeros(dofs.n_pressure_dofs), dofs)
+    path = tmp_path / "field.csv"
+    uq.write_field_csv(str(path), fld)
+    assert path.read_bytes() == _row_by_row_field_text(fld).encode()
