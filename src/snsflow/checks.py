@@ -331,7 +331,7 @@ def splitting_equivalence_max_defect(n: int = 8, sigma: float = 1.5,
     k_xi = solvers.LinearizedOperator(ops, xi)
     worst = 0.0
     for noise_load in loads.T:
-        eta, rep_s = solvers.solve_stochastic_full(ops, xi, noise_load, k_xi=k_xi)
+        eta, rep_s = solvers.solve_stochastic_full(ops, k_xi, noise_load)
         mono, rep_m = solvers.solve_monolithic(ops, load, noise_load,
                                                initial_guess=xi)
         if not (rep_s.converged and rep_m.converged):

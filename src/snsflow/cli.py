@@ -214,7 +214,7 @@ def _mc_config(v: dict, m: int, sigma: float | None = None) -> McConfig:
 def _print_stats(st: uq.McStats) -> None:
     cfg = st.config
     parts = [f"sigma={cfg.sigma:g}", f"M={cfg.M}",
-             f"kappa_mean={st.kappa_mean:.4f}"]
+             f"kappa_mean={st.kappa_mean:.4g}"]
     if st.eps_sh is not None:
         parts += [f"eps_sh={st.eps_sh:.6e}", f"eps_sh_rel={st.eps_sh_rel:.6e}"]
     if st.eps_mh is not None:
@@ -233,9 +233,8 @@ def cmd_solve(v: dict) -> int:
         fld = xi
     else:
         loads, _ = uq.noise_loads(cfg, ops, [v["sample_index"]])
-        fld, rep = uq.solve_sample(method, ops, xi, f_load, loads[:, 0], cfg.newton,
-                                   cfg.mono_init, xi_report=xi_report)
-        rep.sample_id = v["sample_index"]
+        [(fld, rep)] = uq.solve_sample(method, ops, xi, f_load, loads, v["sample_index"],
+                                       cfg.newton, xi_report, cfg.mono_init)
         reports.append(rep)
 
     out = v["out_dir"]

@@ -30,7 +30,8 @@ is a direct factorization.
 
 ``LinearizedOperator`` holds K(xi) and its factor, made once when it is built
 and read-only after, so the modified, split and monolithic solves of one
-experiment share one assembly and one factorization.
+experiment share one assembly and one factorization. The solvers here take
+it as given; ``uq.solve_sample`` decides when one is built.
 
 Every operator is a data vector on the dof map's fixed saddle pattern, so a
 Jacobian is an array sum such as ``stokes + n1 + n2``, a residual is one
@@ -235,17 +236,19 @@ class SaddleFactor:
         ``rhs`` rows cover the velocity block only (pressure rows zero) or the
         full system. Returns the solution, with full-system rows and the shape
         of ``rhs`` otherwise, and one failure reason per column, "" for a
-        column that passed: non-finite values, or a residual
-        ||K x - b|| > RESIDUAL_CHECK_FACTOR (||K|| ||x|| + ||b||).
+        column that passed: non-finite values, or a residual that is not
+        finite or exceeds RESIDUAL_CHECK_FACTOR (||K|| ||x|| + ||b||). The
+        norms are max-norms (``norm`` is ||K||_inf), which square nothing, so
+        the check still certifies a load near the overflow range.
         """
         b = _free_rows(self.dofs, rhs)
         solved = self.lu.solve(b)
         finite = np.isfinite(solved).all(axis=0)
         solved[:, ~finite] = 0.0
-        residual = np.linalg.norm(self.matrix @ solved - b, axis=0)
-        bound = RESIDUAL_CHECK_FACTOR * (self.norm * np.linalg.norm(solved, axis=0)
-                                         + np.linalg.norm(b, axis=0))
-        failures = ["" if ok and r <= tol else
+        residual = np.abs(self.matrix @ solved - b).max(axis=0)
+        bound = RESIDUAL_CHECK_FACTOR * (self.norm * np.abs(solved).max(axis=0)
+                                         + np.abs(b).max(axis=0))
+        failures = ["" if ok and r <= tol and np.isfinite(r) else
                     "factorization produced non-finite values" if not ok else
                     f"solve residual {r:.3e} exceeds {tol:.3e}; "
                     "system is numerically singular"
@@ -268,7 +271,11 @@ def factor_saddle(dofs: DofMap, data: np.ndarray) -> SaddleFactor:
         lu = spla.splu(matrix, permc_spec="NATURAL")
     except RuntimeError as exc:  # SuperLU signals exact singularity this way
         raise SingularSystemError(f"sparse factorization failed: {exc}") from exc
-    return SaddleFactor(matrix, lu, dofs, spla.norm(matrix))
+    # ||K||_inf, the largest absolute row sum; spla.norm(matrix, np.inf) copies
+    # the matrix, which raised the peak memory of an n=12 mc run by 0.5 MB
+    norm = np.bincount(matrix.indices, weights=np.abs(matrix.data),
+                       minlength=matrix.shape[0]).max()
+    return SaddleFactor(matrix, lu, dofs, float(norm))
 
 
 def linear_saddle_solve(dofs: DofMap, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -379,34 +386,31 @@ def _krylov_step(dofs: DofMap, jacobian: np.ndarray, rhs: np.ndarray,
 
 def _newton(ops: AssembledOperators, load: np.ndarray,
             u0: np.ndarray, p0: np.ndarray, cfg: NewtonConfig,
-            presolves: int = 0, krylov: bool = False,
-            linear: np.ndarray | None = None,
-            k_xi: LinearizedOperator | None = None) -> tuple[FEField, SolveReport]:
+            krylov: bool = False, linear: np.ndarray | None = None,
+            precond: SaddleFactor | None = None) -> tuple[FEField, SolveReport]:
     """Newton iteration on linear [u; p] + c(u,u,.) = load.
 
     ``linear`` is the pattern data of the linear part, ``ops.stokes`` unless
     given; the correction equation passes K(xi), which adds the coupling
     terms N1(xi) u + N2(xi) u. ``krylov`` makes it Newton-Krylov on the
     newest factor: a step first runs GMRES preconditioned by the newest LU
-    (see ``_krylov_step``), starting from the factor of ``k_xi`` when it has
-    one; a step with no factor, or one GMRES misses, factorizes its Jacobian,
+    (see ``_krylov_step``), starting from ``precond`` when one is given; a
+    step with no factor, or one GMRES misses, factorizes its Jacobian,
     counts a fallback and keeps that factor for the following steps. Without
-    ``krylov`` every step is direct. ``k_xi`` only preconditions: the residual
-    and the Jacobian are those of ``linear``. The residual takes the
+    ``krylov`` every step is direct. ``precond`` only preconditions: the
+    residual and the Jacobian are those of ``linear``. The residual takes the
     convection term c(u,u,.) as a vector, without a matrix; the Jacobian
     ``linear + N1(u) + N2(u)`` is assembled from the current iterate only
-    when a step is taken.
+    when a step is taken. ``iterations`` counts the steps.
     """
     mesh, dofs = ops.mesh, ops.dofs
     n_u = dofs.n_velocity_dofs
     if linear is None:
         linear = ops.stokes
-    # without a factor of K(xi) the first step factorizes its own Jacobian
-    precond = k_xi.factor if krylov and k_xi is not None else None
     u, p = u0.copy(), p0.copy()
     u[ops.mask] = 0.0
     history: list[float] = []
-    solves, inner, fallbacks = presolves, 0, 0
+    solves, inner, fallbacks = 0, 0, 0
 
     def report(converged: bool, r_norm: float, failure: str = "") -> tuple[FEField, SolveReport]:
         return (FEField(u, p, dofs),
@@ -423,7 +427,7 @@ def _newton(ops: AssembledOperators, load: np.ndarray,
         tol = max(cfg.abs_tol, cfg.rel_tol * history[0])
         if r_norm <= tol:
             return report(True, r_norm)
-        if solves - presolves >= cfg.max_iter:
+        if solves >= cfg.max_iter:
             break
         n1, n2 = assembly.assemble_convection_linearized(mesh, dofs, u, geom=ops.geom)
         jacobian = linear + n1 + n2
@@ -456,61 +460,52 @@ def solve_deterministic_ns(ops: AssembledOperators, f_load: np.ndarray,
     """Steady Navier-Stokes solve with body force load; Stokes initial guess.
 
     Newton-Krylov on the newest factor: the first step factorizes
-    J(u_Stokes), and that LU preconditions GMRES in the later steps.
+    J(u_Stokes), and that LU preconditions GMRES in the later steps. The
+    Stokes solve counts as one of the report's iterations.
     """
     cfg = cfg or NewtonConfig()
     init = solve_stokes(ops, f_load)
-    fld, report = _newton(ops, f_load, init.velocity, init.pressure, cfg, presolves=1,
-                          krylov=True)
+    fld, report = _newton(ops, f_load, init.velocity, init.pressure, cfg, krylov=True)
+    report.iterations += 1
     report.method = "deterministic"
     return fld, report
 
 
-def solve_stochastic_full(ops: AssembledOperators, xi: FEField,
-                          noise_load: np.ndarray,
-                          cfg: NewtonConfig | None = None,
-                          k_xi: LinearizedOperator | None = None,
+def solve_stochastic_full(ops: AssembledOperators, k_xi: LinearizedOperator,
+                          noise_load: np.ndarray, cfg: NewtonConfig | None = None,
                           ) -> tuple[FEField, SolveReport]:
     """Nonlinear stochastic correction around the deterministic field xi.
 
-    Newton-Krylov starting from the factor of ``k_xi``, the shared K(xi) of
-    this xi; one is built when none is given. A fallback's own factor
-    preconditions this sample's later steps and leaves ``k_xi`` untouched.
+    ``k_xi`` is the K(xi) of that xi: the linear part of the correction
+    equation, and its factor starts the Newton-Krylov solve from a zero
+    correction. A fallback's own factor preconditions this sample's later
+    steps and leaves ``k_xi`` untouched.
     """
-    cfg = cfg or NewtonConfig()
-    if k_xi is None:
-        k_xi = LinearizedOperator(ops, xi)
     fld, report = _newton(ops, noise_load, np.zeros(ops.dofs.n_velocity_dofs),
-                          np.zeros(ops.dofs.n_pressure_dofs), cfg, krylov=True,
-                          linear=k_xi.data, k_xi=k_xi)
+                          np.zeros(ops.dofs.n_pressure_dofs), cfg or NewtonConfig(),
+                          krylov=True, linear=k_xi.data, precond=k_xi.factor)
     report.method = "split"
     return fld, report
 
 
-def solve_stochastic_modified(
-        ops: AssembledOperators, xi: FEField, noise_load: np.ndarray,
-        k_xi: LinearizedOperator | None = None,
-) -> tuple[FEField, SolveReport] | list[tuple[FEField, SolveReport]]:
+def solve_stochastic_modified(ops: AssembledOperators, k_xi: LinearizedOperator,
+                              noise_loads: np.ndarray) -> list[tuple[FEField, SolveReport]]:
     """Linearized stochastic correction: one factorization for every load.
 
-    ``noise_load`` is one velocity load (n_u,) or a block of M loads
-    (n_u, M). K(xi) (``k_xi``, built when none is given) is factorized once,
-    and all columns are solved together. Returns one (correction, report)
-    per column, or the single pair for a 1-D load. A failed factorization
-    fails every report; a column that fails its checks fails only its own.
+    ``noise_loads`` is a block of k velocity loads (n_u, k), all solved at
+    once on the factor of K(xi) (``k_xi``). Returns one (correction, report)
+    per column. A failed factorization fails every report; a column that
+    fails its checks fails only its own.
     """
-    loads = noise_load.reshape(len(noise_load), -1)
     n_u = ops.dofs.n_velocity_dofs
-    if k_xi is None:
-        k_xi = LinearizedOperator(ops, xi)
     if k_xi.factor is not None:
-        x, failures = k_xi.factor.solve(loads)
+        x, failures = k_xi.factor.solve(noise_loads)
     else:
-        x = np.zeros((n_u + ops.dofs.n_pressure_dofs, loads.shape[1]))
-        failures = [k_xi.failure] * loads.shape[1]
+        x = np.zeros((n_u + ops.dofs.n_pressure_dofs, noise_loads.shape[1]))
+        failures = [k_xi.failure] * noise_loads.shape[1]
     velocity, pressure = x[:n_u], x[n_u:]
     r_norms = np.linalg.norm(_saddle_residual(ops.dofs, k_xi.data, velocity, pressure,
-                                              loads), axis=0)
+                                              noise_loads), axis=0)
     out = []
     for j, failure in enumerate(failures):
         r_norm = float(r_norms[j])
@@ -523,14 +518,14 @@ def solve_stochastic_modified(
         else:
             out.append((FEField(velocity[:, j], pressure[:, j], ops.dofs),
                         SolveReport(True, 1, r_norm, [r_norm], method="modified")))
-    return out[0] if noise_load.ndim == 1 else out
+    return out
 
 
 def solve_monolithic(ops: AssembledOperators, f_load: np.ndarray,
-                     noise_load: np.ndarray, cfg: NewtonConfig | None = None,
-                     initial_guess: FEField | None = None,
+                     noise_load: np.ndarray, cfg: NewtonConfig | None = None, *,
+                     initial_guess: FEField,
                      k_xi: LinearizedOperator | None = None) -> tuple[FEField, SolveReport]:
-    """Full per-sample solve; defaults to the deterministic solution as start.
+    """Full per-sample solve from ``initial_guess``.
 
     Direct Newton, unless ``k_xi`` gives the shared K(xi) of the deterministic
     field xi the solve starts from: its Jacobian at xi is exactly K(xi), and
@@ -538,10 +533,9 @@ def solve_monolithic(ops: AssembledOperators, f_load: np.ndarray,
     Newton-Krylov starting from that factor, like the split one. Either way a
     sample converges only on the residual of its own full equation.
     """
-    cfg = cfg or NewtonConfig()
-    if initial_guess is None:
-        initial_guess, _ = solve_deterministic_ns(ops, f_load, cfg)
     fld, report = _newton(ops, f_load + noise_load, initial_guess.velocity,
-                          initial_guess.pressure, cfg, krylov=k_xi is not None, k_xi=k_xi)
+                          initial_guess.pressure, cfg or NewtonConfig(),
+                          krylov=k_xi is not None,
+                          precond=None if k_xi is None else k_xi.factor)
     report.method = "monolithic"
     return fld, report

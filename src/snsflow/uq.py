@@ -3,10 +3,11 @@
 An experiment is one data flow: ``prepare`` assembles the operators and the
 body load and solves the deterministic problem once; ``noise_loads`` turns
 (seed, sample index) into noise loads, sample k drawn from its own substream
-of a counter-based generator; ``run_experiment`` solves every requested
-method on those loads and reduces each sample as it arrives, in sample order
-with compensated summation, so accumulated means are bit-identical across
-worker counts. The CLI and the verification battery use the same two steps.
+of a counter-based generator; ``solve_sample`` solves a block of those loads
+with one method, the one route to the solvers; ``run_experiment`` calls it
+for every requested method and reduces each sample as it arrives, in sample
+order with compensated summation, so accumulated means are bit-identical
+across worker counts. ``snsflow solve`` takes the same steps for one sample.
 
 The amplitude convention: ``sigma`` is the per-cell standard deviation of the
 piecewise-constant noise forcing, i.e. realizations are sampled with the
@@ -104,41 +105,29 @@ class Diagnostics:
     expected_kappa: float
 
 
-class _KahanSum:
-    """Compensated vector accumulator; deterministic for a fixed add order."""
+class _MeanAccumulator:
+    """Compensated (Kahan) sum of fields over [u; p]; deterministic for a fixed
+    add order."""
 
-    def __init__(self, size: int):
-        self._sum = np.zeros(size)
-        self._comp = np.zeros(size)
+    def __init__(self, dofs: DofMap):
+        self.dofs = dofs
+        self.count = 0
+        self._sum = np.zeros(dofs.n_velocity_dofs + dofs.n_pressure_dofs)
+        self._comp = np.zeros_like(self._sum)
 
-    def add(self, values: np.ndarray) -> None:
-        y = values - self._comp
+    def add(self, fld: FEField) -> None:
+        y = np.concatenate([fld.velocity, fld.pressure]) - self._comp
         t = self._sum + y
         self._comp = (t - self._sum) - y
         self._sum = t
-
-    @property
-    def total(self) -> np.ndarray:
-        return self._sum
-
-
-class _MeanAccumulator:
-    def __init__(self, dofs: DofMap):
-        self.velocity = _KahanSum(dofs.n_velocity_dofs)
-        self.pressure = _KahanSum(dofs.n_pressure_dofs)
-        self.count = 0
-        self.dofs = dofs
-
-    def add(self, fld: FEField) -> None:
-        self.velocity.add(fld.velocity)
-        self.pressure.add(fld.pressure)
         self.count += 1
 
     def mean(self) -> FEField | None:
         if self.count == 0:
             return None
-        return FEField(self.velocity.total / self.count,
-                       self.pressure.total / self.count, self.dofs)
+        n_u = self.dofs.n_velocity_dofs
+        return FEField(self._sum[:n_u] / self.count, self._sum[n_u:] / self.count,
+                       self.dofs)
 
 
 def _noise_amplitude(cfg: McConfig) -> float:
@@ -177,104 +166,106 @@ def noise_loads(cfg: McConfig, ops: solvers.AssembledOperators,
     return loads, norms
 
 
-def _xi_failed(method: str, xi_report: SolveReport) -> SolveReport:
-    return SolveReport(False, 0, float("inf"), method=method,
-                       failure=f"deterministic solve failed: {xi_report.failure}")
+def _uses_k_xi(method: str, mono_init: str, xi_report: SolveReport) -> bool:
+    """Whether ``method`` solves on K(xi): the splittings do around a converged
+    xi, and a monolithic solve does when it starts from xi, converged or not
+    (from zero its first Jacobian is far from K(xi), so it stays direct
+    Newton)."""
+    if method == "monolithic":
+        return mono_init == "deterministic"
+    return xi_report.converged
+
+
+def _failed(method: str, failure: str) -> SolveReport:
+    return SolveReport(False, 0, float("inf"), method=method, failure=failure)
 
 
 def solve_sample(method: str, ops: solvers.AssembledOperators, xi: FEField,
-                 f_load: np.ndarray, noise_load: np.ndarray, newton: NewtonConfig,
+                 f_load: np.ndarray, noise_loads: np.ndarray, first: int,
+                 newton: NewtonConfig, xi_report: SolveReport,
                  mono_init: str = "deterministic",
                  k_xi: solvers.LinearizedOperator | None = None,
-                 xi_report: SolveReport | None = None,
-                 ) -> tuple[FEField, SolveReport]:
-    """Solve one noise sample with one method; the full field is returned.
+                 ) -> list[tuple[FEField, SolveReport]]:
+    """Solve a block of noise samples with one method: the only route from a
+    method and its loads to the solvers.
 
-    The splitting methods return xi plus their correction, solved on the
-    shared K(xi) ``k_xi`` (built when none is given). The correction is
-    defined around a converged xi, so when ``xi_report`` says the
-    deterministic solve failed they fail unsolved and return xi.
-    ``mono_init`` picks the monolithic start, the deterministic field or
-    zero. A monolithic solve from xi starts from the factor of K(xi) too,
-    converged xi or not, and is accepted only on its own full residual; from
-    zero it stays direct Newton, whose first Jacobian is far from K(xi).
+    ``noise_loads`` (n_u, k) holds the loads of samples first, ..., first+k-1.
+    Returns one (full field, report) pair per column, the report stamped with
+    its sample id. Modified solves the whole block at once; split and
+    monolithic solve its columns one by one. The splitting methods return xi
+    plus their correction. The methods that solve on K(xi) (``_uses_k_xi``)
+    take ``k_xi``, built here when none is given; the others ignore it.
+    ``mono_init`` picks the monolithic start, xi or zero, and a monolithic
+    sample is accepted only on its own full residual. Every column fails,
+    with its reason and xi as its field, when the splitting correction has no
+    converged xi to be defined around (unsolved), or when the solve raises.
     """
-    if method != "monolithic" and xi_report is not None and not xi_report.converged:
-        return xi, _xi_failed(method, xi_report)
-    if method == "monolithic":
-        if mono_init == "zero":
-            return solvers.solve_monolithic(ops, f_load, noise_load, newton,
-                                            initial_guess=FEField.zeros(ops.dofs))
-        return solvers.solve_monolithic(ops, f_load, noise_load, newton, initial_guess=xi,
-                                        k_xi=k_xi or solvers.LinearizedOperator(ops, xi))
-    if method == "split":
-        eta, rep = solvers.solve_stochastic_full(ops, xi, noise_load, newton, k_xi)
-    elif method == "modified":
-        eta, rep = solvers.solve_stochastic_modified(ops, xi, noise_load, k_xi)
-    else:
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    return xi + eta, rep
-
-
-def _exception_report(method: str, exc: Exception) -> SolveReport:
-    return SolveReport(False, 0, float("inf"), method=method,
-                       failure=f"{type(exc).__name__}: {exc}")
+    columns = noise_loads.T
+    if method != "monolithic" and not xi_report.converged:
+        failure = f"deterministic solve failed: {xi_report.failure}"
+        out = [(xi, _failed(method, failure)) for _ in columns]
+    else:
+        try:
+            if not _uses_k_xi(method, mono_init, xi_report):
+                k_xi = None
+            elif k_xi is None:
+                k_xi = solvers.LinearizedOperator(ops, xi)
+            if method == "modified":
+                out = [(xi + eta, rep) for eta, rep in
+                       solvers.solve_stochastic_modified(ops, k_xi, noise_loads)]
+            elif method == "split":
+                out = []
+                for load in columns:
+                    eta, rep = solvers.solve_stochastic_full(ops, k_xi, load, newton)
+                    out.append((xi + eta, rep))
+            else:
+                start = xi if mono_init == "deterministic" else FEField.zeros(ops.dofs)
+                out = [solvers.solve_monolithic(ops, f_load, load, newton,
+                                                initial_guess=start, k_xi=k_xi)
+                       for load in columns]
+        except Exception as exc:  # one bad sample must not abort the others
+            out = [(xi, _failed(method, f"{type(exc).__name__}: {exc}")) for _ in columns]
+    for k, (_, rep) in enumerate(out, first):
+        rep.sample_id = k
+    return out
 
 
 def run_experiment(cfg: McConfig, jobs: int = 1) -> McStats:
     """Run all requested methods over M shared noise draws and reduce.
 
-    Every method shares one K(xi) and its factorization, built first when a
-    requested method uses it: modified solves all samples at once on it, then
-    each sample's split solve, and its monolithic solve when it starts from
-    xi, runs by Newton-Krylov from that factor (a zero start stays direct
-    Newton). The factor is held to the end, so no factorization runs after it
-    is freed (freed factor pages then stayed resident and raised the peak
-    memory). When the deterministic solve fails, every split and modified
-    sample fails unsolved; a monolithic sample still starts from xi.
-    Samples run concurrently when ``jobs > 1``; each is reduced in sample
-    order as it arrives, and no Newton sample's field is held past its
-    reduction. An exception inside one sample's solve fails that sample's
-    report only.
+    Every method reaches the solvers through ``solve_sample``: modified with
+    the whole block of loads, monolithic and split with one column per pool
+    task. They share one K(xi) and its factorization, built first when a
+    requested method uses it (``_uses_k_xi``); modified solves all samples at
+    once on it, and each split sample, and each monolithic one that starts
+    from xi, runs Newton-Krylov from that factor. The factor is held to the
+    end, so no factorization runs after it is freed (freed factor pages then
+    stayed resident and raised the peak memory). Samples run concurrently
+    when ``jobs > 1``; each is reduced in sample order as it arrives, and no
+    Newton sample's field is held past its reduction.
     """
     dofs = build_dof_map(build_structured_mesh(cfg.mesh_n))
     ops, f_load, xi, xi_report = prepare(dofs, cfg.nu, cfg.newton)
-    zero_field = FEField.zeros(dofs)
     forcing_norm = manufactured.forcing_l2_norm(cfg.nu)
     loads, norms = noise_loads(cfg, ops, range(cfg.M))
     kappas = norms / forcing_norm
+    k_xi = (solvers.LinearizedOperator(ops, xi)
+            if any(_uses_k_xi(m, cfg.mono_init, xi_report) for m in cfg.methods) else None)
 
-    uses_k_xi = (xi_report.converged and ("split" in cfg.methods or "modified" in cfg.methods)
-                 or "monolithic" in cfg.methods and cfg.mono_init == "deterministic")
-    k_xi = solvers.LinearizedOperator(ops, xi) if uses_k_xi else None
-
-    def solve_one(method: str, k: int) -> tuple[FEField, SolveReport]:
-        try:
-            fld, rep = solve_sample(method, ops, xi, f_load, loads[:, k],
-                                    cfg.newton, cfg.mono_init, k_xi, xi_report)
-        except Exception as exc:  # one bad sample must not abort the others
-            fld, rep = zero_field, _exception_report(method, exc)
-        rep.sample_id = k
-        return fld, rep
+    def solve(method: str, block: np.ndarray, first: int) -> list[tuple[FEField, SolveReport]]:
+        return solve_sample(method, ops, xi, f_load, block, first, cfg.newton, xi_report,
+                            cfg.mono_init, k_xi)
 
     newton_methods = [m for m in ("monolithic", "split") if m in cfg.methods]
     errors = np.geterr()   # pool threads start from numpy's default error state
 
     def solve_newton(k: int) -> dict[str, tuple[FEField, SolveReport]]:
         with np.errstate(**errors):
-            return {m: solve_one(m, k) for m in newton_methods}
+            return {m: solve(m, loads[:, k:k + 1], k)[0] for m in newton_methods}
 
-    modified = None
-    if "modified" in cfg.methods and not xi_report.converged:
-        modified = [(zero_field, _xi_failed("modified", xi_report)) for _ in range(cfg.M)]
-    elif "modified" in cfg.methods:
-        try:
-            modified = [(xi + eta, rep)
-                        for eta, rep in solvers.solve_stochastic_modified(ops, xi, loads, k_xi)]
-        except Exception as exc:
-            modified = [(zero_field, _exception_report("modified", exc)) for _ in range(cfg.M)]
-    for k, (_, rep) in enumerate(modified or ()):
-        rep.sample_id = k
+    modified = solve("modified", loads, 0) if "modified" in cfg.methods else None
 
     # per-method means plus pairwise-converged means, added in sample order
     per_method = {m: _MeanAccumulator(dofs) for m in cfg.methods}

@@ -278,6 +278,38 @@ def test_extreme_physics_fails_every_sample_without_warnings(tmp_path, capsys, a
     assert [row.split(",")[-1] for row in stats] == ["2", "2", "2"]
 
 
+def test_exception_in_a_solve_is_a_failed_report(tmp_path, monkeypatch, capsys):
+    from snsflow import uq
+
+    def broken(*args, **kwargs):
+        raise FloatingPointError("boom")
+
+    real_solve, results = uq.solve_sample, []
+
+    def recorded(*args, **kwargs):
+        results.extend(real_solve(*args, **kwargs))
+        return results
+
+    monkeypatch.setattr(solvers, "solve_stochastic_full", broken)
+    monkeypatch.setattr(uq, "solve_sample", recorded)
+    code = run_cli("solve", "--method", "split", "--mesh-n", "4", "--sample-index", "2",
+                   "--out-dir", str(tmp_path))
+    assert code == EXIT_NOT_CONVERGED
+    assert capsys.readouterr().err == ""
+    [(_, rep)] = results
+    assert not rep.converged and rep.failure == "FloatingPointError: boom"
+    rows = (tmp_path / "samples.csv").read_text().splitlines()
+    assert rows[-1] == "split,2,0,0,inf"
+
+
+def test_huge_kappa_prints_a_short_stats_line(tmp_path, capsys):
+    assert run_cli("mc", "--mesh-n", "4", "--samples", "2", "--sigma", "1e300",
+                   "--out-dir", str(tmp_path)) == EXIT_NOT_CONVERGED
+    [line] = capsys.readouterr().out.splitlines()
+    kappa = dict(part.split("=") for part in line.split())["kappa_mean"]
+    assert len(kappa) <= 10 and float(kappa) > 1e298
+
+
 def test_perfbench_traced_names_exist(monkeypatch):
     # the benchmark's tracer patches these module attributes by name
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -272,9 +273,10 @@ def test_zero_noise_gives_zero_corrections():
     mesh, dofs, ops = _setup(4)
     xi, _ = solve_deterministic_ns(ops, _forcing_load(mesh, dofs))
     zero = np.zeros(dofs.n_velocity_dofs)
-    eta, rep = solve_stochastic_full(ops, xi, zero)
+    k_xi = solvers.LinearizedOperator(ops, xi)
+    eta, rep = solve_stochastic_full(ops, k_xi, zero)
     assert rep.converged and np.all(eta.velocity == 0)
-    eta_l, rep_l = solve_stochastic_modified(ops, xi, zero)
+    [(eta_l, rep_l)] = solve_stochastic_modified(ops, k_xi, zero[:, None])
     assert rep_l.converged and rep_l.iterations == 1
     assert np.abs(eta_l.velocity).max() <= 1e-12
 
@@ -287,7 +289,7 @@ def test_full_correction_converges_at_large_amplitude_from_zero():
     mesh, dofs, ops = _setup(8)
     xi, _ = solve_deterministic_ns(ops, _forcing_load(mesh, dofs))
     noise_load = _noise_load(mesh, dofs, ops, 8.0, 8, seed=3)
-    eta, rep = solve_stochastic_full(ops, xi, noise_load)
+    eta, rep = solve_stochastic_full(ops, solvers.LinearizedOperator(ops, xi), noise_load)
     assert rep.converged
 
 
@@ -295,11 +297,12 @@ def test_modified_error_scales_quadratically_in_amplitude():
     mesh, dofs, ops = _setup(8)
     xi, _ = solve_deterministic_ns(ops, _forcing_load(mesh, dofs))
     base = _noise_load(mesh, dofs, ops, 1.0, 8, seed=21)
+    k_xi = solvers.LinearizedOperator(ops, xi)
     ratios = []
     for sigma in (0.8, 1.6, 3.2):
         load = sigma * base  # identical draw at three amplitudes
-        eta, rep_f = solve_stochastic_full(ops, xi, load)
-        eta_l, rep_m = solve_stochastic_modified(ops, xi, load)
+        eta, rep_f = solve_stochastic_full(ops, k_xi, load)
+        [(eta_l, rep_m)] = solve_stochastic_modified(ops, k_xi, load[:, None])
         assert rep_f.converged and rep_m.converged
         gap = mf.l2_error(eta_l, eta)
         ratios.append(gap / sigma ** 2)
@@ -321,15 +324,22 @@ def test_modified_is_faster_than_full():
             assert rep.converged
         return min(times)
 
-    t_full = best_of(lambda: solve_stochastic_full(ops, xi, load))
-    t_mod = best_of(lambda: solve_stochastic_modified(ops, xi, load))
+    # each timed call builds its own K(xi): modified is then one factorization
+    # and one solve, split one factorization and a Newton-Krylov solve
+    def k_xi():
+        return solvers.LinearizedOperator(ops, xi)
+
+    t_full = best_of(lambda: solve_stochastic_full(ops, k_xi(), load))
+    t_mod = best_of(lambda: solve_stochastic_modified(ops, k_xi(), load[:, None])[0])
     assert t_mod < t_full
 
 
 def test_modified_reports_one_iteration():
     mesh, dofs, ops = _setup(4)
     xi, _ = solve_deterministic_ns(ops, _forcing_load(mesh, dofs))
-    _, rep = solve_stochastic_modified(ops, xi, _noise_load(mesh, dofs, ops, 1.0, 4))
+    load = _noise_load(mesh, dofs, ops, 1.0, 4)
+    [(_, rep)] = solve_stochastic_modified(ops, solvers.LinearizedOperator(ops, xi),
+                                           load[:, None])
     assert rep.iterations == 1
 
 
@@ -343,10 +353,11 @@ def _modified_setup(n=6, samples=5):
 
 def test_batched_modified_equals_per_column_solves():
     dofs, ops, xi, loads = _modified_setup()
-    block = solve_stochastic_modified(ops, xi, loads)
+    k_xi = solvers.LinearizedOperator(ops, xi)
+    block = solve_stochastic_modified(ops, k_xi, loads)
     assert len(block) == loads.shape[1]
     for j, (eta, rep) in enumerate(block):
-        eta_1, rep_1 = solve_stochastic_modified(ops, xi, loads[:, j].copy())
+        [(eta_1, rep_1)] = solve_stochastic_modified(ops, k_xi, loads[:, j:j + 1].copy())
         for part in ("velocity", "pressure"):
             got, want = getattr(eta, part), getattr(eta_1, part)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -362,7 +373,7 @@ def test_failed_factorization_fails_every_modified_column(monkeypatch):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(spla, "splu", singular)
-    block = solve_stochastic_modified(ops, xi, loads)
+    block = solve_stochastic_modified(ops, solvers.LinearizedOperator(ops, xi), loads)
     assert len(block) == 3
     for eta, rep in block:
         assert not rep.converged and "exactly singular" in rep.failure
@@ -390,6 +401,22 @@ def test_saddle_factor_pads_a_velocity_block_with_zero_pressure_rows():
     assert np.array_equal(factor.solve(rhs)[0], factor.solve(padded)[0])
 
 
+def test_residual_check_fails_a_corrupt_solve_near_the_overflow_range():
+    # at load scale 1e200 the squares of a 2-norm overflow; the max-norm
+    # residual still tells a correct solve from one off by a factor 1.001
+    mesh, dofs, ops = _setup(4)
+    load = 1e200 * np.random.default_rng(4).standard_normal((dofs.n_velocity_dofs, 1))
+    factor = solvers.factor_saddle(dofs, ops.stokes)
+    assert factor.solve(load)[1] == [""]
+
+    class Corrupt:
+        def solve(self, rhs):
+            return factor.lu.solve(rhs) * 1.001
+
+    _, (failure,) = dataclasses.replace(factor, lu=Corrupt()).solve(load)
+    assert "residual" in failure
+
+
 # ---------------------------------------------------------------------------
 # split correction by Newton-Krylov on the factor of K(xi)
 
@@ -403,23 +430,23 @@ def _split_setup(sigma, n=8):
 def test_newton_krylov_split_matches_direct_split(monkeypatch, sigma):
     ops, xi, load = _split_setup(sigma)
     k_xi = solvers.LinearizedOperator(ops, xi)
-    eta, rep = solve_stochastic_full(ops, xi, load, k_xi=k_xi)
+    eta, rep = solve_stochastic_full(ops, k_xi, load)
     assert rep.converged and rep.inner_iterations > 0
     if sigma <= 4.0:
         assert rep.fallbacks == 0
 
     _gmres_missing(monkeypatch)
-    eta_d, rep_d = solve_stochastic_full(ops, xi, load, k_xi=k_xi)
+    eta_d, rep_d = solve_stochastic_full(ops, k_xi, load)
     assert rep_d.converged and rep_d.fallbacks == rep_d.iterations
     _assert_same_correction(eta, eta_d)
 
 
 def test_gmres_miss_falls_back_to_a_direct_step(monkeypatch):
     ops, xi, load = _split_setup(1.6)
-    eta, rep = solve_stochastic_full(ops, xi, load)
+    eta, rep = solve_stochastic_full(ops, solvers.LinearizedOperator(ops, xi), load)
     calls = _gmres_missing(monkeypatch, misses=1)
     factors = _counting_splu(monkeypatch)
-    eta_f, rep_f = solve_stochastic_full(ops, xi, load)
+    eta_f, rep_f = solve_stochastic_full(ops, solvers.LinearizedOperator(ops, xi), load)
     assert rep_f.converged and rep_f.fallbacks == 1 and len(calls) >= 2
     assert len(factors) == 2   # K(xi), then the one fallback step
     # the steps after the fallback run GMRES on its factor, not on K(xi)'s
@@ -506,7 +533,7 @@ def test_split_at_sigma_8_falls_back_at_most_once_per_sample():
     k_xi = solvers.LinearizedOperator(ops, xi)
     for sample in range(8):
         load = _noise_load(mesh, dofs, ops, 8.0, 12, seed=0, sample=sample)
-        _, rep = solve_stochastic_full(ops, xi, load, k_xi=k_xi)
+        _, rep = solve_stochastic_full(ops, k_xi, load)
         assert rep.converged and rep.fallbacks <= 1
 
 
@@ -523,7 +550,7 @@ def test_split_at_sigma_8_misses_within_one_restart_cycle(monkeypatch):
     monkeypatch.setattr(solvers, "_krylov_step", recorded)
     for sample in (3, 11):   # two samples of seed 0 that fall back at n=12
         load = _noise_load(mesh, dofs, ops, 8.0, 12, seed=0, sample=sample)
-        _, rep = solve_stochastic_full(ops, xi, load, k_xi=k_xi)
+        _, rep = solve_stochastic_full(ops, k_xi, load)
         assert rep.converged and rep.fallbacks == 1
     misses = [its for x, its in steps if x is None]
     assert len(misses) == 2 and max(misses) <= solvers.KRYLOV_BASIS
@@ -531,7 +558,7 @@ def test_split_at_sigma_8_misses_within_one_restart_cycle(monkeypatch):
 
 def test_split_converges_when_k_xi_factorization_fails(monkeypatch):
     ops, xi, load = _split_setup(1.6)
-    eta, _ = solve_stochastic_full(ops, xi, load)
+    eta, _ = solve_stochastic_full(ops, solvers.LinearizedOperator(ops, xi), load)
     real_splu = spla.splu
 
     def singular(matrix, *args, **kwargs):
@@ -542,7 +569,7 @@ def test_split_converges_when_k_xi_factorization_fails(monkeypatch):
     assert k_xi.factor is None and "exactly singular" in k_xi.failure
     monkeypatch.setattr(spla, "splu", real_splu)
     assert k_xi.factor is None   # the failure is kept, not retried
-    eta_s, rep_s = solve_stochastic_full(ops, xi, load, k_xi=k_xi)
+    eta_s, rep_s = solve_stochastic_full(ops, k_xi, load)
     # the first step factorizes J(0) itself; that factor preconditions the rest
     assert rep_s.converged and rep_s.inner_iterations > 0 and rep_s.fallbacks == 1
     _assert_same_correction(eta_s, eta)
@@ -552,7 +579,8 @@ def test_direct_solves_report_no_inner_iterations():
     ops, xi, load = _split_setup(1.6, n=4)
     _, rep_m = solve_monolithic(ops, _forcing_load(ops.mesh, ops.dofs), load,
                                    initial_guess=xi)
-    _, rep_l = solve_stochastic_modified(ops, xi, load)
+    [(_, rep_l)] = solve_stochastic_modified(ops, solvers.LinearizedOperator(ops, xi),
+                                             load[:, None])
     for rep in (rep_m, rep_l):
         assert rep.converged and rep.inner_iterations == rep.fallbacks == 0
 
@@ -586,7 +614,7 @@ def test_monolithic_minus_deterministic_equals_correction():
     load = _forcing_load(mesh, dofs)
     xi, _ = solve_deterministic_ns(ops, load)
     noise_load = _noise_load(mesh, dofs, ops, 1.5, 8, seed=9)
-    eta, rep_s = solve_stochastic_full(ops, xi, noise_load)
+    eta, rep_s = solve_stochastic_full(ops, solvers.LinearizedOperator(ops, xi), noise_load)
     mono, rep_m = solve_monolithic(ops, load, noise_load, initial_guess=xi)
     assert rep_s.converged and rep_m.converged
     diff = FEField(mono.velocity - xi.velocity, mono.pressure - xi.pressure, dofs)
@@ -617,19 +645,11 @@ def test_newton_krylov_monolithic_minus_deterministic_equals_correction():
     k_xi = solvers.LinearizedOperator(ops, xi)
     for sample in range(3):
         noise_load = _noise_load(mesh, dofs, ops, 1.5, 8, seed=9, sample=sample)
-        eta, rep_s = solve_stochastic_full(ops, xi, noise_load, k_xi=k_xi)
+        eta, rep_s = solve_stochastic_full(ops, k_xi, noise_load)
         mono, rep_m = solve_monolithic(ops, load, noise_load, initial_guess=xi, k_xi=k_xi)
         assert rep_s.converged and rep_m.converged and rep_m.inner_iterations > 0
         gap = mf.l2_error(mono, xi + eta)
         assert gap <= 1e-10 * mf.velocity_l2_norm(dofs, mono.velocity)
-
-
-def test_default_initial_guess_is_the_deterministic_solution():
-    mesh, dofs, ops = _setup(4)
-    load = _forcing_load(mesh, dofs)
-    mono_default, _ = solve_monolithic(ops, load, np.zeros(dofs.n_velocity_dofs))
-    xi, _ = solve_deterministic_ns(ops, load)
-    assert np.abs(mono_default.velocity - xi.velocity).max() <= 1e-12
 
 
 def test_non_convergence_is_reported_not_raised():
@@ -689,7 +709,8 @@ def test_newton_assembles_jacobian_only_for_steps(monkeypatch):
                       "assemble_convection_load": len(rep.residual_history)}
 
     counts.update(dict.fromkeys(counts, 0))
-    _, rep = solve_stochastic_full(ops, xi, _noise_load(mesh, dofs, ops, 1.6, 6))
+    k_xi = solvers.LinearizedOperator(ops, xi)
+    _, rep = solve_stochastic_full(ops, k_xi, _noise_load(mesh, dofs, ops, 1.6, 6))
     assert rep.converged and rep.iterations >= 2
     # one more linearization: the frozen coupling terms around xi
     assert counts == {"assemble_convection_linearized": rep.iterations + 1,

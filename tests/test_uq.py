@@ -168,7 +168,7 @@ def test_reduction_follows_sample_order_not_arrival_order(monkeypatch):
     def reversed_finish(method, ops, xi, f_load, noise_load, *args):
         result = real_solve(method, ops, xi, f_load, noise_load, *args)
         if method == "split":  # a sample's last Newton solve
-            k = next(j for j in range(cfg.M) if np.array_equal(loads[:, j], noise_load))
+            k = next(j for j in range(cfg.M) if np.array_equal(loads[:, j:j + 1], noise_load))
             if k + 1 < cfg.M:
                 assert done[k + 1].wait(timeout=60)
             arrival.append(k)
