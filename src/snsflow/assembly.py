@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
@@ -117,6 +117,23 @@ def p1_shape(points: np.ndarray) -> np.ndarray:
     return np.column_stack([lam0, points])
 
 
+def affine_maps(mesh: TriMesh, points: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Element areas (T,), images (T, nq, 2) of the reference ``points`` and
+    inverse transposed Jacobians (T, 2, 2) of the maps x = x0 + xi*e1 + eta*e2."""
+    tri = mesh.triangles
+    x0 = mesh.vertices[tri[:, 0]]
+    e1 = mesh.vertices[tri[:, 1]] - x0
+    e2 = mesh.vertices[tri[:, 2]] - x0
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    inv_jt = np.empty((len(tri), 2, 2))
+    inv_jt[:, 0, 0] = e2[:, 1] / det
+    inv_jt[:, 0, 1] = -e1[:, 1] / det
+    inv_jt[:, 1, 0] = -e2[:, 0] / det
+    inv_jt[:, 1, 1] = e1[:, 0] / det
+    return 0.5 * det, x0[:, None, :] + points @ np.stack([e1, e2], axis=1), inv_jt
+
+
 class ElementGeometry:
     """Per-element affine maps and quadrature tables for one quadrature rule.
 
@@ -129,24 +146,12 @@ class ElementGeometry:
     def __init__(self, mesh: TriMesh, rule: QuadratureRule | None = None):
         self.mesh = mesh
         self.rule = rule or triangle_rule_degree5()
-        tri = mesh.triangles
-        x0 = mesh.vertices[tri[:, 0]]
-        e1 = mesh.vertices[tri[:, 1]] - x0
-        e2 = mesh.vertices[tri[:, 2]] - x0
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        self.area = 0.5 * det
-        inv_jt = np.empty((len(tri), 2, 2))
-        inv_jt[:, 0, 0] = e2[:, 1] / det
-        inv_jt[:, 0, 1] = -e1[:, 1] / det
-        inv_jt[:, 1, 0] = -e2[:, 0] / det
-        inv_jt[:, 1, 1] = e1[:, 0] / det
+        self.area, self.qpoints, inv_jt = affine_maps(mesh, self.rule.points)
         self.phi2, grad_ref = p2_shape(self.rule.points)
         self.phi1 = p1_shape(self.rule.points)
         nq = len(self.rule.points)
         self.grad = (grad_ref.transpose(1, 0, 2).reshape(-1, 2)
-                     @ inv_jt.transpose(0, 2, 1)).reshape(len(tri), 6, 2 * nq)
-        # quadrature point coordinates: x0 + xi*e1 + eta*e2
-        self.qpoints = x0[:, None, :] + self.rule.points @ np.stack([e1, e2], axis=1)
+                     @ inv_jt.transpose(0, 2, 1)).reshape(len(self.area), 6, 2 * nq)
         self.wq = self.rule.weights
         self.wphi = self.wq[:, None] * self.phi2
         self.wphiphi = (self.wphi[:, None, :, None, None] * np.eye(2)[:, None, :, None]
@@ -260,15 +265,23 @@ def assemble_load(mesh: TriMesh, dofs: DofMap,
     return _velocity_load(dofs, geom.area[:, None, None] * le)
 
 
-def assemble_noise_load(mesh: TriMesh, dofs: DofMap, noise: NoiseField,
+def assemble_noise_load(mesh: TriMesh, dofs: DofMap,
+                        noise: NoiseField | Sequence[NoiseField],
                         geom: ElementGeometry | None = None) -> np.ndarray:
-    """Load vector of the piecewise-constant noise realization.
+    """Load vector of a piecewise-constant noise realization, or the (n_u, k)
+    block of loads of a sequence of k >= 1 realizations, one column per draw.
 
     Requires the noise grid to be nested in the FE grid (cells per axis divide
     the mesh resolution), so every triangle lies in exactly one noise cell and
     the cell value is constant over it; the cell is found by centroid lookup.
+    The lookup and the element integrals are computed once per call, and one
+    ``np.bincount`` over column-offset dofs sums every draw, adding each
+    column's terms in the order a single draw adds them: column j holds the
+    bits of the call on draw j alone.
     """
-    n_noise = noise.grid.n_noise
+    draws = [noise] if isinstance(noise, NoiseField) else list(noise)
+    grid = draws[0].grid
+    n_noise = grid.n_noise
     if n_noise < 1:
         raise ValueError("noise grid must have at least one cell")
     if mesh.n % n_noise != 0:
@@ -280,8 +293,13 @@ def assemble_noise_load(mesh: TriMesh, dofs: DofMap, noise: NoiseField,
     ix = np.minimum((centroids[:, 0] * n_noise).astype(int), n_noise - 1)
     iy = np.minimum((centroids[:, 1] * n_noise).astype(int), n_noise - 1)
     cell = iy * n_noise + ix
-    scale = noise.sigma / np.sqrt(noise.grid.cell_volume)
-    fvals = scale * noise.zeta[cell]                     # (T, 2)
+    scale = np.array([d.sigma for d in draws]) / np.sqrt(grid.cell_volume)
+    fvals = scale[:, None, None] * np.stack([d.zeta for d in draws])[:, cell]   # (k, T, 2)
 
     phi_int = np.outer(geom.area, geom.wphi.sum(axis=0))           # int_T phi_i
-    return _velocity_load(dofs, fvals[:, :, None] * phi_int[:, None, :])
+    blocks = fvals[..., None] * phi_int[:, None, :]                 # (k, T, 2, 6)
+    k, n_u = len(draws), dofs.n_velocity_dofs
+    index = dofs.element_dofs[:, :12].ravel() + n_u * np.arange(k)[:, None]
+    loads = np.bincount(index.ravel(), weights=blocks.ravel(),
+                        minlength=k * n_u).reshape(k, n_u).T
+    return loads[:, 0] if isinstance(noise, NoiseField) else loads

@@ -4,10 +4,13 @@ An experiment is one data flow: ``prepare`` assembles the operators and the
 body load and solves the deterministic problem once; ``noise_loads`` turns
 (seed, sample index) into noise loads, sample k drawn from its own substream
 of a counter-based generator; ``solve_sample`` solves a block of those loads
-with one method, the one route to the solvers; ``run_experiment`` calls it
-for every requested method and reduces each sample as it arrives, in sample
-order with compensated summation, so accumulated means are bit-identical
-across worker counts. ``snsflow solve`` takes the same steps for one sample.
+with one method, the one route to the solvers; ``run_experiment`` streams the
+samples in fixed chunks of ``CHUNK``, whatever M and the worker count: it
+draws a chunk's loads, calls ``solve_sample`` on them for every requested
+method, reduces each sample in sample order with compensated summation and
+drops the chunk, so peak memory stays flat in M and accumulated means are
+bit-identical across worker counts. ``snsflow solve`` takes the same steps
+for one sample.
 
 The amplitude convention: ``sigma`` is the per-cell standard deviation of the
 piecewise-constant noise forcing, i.e. realizations are sampled with the
@@ -33,6 +36,9 @@ from .solvers import FEField, NewtonConfig, SolveReport
 METHODS = ("monolithic", "split", "modified")
 SPLITTING_SMALLNESS_THRESHOLD = 7.0 / 8.0
 MODIFIED_SMALLNESS_THRESHOLD = 5.0 / 8.0
+# samples per chunk of run_experiment: a chunk's loads, modified fields and
+# pool tasks are all that is held of its samples at once
+CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -146,24 +152,21 @@ def prepare(dofs: DofMap, nu: float, newton: NewtonConfig | None = None
 
 def noise_loads(cfg: McConfig, ops: solvers.AssembledOperators,
                 samples) -> tuple[np.ndarray, np.ndarray]:
-    """Noise loads (n_u, k) and noise L2 norms (k,) of the given sample indices.
+    """Noise loads (n_u, k) and noise L2 norms (k,) of the given k >= 1 sample
+    indices.
 
     Sample k is the draw of substream (base_seed, k) at the white-noise
-    amplitude sigma * sqrt(cell volume).
+    amplitude sigma * sqrt(cell volume). One ``assemble_noise_load`` call
+    assembles the block; each column is contiguous, so a sample's solve
+    reads its load in place.
     """
     grid = noise_mod.NoiseGrid(cfg.noise_n)
     amplitude = _noise_amplitude(cfg)
-    samples = list(samples)
-    # Fortran order: the column one sample's solve reads is contiguous
-    loads = np.empty((ops.dofs.n_velocity_dofs, len(samples)), order="F")
-    norms = np.empty(len(samples))
-    for j, k in enumerate(samples):
-        draw = noise_mod.sample_noise(grid, amplitude,
-                                      noise_mod.substream_key(cfg.base_seed, k))
-        loads[:, j] = assembly.assemble_noise_load(ops.mesh, ops.dofs, draw,
-                                                   geom=ops.geom)
-        norms[j] = noise_mod.noise_l2_norm(draw)
-    return loads, norms
+    draws = [noise_mod.sample_noise(grid, amplitude,
+                                    noise_mod.substream_key(cfg.base_seed, k))
+             for k in samples]
+    loads = assembly.assemble_noise_load(ops.mesh, ops.dofs, draws, geom=ops.geom)
+    return loads, np.array([noise_mod.noise_l2_norm(d) for d in draws])
 
 
 def _uses_k_xi(method: str, mono_init: str, xi_report: SolveReport) -> bool:
@@ -235,22 +238,24 @@ def solve_sample(method: str, ops: solvers.AssembledOperators, xi: FEField,
 def run_experiment(cfg: McConfig, jobs: int = 1) -> McStats:
     """Run all requested methods over M shared noise draws and reduce.
 
-    Every method reaches the solvers through ``solve_sample``: modified with
-    the whole block of loads, monolithic and split with one column per pool
-    task. They share one K(xi) and its factorization, built first when a
-    requested method uses it (``_uses_k_xi``); modified solves all samples at
-    once on it, and each split sample, and each monolithic one that starts
+    Samples stream through in chunks of ``CHUNK``, whatever M and ``jobs``:
+    each chunk's loads are drawn and assembled in one ``noise_loads`` call,
+    solved, reduced in sample order and dropped, so peak memory does not
+    grow with M. Every method reaches the solvers through ``solve_sample``:
+    modified with the chunk's block of loads, monolithic and split with one
+    column per task, concurrently on at most min(jobs, CHUNK) threads when
+    ``jobs > 1``. They share one K(xi) and its factorization, built first
+    when a requested method uses it (``_uses_k_xi``); modified solves each
+    chunk on it, and each split sample, and each monolithic one that starts
     from xi, runs Newton-Krylov from that factor. The factor is held to the
     end, so no factorization runs after it is freed (freed factor pages then
-    stayed resident and raised the peak memory). Samples run concurrently
-    when ``jobs > 1``; each is reduced in sample order as it arrives, and no
-    Newton sample's field is held past its reduction.
+    stayed resident and raised the peak memory). The reduction adds samples
+    in index order with compensated summation, so the means are bit-identical
+    across worker counts.
     """
     dofs = build_dof_map(build_structured_mesh(cfg.mesh_n))
     ops, f_load, xi, xi_report = prepare(dofs, cfg.nu, cfg.newton)
     forcing_norm = manufactured.forcing_l2_norm(cfg.nu)
-    loads, norms = noise_loads(cfg, ops, range(cfg.M))
-    kappas = norms / forcing_norm
     k_xi = (solvers.LinearizedOperator(ops, xi)
             if any(_uses_k_xi(m, cfg.mono_init, xi_report) for m in cfg.methods) else None)
 
@@ -261,11 +266,9 @@ def run_experiment(cfg: McConfig, jobs: int = 1) -> McStats:
     newton_methods = [m for m in ("monolithic", "split") if m in cfg.methods]
     errors = np.geterr()   # pool threads start from numpy's default error state
 
-    def solve_newton(k: int) -> dict[str, tuple[FEField, SolveReport]]:
+    def solve_newton(column: np.ndarray, k: int) -> dict[str, tuple[FEField, SolveReport]]:
         with np.errstate(**errors):
-            return {m: solve(m, loads[:, k:k + 1], k)[0] for m in newton_methods}
-
-    modified = solve("modified", loads, 0) if "modified" in cfg.methods else None
+            return {m: solve(m, column, k)[0] for m in newton_methods}
 
     # per-method means plus pairwise-converged means, added in sample order
     per_method = {m: _MeanAccumulator(dofs) for m in cfg.methods}
@@ -274,24 +277,34 @@ def run_experiment(cfg: McConfig, jobs: int = 1) -> McStats:
              if m in cfg.methods and "monolithic" in cfg.methods]
     pair_acc = {m: (_MeanAccumulator(dofs), _MeanAccumulator(dofs)) for m in pairs}
     reports: list[SolveReport] = [xi_report]
-    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        for k, res in enumerate((pool.map if pool else map)(solve_newton, range(cfg.M))):
-            if modified is not None:
-                res["modified"] = modified[k]
-            for method in cfg.methods:
-                fld, rep = res[method]
-                reports.append(rep)
-                if rep.converged:
-                    per_method[method].add(fld)
-                else:
-                    failed[method] += 1
-            for m in pairs:
-                fld_m, rep_m = res[m]
-                fld_r, rep_r = res["monolithic"]
-                if rep_m.converged and rep_r.converged:
-                    acc_m, acc_r = pair_acc[m]
-                    acc_m.add(fld_m)
-                    acc_r.add(fld_r)
+    kappas = np.empty(cfg.M)
+    # the pool never holds more tasks than one chunk, so more threads would idle
+    with (ThreadPoolExecutor(max_workers=min(jobs, CHUNK)) if jobs > 1
+          else nullcontext()) as pool:
+        for first in range(0, cfg.M, CHUNK):
+            chunk = range(first, min(first + CHUNK, cfg.M))
+            loads, norms = noise_loads(cfg, ops, chunk)
+            kappas[first:chunk.stop] = norms / forcing_norm
+            modified = solve("modified", loads, first) if "modified" in cfg.methods else None
+            columns = [loads[:, j:j + 1] for j in range(len(chunk))]
+            results = (pool.map if pool else map)(solve_newton, columns, chunk)
+            for j, res in enumerate(results):
+                if modified is not None:
+                    res["modified"] = modified[j]
+                for method in cfg.methods:
+                    fld, rep = res[method]
+                    reports.append(rep)
+                    if rep.converged:
+                        per_method[method].add(fld)
+                    else:
+                        failed[method] += 1
+                for m in pairs:
+                    fld_m, rep_m = res[m]
+                    fld_r, rep_r = res["monolithic"]
+                    if rep_m.converged and rep_r.converged:
+                        acc_m, acc_r = pair_acc[m]
+                        acc_m.add(fld_m)
+                        acc_r.add(fld_r)
 
     mean_fields = {m: acc.mean() for m, acc in per_method.items() if acc.mean() is not None}
     eps = {"split": (None, None), "modified": (None, None)}

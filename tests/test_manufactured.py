@@ -82,6 +82,19 @@ def test_forcing_norm_frozen_and_rule_independent():
     assert mf.forcing_l2_norm(0.02, degree=30) == pytest.approx(FORCING_NORM_NU002, rel=1e-10)
 
 
+@pytest.mark.parametrize("nu", [1e-3, 0.02, 0.5, 7.0])
+def test_forcing_norm_equals_the_element_geometry_integral(nu):
+    # the reference integrates on a full ElementGeometry, basis tables and all
+    from snsflow.assembly import (ELEVATED_QUADRATURE_DEGREE, ElementGeometry,
+                                  triangle_rule_collapsed)
+    geom = ElementGeometry(build_structured_mesh(4),
+                           triangle_rule_collapsed(2 * ELEVATED_QUADRATURE_DEGREE))
+    f1, f2 = mf.exact_forcing(geom.qpoints[:, :, 0], geom.qpoints[:, :, 1], nu)
+    reference = float(np.sqrt(np.einsum("q,t,tq->", geom.wq, geom.area,
+                                        f1 ** 2 + f2 ** 2)))
+    assert mf.forcing_l2_norm(nu) == reference
+
+
 def test_l2_error_field_vs_itself_is_zero():
     dofs = build_dof_map(build_structured_mesh(3))
     rng = np.random.default_rng(5)

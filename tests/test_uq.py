@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,17 +126,106 @@ def test_exclusion_accounting_under_forced_failures():
     assert "monolithic" not in stats.mean_fields  # nothing converged to average
 
 
-def test_reproducibility_and_jobs_independence():
-    cfg = small_config(M=6)
-    a = run_experiment(cfg, jobs=1)
-    b = run_experiment(cfg, jobs=4)
-    for method in uq.METHODS:
+def _assert_same_results(a, b):
+    for method in a.config.methods:
         assert np.array_equal(a.mean_fields[method].velocity,
                               b.mean_fields[method].velocity)
         assert np.array_equal(a.mean_fields[method].pressure,
                               b.mean_fields[method].pressure)
-    assert a.eps_mh == b.eps_mh
+    assert (a.eps_sh, a.eps_mh) == (b.eps_sh, b.eps_mh)
     assert np.array_equal(a.kappa_samples, b.kappa_samples)
+    assert [r.to_csv_row() for r in a.reports] == [r.to_csv_row() for r in b.reports]
+
+
+# three chunks, the last one short
+CHUNKED_M = 2 * uq.CHUNK + 3
+
+
+def test_reproducibility_and_jobs_independence():
+    cfg = small_config(M=CHUNKED_M)
+    _assert_same_results(run_experiment(cfg, jobs=1), run_experiment(cfg, jobs=4))
+
+
+def test_noise_loads_are_drawn_one_chunk_at_a_time(monkeypatch):
+    cfg = small_config(M=CHUNKED_M, methods=("modified",))
+    dofs = build_dof_map(build_structured_mesh(cfg.mesh_n))
+    ops, _, _, _ = uq.prepare(dofs, cfg.nu, cfg.newton)
+    _, norms = uq.noise_loads(cfg, ops, range(cfg.M))
+    real = uq.noise_loads
+    asked = []
+
+    def spy(cfg, ops, samples):
+        asked.append(list(samples))
+        return real(cfg, ops, samples)
+
+    monkeypatch.setattr(uq, "noise_loads", spy)
+    stats = run_experiment(cfg)
+    assert max(len(ks) for ks in asked) <= uq.CHUNK
+    assert [k for ks in asked for k in ks] == list(range(cfg.M))
+    assert np.array_equal(stats.kappa_samples, norms / stats.forcing_norm)
+
+
+def test_a_third_chunk_sample_matches_its_own_solve(monkeypatch):
+    cfg = small_config(M=CHUNKED_M)
+    k = 2 * uq.CHUNK + 1
+    real = uq.solve_sample
+    seen = {}
+
+    def spy(method, ops, xi, f_load, loads, first, *args):
+        out = real(method, ops, xi, f_load, loads, first, *args)
+        if first <= k < first + loads.shape[1]:
+            seen[method] = out[k - first], (ops, xi, f_load, args)
+        return out
+
+    monkeypatch.setattr(uq, "solve_sample", spy)
+    run_experiment(cfg)
+    assert set(seen) == set(uq.METHODS)
+    for method, ((fld, rep), (ops, xi, f_load, args)) in seen.items():
+        column, _ = uq.noise_loads(cfg, ops, [k])
+        [(own, own_rep)] = real(method, ops, xi, f_load, column, k, *args)
+        assert rep.converged and own_rep.sample_id == rep.sample_id == k
+        got, want = (np.concatenate([f.velocity, f.pressure]) for f in (fld, own))
+        if method == "modified":   # the block solve may round differently per column
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        else:
+            assert np.array_equal(got, want)
+            assert rep.to_csv_row() == own_rep.to_csv_row()
+
+
+def test_modified_peak_memory_is_flat_in_the_sample_count():
+    peaks = {}
+    for samples in (uq.CHUNK, 6 * uq.CHUNK):
+        tracemalloc.start()
+        try:
+            run_experiment(small_config(M=samples, mesh_n=8, methods=("modified",)))
+            peaks[samples] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # one (n_u, M) load block alone would add 5 * CHUNK * 578 * 8 bytes = 370 kB
+    assert peaks[6 * uq.CHUNK] - peaks[uq.CHUNK] <= 192 * 1024
+
+
+def test_pool_threads_are_bounded_by_the_chunk(monkeypatch):
+    cfg = small_config(M=uq.CHUNK + 3)
+    serial = run_experiment(cfg, jobs=1)
+    sizes = []
+
+    class InlineExecutor:   # records the pool size and runs each task in place
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return [fn(*args) for args in zip(*iterables)]
+
+    monkeypatch.setattr(uq, "ThreadPoolExecutor", InlineExecutor)
+    _assert_same_results(serial, run_experiment(cfg, jobs=10 ** 6))
+    assert sizes == [uq.CHUNK]
 
 
 def test_noise_loads_match_per_draw_assembly():
