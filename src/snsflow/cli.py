@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from math import isfinite
 
 import numpy as np
@@ -223,9 +224,25 @@ def _print_stats(st: uq.McStats) -> None:
     print(" ".join(parts))
 
 
+@contextmanager
+def _out_dir_errors(out: str):
+    """Turn an OSError of creating or writing into ``out`` into a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"--out-dir {out}: {exc}") from exc
+
+
+def _make_out_dir(out: str) -> None:
+    with _out_dir_errors(out):
+        os.makedirs(out, exist_ok=True)
+
+
 def cmd_solve(v: dict) -> int:
     cfg = _mc_config(v, 1)
     method = v["method"]
+    out = v["out_dir"]
+    _make_out_dir(out)
     dofs = build_dof_map(build_structured_mesh(cfg.mesh_n))
     ops, f_load, xi, xi_report = uq.prepare(dofs, cfg.nu, cfg.newton)
     reports = [xi_report]
@@ -237,10 +254,9 @@ def cmd_solve(v: dict) -> int:
                                        cfg.newton, xi_report, cfg.mono_init)
         reports.append(rep)
 
-    out = v["out_dir"]
-    os.makedirs(out, exist_ok=True)
-    uq.write_field_csv(os.path.join(out, f"field_{method}.csv"), fld)
-    uq.write_samples_csv(os.path.join(out, "samples.csv"), reports)
+    with _out_dir_errors(out):
+        uq.write_field_csv(os.path.join(out, f"field_{method}.csv"), fld)
+        uq.write_samples_csv(os.path.join(out, "samples.csv"), reports)
 
     final = reports[-1]
     print(f"method={method} converged={int(final.converged)} "
@@ -257,7 +273,7 @@ def cmd_mc(v: dict) -> int:
     else:
         runs = [_mc_config(v, m) for m in v["samples_list"]]
     out = v["out_dir"]
-    os.makedirs(out, exist_ok=True)
+    _make_out_dir(out)
     all_stats = []
     any_failures = False
     for cfg in runs:
@@ -265,14 +281,15 @@ def cmd_mc(v: dict) -> int:
         all_stats.append(st)
         _print_stats(st)
         any_failures = any_failures or any(st.failed_counts[m] for m in cfg.methods)
-    uq.write_stats_csv(os.path.join(out, "stats.csv"), all_stats)
-    uq.write_samples_csv(os.path.join(out, "samples.csv"),
-                         [rep for st in all_stats for rep in st.reports])
     last = all_stats[-1]
-    for method, fld in last.mean_fields.items():
-        uq.write_field_csv(os.path.join(out, f"field_{method}.csv"), fld)
-    uq.write_field_csv(os.path.join(out, "field_deterministic.csv"),
-                       last.deterministic_field)
+    with _out_dir_errors(out):
+        uq.write_stats_csv(os.path.join(out, "stats.csv"), all_stats)
+        uq.write_samples_csv(os.path.join(out, "samples.csv"),
+                             [rep for st in all_stats for rep in st.reports])
+        for method, fld in last.mean_fields.items():
+            uq.write_field_csv(os.path.join(out, f"field_{method}.csv"), fld)
+        uq.write_field_csv(os.path.join(out, "field_deterministic.csv"),
+                           last.deterministic_field)
     return EXIT_NOT_CONVERGED if any_failures else EXIT_OK
 
 

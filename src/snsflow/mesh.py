@@ -130,35 +130,24 @@ def build_structured_mesh(n: int) -> TriMesh:
     if n < 1:
         raise ValueError(f"mesh resolution must be >= 1, got n={n}")
     xs = np.linspace(0.0, 1.0, n + 1)
-    ii, jj = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
-    vertices = np.column_stack([xs[ii.T.ravel()], xs[jj.T.ravel()]])
+    vertices = np.column_stack([np.tile(xs, n + 1), np.repeat(xs, n + 1)])   # vertex j*(n+1)+i
 
-    def vid(i, j):
-        return j * (n + 1) + i
+    # square (i, j), row by row, gives (v00, v10, v11) and (v00, v11, v01)
+    v00 = (np.arange(n, dtype=np.int64)[None, :] + (n + 1) * np.arange(n)[:, None]).ravel()
+    triangles = np.column_stack([v00, v00 + 1, v00 + n + 2,
+                                 v00, v00 + n + 2, v00 + n + 1]).reshape(-1, 3)
 
-    triangles = []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            triangles.append((v00, v10, v11))
-            triangles.append((v00, v11, v01))
-    triangles = np.asarray(triangles, dtype=np.int64)
-
-    edge_index: dict[tuple[int, int], int] = {}
-    edges = []
-    triangle_edges = np.empty((len(triangles), 3), dtype=np.int64)
-    for t, (a, b, c) in enumerate(triangles):
-        # edge k is opposite local vertex k
-        for k, (p, q) in enumerate(((b, c), (c, a), (a, b))):
-            key = (min(p, q), max(p, q))
-            ix = edge_index.get(key)
-            if ix is None:
-                ix = len(edges)
-                edge_index[key] = ix
-                edges.append(key)
-            triangle_edges[t, k] = ix
-    edges = np.asarray(edges, dtype=np.int64)
+    # edge k is opposite local vertex k; edges are numbered in the order the
+    # triangles first meet them
+    ends = np.stack([triangles[:, [1, 2, 0]], triangles[:, [2, 0, 1]]], axis=-1).reshape(-1, 2)
+    ends.sort(axis=1)
+    _, first, inverse = np.unique(ends[:, 0] * len(vertices) + ends[:, 1],
+                                  return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty(len(first), dtype=np.int64)
+    number[order] = np.arange(len(first))
+    edges = ends[first[order]]
+    triangle_edges = number[inverse].reshape(-1, 3)
     edge_midpoints = 0.5 * (vertices[edges[:, 0]] + vertices[edges[:, 1]])
 
     boundary_vertex_flags = _on_boundary(vertices)

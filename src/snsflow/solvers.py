@@ -2,7 +2,8 @@
 
 Four solution paths share one sparse saddle-point solver:
 
-  * deterministic: Newton on a(u,v) + c(u,u,v) + b(v,p) = (F,v), Stokes start
+  * deterministic: Newton on a(u,v) + c(u,u,v) + b(v,p) = (F,v), from a given
+    start or the Stokes solution
   * stochastic correction (split): Newton on the correction equation with
     coupling terms around a frozen deterministic field xi, zero start
   * modified correction: the same equation with the quadratic self-term
@@ -456,17 +457,23 @@ def _newton(ops: AssembledOperators, load: np.ndarray,
 
 
 def solve_deterministic_ns(ops: AssembledOperators, f_load: np.ndarray,
-                           cfg: NewtonConfig | None = None) -> tuple[FEField, SolveReport]:
-    """Steady Navier-Stokes solve with body force load; Stokes initial guess.
+                           cfg: NewtonConfig | None = None,
+                           initial_guess: FEField | None = None) -> tuple[FEField, SolveReport]:
+    """Steady Navier-Stokes solve with body force load, from ``initial_guess``
+    or, without one, from the Stokes solution.
 
-    Newton-Krylov on the newest factor: the first step factorizes
-    J(u_Stokes), and that LU preconditions GMRES in the later steps. The
-    Stokes solve counts as one of the report's iterations.
+    Newton-Krylov on the newest factor: the first step factorizes the
+    Jacobian at the start, and that LU preconditions GMRES in the later
+    steps. A Stokes start counts as one of the report's iterations.
+    ``uq.prepare`` passes the prolongated solution of the half-resolution
+    problem, which is already close: it leaves out the Stokes factorization
+    and solve and about half of the Newton steps.
     """
     cfg = cfg or NewtonConfig()
-    init = solve_stokes(ops, f_load)
+    init = solve_stokes(ops, f_load) if initial_guess is None else initial_guess
     fld, report = _newton(ops, f_load, init.velocity, init.pressure, cfg, krylov=True)
-    report.iterations += 1
+    if initial_guess is None:
+        report.iterations += 1
     report.method = "deterministic"
     return fld, report
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from snsflow import assembly, checks, solvers
+from snsflow import assembly, checks, solvers, uq
 
 from snsflow.cli import EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, main
 
@@ -194,6 +194,7 @@ SOLVE = ["solve", "--method", "split"]
     (SOLVE, {"nu": None}, "--config"),
     (SOLVE, 5, "--config"),
     (["mc", "--samples", "2,3", "--sigma-sweep", "0.5,1"], None, "--samples"),
+    (["mc", "--samples", "1", "--mesh-n", "1"], None, "--mesh-n"),
 ])
 def test_hostile_input_is_one_line_usage_error(tmp_path, capsys, argv, config, named):
     argv = [argv[0], "--mesh-n", "2", *argv[1:], "--out-dir", str(tmp_path)]
@@ -205,6 +206,31 @@ def test_hostile_input_is_one_line_usage_error(tmp_path, capsys, argv, config, n
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert named in err
+
+
+@pytest.mark.parametrize("argv", [["solve", "--method", "deterministic"],
+                                  ["mc", "--samples", "1"]])
+def test_an_out_dir_that_is_a_file_fails_before_any_solve(tmp_path, monkeypatch, capsys,
+                                                          argv):
+    monkeypatch.setattr(uq, "prepare", lambda *a: pytest.fail("solved"))
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    assert run_cli(*argv, "--mesh-n", "2", "--out-dir", str(not_a_dir)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: --out-dir {not_a_dir}: ")
+    assert "Traceback" not in err
+
+
+def test_an_unwritable_output_is_one_line_usage_error(tmp_path, monkeypatch, capsys):
+    def denied(path, *a):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(uq, "write_samples_csv", denied)
+    assert run_cli("mc", "--samples", "1", "--mesh-n", "2",
+                   "--out-dir", str(tmp_path)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: --out-dir {tmp_path}: ")
+    assert "Permission denied" in err
 
 
 def test_singular_k_xi_fails_modified_samples_and_exits_2(tmp_path, monkeypatch, capsys):
@@ -279,8 +305,6 @@ def test_extreme_physics_fails_every_sample_without_warnings(tmp_path, capsys, a
 
 
 def test_exception_in_a_solve_is_a_failed_report(tmp_path, monkeypatch, capsys):
-    from snsflow import uq
-
     def broken(*args, **kwargs):
         raise FloatingPointError("boom")
 

@@ -168,3 +168,41 @@ def test_free_set_drops_dirichlet_dofs_and_pressure_pin():
     pinned[0] = True
     assert np.array_equal(~dofs.pattern.free,
                           np.concatenate([dofs.dirichlet_mask, pinned]))
+
+
+def _loop_mesh_arrays(n):
+    """The triangles, edges and triangle edges of the n x n mesh, built by
+    walking the squares and numbering each edge when a triangle first meets it."""
+    def vid(i, j):
+        return j * (n + 1) + i
+
+    triangles = []
+    for j in range(n):
+        for i in range(n):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+            triangles.append((v00, v10, v11))
+            triangles.append((v00, v11, v01))
+    triangles = np.asarray(triangles, dtype=np.int64)
+    edge_index, edges = {}, []
+    triangle_edges = np.empty((len(triangles), 3), dtype=np.int64)
+    for t, (a, b, c) in enumerate(triangles):
+        for k, (p, q) in enumerate(((b, c), (c, a), (a, b))):
+            key = (min(p, q), max(p, q))
+            if key not in edge_index:
+                edge_index[key] = len(edges)
+                edges.append(key)
+            triangle_edges[t, k] = edge_index[key]
+    xs = np.linspace(0.0, 1.0, n + 1)
+    vertices = np.array([(xs[k % (n + 1)], xs[k // (n + 1)]) for k in range((n + 1) ** 2)])
+    return {"vertices": vertices, "triangles": triangles,
+            "edges": np.asarray(edges, dtype=np.int64), "triangle_edges": triangle_edges}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
+def test_mesh_arrays_match_loop_construction(n):
+    mesh = build_structured_mesh(n)
+    for name, want in _loop_mesh_arrays(n).items():
+        got = getattr(mesh, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)

@@ -167,6 +167,17 @@ def test_newton_quadratic_tail():
         assert r_next <= 100.0 * r_k ** 1.5
 
 
+def test_a_converged_initial_guess_takes_no_step_and_no_stokes_solve(monkeypatch):
+    mesh, dofs, ops = _setup(6)
+    load = _forcing_load(mesh, dofs)
+    xi, _ = solve_deterministic_ns(ops, load)
+    monkeypatch.setattr(solvers, "solve_stokes", lambda *a: pytest.fail("Stokes solve"))
+    fld, report = solve_deterministic_ns(ops, load, initial_guess=xi)
+    assert report.converged and report.iterations == 0 and report.method == "deterministic"
+    assert np.array_equal(fld.velocity, xi.velocity)
+    assert np.array_equal(fld.pressure, xi.pressure)
+
+
 def test_deterministic_replay_is_bit_identical():
     mesh, dofs, ops = _setup(6)
     load = _forcing_load(mesh, dofs)

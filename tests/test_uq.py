@@ -515,3 +515,147 @@ def test_field_csv_bytes_equal_the_row_by_row_text(tmp_path):
     path = tmp_path / "field.csv"
     uq.write_field_csv(str(path), fld)
     assert path.read_bytes() == _row_by_row_field_text(fld).encode()
+
+
+# ---------------------------------------------------------------------------
+# grid sequencing of the deterministic solve
+
+def _node_index(dofs, points):
+    """Indices of the P2 nodes of ``dofs`` at ``points``."""
+    lattice = np.rint(dofs.node_coords * 2 * dofs.mesh.n).astype(np.int64)
+    key = {tuple(p): k for k, p in enumerate(lattice)}
+    return np.array([key[tuple(p)] for p in np.rint(points * 2 * dofs.mesh.n).astype(np.int64)])
+
+
+def test_prolongation_keeps_the_coarse_coefficients_bitwise():
+    coarse_dofs = build_dof_map(build_structured_mesh(4))
+    rng = np.random.default_rng(5)
+    coarse = FEField(rng.standard_normal(coarse_dofs.n_velocity_dofs),
+                     rng.standard_normal(coarse_dofs.n_pressure_dofs), coarse_dofs)
+    fine_dofs = build_dof_map(build_structured_mesh(8))
+    fine = uq.prolongate(coarse, fine_dofs)
+    nodes = _node_index(fine_dofs, coarse_dofs.node_coords)
+    nn, fine_nn = coarse_dofs.n_scalar_nodes, fine_dofs.n_scalar_nodes
+    assert np.array_equal(fine.velocity[nodes], coarse.velocity[:nn])
+    assert np.array_equal(fine.velocity[fine_nn + nodes], coarse.velocity[nn:])
+    assert np.array_equal(fine.pressure[nodes[:coarse_dofs.n_pressure_dofs]], coarse.pressure)
+
+
+def test_prolongation_is_exact_on_quadratics():
+    def velocity(x, y):
+        return 1 + 2 * x - 3 * y + x * x + 0.5 * x * y - y * y, -0.5 + x * y + 2 * y * y
+
+    def pressure(dofs):
+        x, y = dofs.mesh.vertices.T
+        return 0.25 - x + 3 * y
+
+    coarse_dofs = build_dof_map(build_structured_mesh(6))
+    fine_dofs = build_dof_map(build_structured_mesh(12))
+    fine = uq.prolongate(FEField(mf.interpolate_velocity(coarse_dofs, velocity),
+                                 pressure(coarse_dofs), coarse_dofs), fine_dofs)
+    assert fine.dofs is fine_dofs
+    assert np.abs(fine.velocity - mf.interpolate_velocity(fine_dofs, velocity)).max() <= 1e-13
+    assert np.abs(fine.pressure - pressure(fine_dofs)).max() <= 1e-13
+
+
+def test_prolongation_needs_the_halved_mesh():
+    with pytest.raises(ValueError):
+        uq.prolongate(FEField.zeros(build_dof_map(build_structured_mesh(4))),
+                      build_dof_map(build_structured_mesh(6)))
+
+
+def _stokes_start(n, nu=0.02):
+    """Operators, load and the deterministic solve from the Stokes start."""
+    mesh = build_structured_mesh(n)
+    dofs = build_dof_map(mesh)
+    ops = solvers.assemble_operators(mesh, dofs, assembly.ProblemParams(nu=nu))
+    load = assembly.assemble_load(mesh, dofs, lambda x, y: mf.exact_forcing(x, y, nu))
+    return dofs, solvers.solve_deterministic_ns(ops, load)
+
+
+def _unknowns(fld):
+    return np.concatenate([fld.velocity, fld.pressure])
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_sequenced_solve_matches_the_stokes_start(n):
+    dofs, (want, want_report) = _stokes_start(n)
+    _, _, xi, report = uq.prepare(dofs, 0.02)
+    assert report.converged and want_report.converged
+    # the coarse start leaves out the Stokes solve and two Newton steps
+    assert report.iterations == want_report.iterations - 2
+    gap = np.linalg.norm(_unknowns(xi) - _unknowns(want)) / np.linalg.norm(_unknowns(want))
+    assert gap <= 1e-10
+
+
+def _fail_deterministic_solve(monkeypatch, when):
+    """Make solvers.solve_deterministic_ns fail whenever ``when(n, started)``,
+    ``started`` telling whether an initial guess was given; returns the list
+    of (n, started) of its calls."""
+    solve, calls = solvers.solve_deterministic_ns, []
+
+    def failing(ops, f_load, cfg=None, initial_guess=None):
+        fld, report = solve(ops, f_load, cfg, initial_guess)
+        calls.append((ops.dofs.mesh.n, initial_guess is not None))
+        if when(*calls[-1]):
+            report.converged, report.failure = False, "max iterations reached"
+        return fld, report
+
+    monkeypatch.setattr(solvers, "solve_deterministic_ns", failing)
+    return calls
+
+
+def _assert_stokes_start(dofs, prepared):
+    _, _, xi, report = prepared
+    _, (want, want_report) = _stokes_start(dofs.mesh.n)
+    assert report.converged and report.iterations == want_report.iterations
+    assert np.array_equal(_unknowns(xi), _unknowns(want))
+
+
+def test_a_failed_coarse_solve_falls_back_to_the_stokes_start(monkeypatch):
+    calls = _fail_deterministic_solve(monkeypatch, lambda n, started: n == 8)
+    dofs = build_dof_map(build_structured_mesh(16))
+    prepared = uq.prepare(dofs, 0.02)
+    monkeypatch.undo()
+    assert calls == [(8, False), (16, False)]
+    _assert_stokes_start(dofs, prepared)
+
+
+def test_a_singular_coarse_solve_falls_back_to_the_stokes_start(monkeypatch):
+    solve = solvers.solve_deterministic_ns
+
+    def singular_coarse(ops, f_load, cfg=None, initial_guess=None):
+        if ops.dofs.mesh.n == 8:
+            raise solvers.SingularSystemError("sparse factorization failed")
+        return solve(ops, f_load, cfg, initial_guess)
+
+    monkeypatch.setattr(solvers, "solve_deterministic_ns", singular_coarse)
+    dofs = build_dof_map(build_structured_mesh(16))
+    prepared = uq.prepare(dofs, 0.02)
+    monkeypatch.undo()
+    _assert_stokes_start(dofs, prepared)
+
+
+def test_a_failed_solve_from_the_coarse_start_falls_back_to_the_stokes_start(monkeypatch):
+    calls = _fail_deterministic_solve(monkeypatch, lambda n, started: n == 16 and started)
+    dofs = build_dof_map(build_structured_mesh(16))
+    prepared = uq.prepare(dofs, 0.02)
+    monkeypatch.undo()
+    assert calls == [(8, False), (16, True), (16, False)]
+    _assert_stokes_start(dofs, prepared)
+
+
+@pytest.mark.parametrize("n", [1, 7, 12])
+def test_unsequenced_meshes_build_no_coarse_mesh(monkeypatch, n):
+    built = []
+    monkeypatch.setattr(uq, "build_structured_mesh",
+                        lambda m: built.append(m) or build_structured_mesh(m))
+    dofs = build_dof_map(build_structured_mesh(n))
+    if n == 1:   # exactly singular: the Stokes start raises, as without sequencing
+        with pytest.raises(solvers.SingularSystemError):
+            uq.prepare(dofs, 0.02)
+    else:
+        prepared = uq.prepare(dofs, 0.02)
+        monkeypatch.undo()
+        _assert_stokes_start(dofs, prepared)
+    assert built == []
