@@ -26,19 +26,7 @@ from scipy.special import roots_jacobi, roots_legendre
 from .mesh import DofMap, TriMesh
 from .noise import NoiseField
 
-DEFAULT_QUADRATURE_DEGREE = 5
 ELEVATED_QUADRATURE_DEGREE = 10
-
-
-@dataclass(frozen=True)
-class ProblemParams:
-    """Kinematic viscosity."""
-
-    nu: float
-
-    def __post_init__(self):
-        if not (isfinite(self.nu) and self.nu > 0):
-            raise ValueError(f"viscosity must be positive and finite, got nu={self.nu}")
 
 
 @dataclass(frozen=True)
@@ -144,7 +132,6 @@ class ElementGeometry:
     """
 
     def __init__(self, mesh: TriMesh, rule: QuadratureRule | None = None):
-        self.mesh = mesh
         self.rule = rule or triangle_rule_degree5()
         self.area, self.qpoints, inv_jt = affine_maps(mesh, self.rule.points)
         self.phi2, grad_ref = p2_shape(self.rule.points)
@@ -197,41 +184,39 @@ def _velocity_load(dofs: DofMap, blocks: np.ndarray) -> np.ndarray:
                        minlength=dofs.n_velocity_dofs)
 
 
-def assemble_viscous(mesh: TriMesh, dofs: DofMap, nu: float,
+def assemble_viscous(dofs: DofMap, nu: float,
                      geom: ElementGeometry | None = None) -> np.ndarray:
     """Vector-valued viscous operator A with v^T A u = nu * int grad(u):grad(v)."""
-    if not nu > 0:
-        raise ValueError(f"viscosity must be positive, got nu={nu}")
-    geom = geom or ElementGeometry(mesh)
+    if not (isfinite(nu) and nu > 0):
+        raise ValueError(f"viscosity must be positive and finite, got nu={nu}")
+    geom = geom or ElementGeometry(dofs.mesh)
     ke = (geom.grad * np.repeat(geom.wq, 2)) @ geom.grad.transpose(0, 2, 1)
     return nu * _velocity_data(dofs, _both_components(geom.area[:, None, None] * ke))
 
 
-def assemble_divergence(mesh: TriMesh, dofs: DofMap,
-                        geom: ElementGeometry | None = None) -> np.ndarray:
+def assemble_divergence(dofs: DofMap, geom: ElementGeometry | None = None) -> np.ndarray:
     """Divergence operator B with q^T B u = -int q div(u), together with B^T."""
-    geom = geom or ElementGeometry(mesh)
+    geom = geom or ElementGeometry(dofs.mesh)
     # table[(q, d'), (a, d)] = w_q psi_a delta_dd' for the P1 pressure basis psi
     table = np.kron(geom.wq[:, None] * geom.phi1, np.eye(2))
-    be = (geom.grad @ table).reshape(mesh.n_triangles, 6, 3, 2)     # [t, j, a, d]
+    be = (geom.grad @ table).reshape(len(geom.area), 6, 3, 2)     # [t, j, a, d]
     be = -(geom.area[:, None, None, None] * be).transpose(0, 2, 3, 1)
     pattern = dofs.pattern
     return np.bincount(pattern.div_slots.ravel(), weights=np.tile(be.ravel(), 2),
                        minlength=pattern.nnz)
 
 
-def assemble_convection_linearized(
-    mesh: TriMesh, dofs: DofMap, w: np.ndarray,
-    geom: ElementGeometry | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def assemble_convection_linearized(dofs: DofMap, w: np.ndarray,
+                                   geom: ElementGeometry | None = None
+                                   ) -> tuple[np.ndarray, np.ndarray]:
     """Linearizations of the convective trilinear form around the velocity w.
 
     Returns (N1, N2) with v^T N1 u = c(w, u, v) (w transports u) and
     v^T N2 u = c(u, w, v) (u transports w), where
     c(a, b, v) = int (a . grad) b . v.
     """
-    geom = geom or ElementGeometry(mesh)
-    T, nq = mesh.n_triangles, len(geom.wq)
+    geom = geom or ElementGeometry(dofs.mesh)
+    T, nq = len(geom.area), len(geom.wq)
     area = geom.area[:, None, None]
     vals, grads = geom._values_and_gradients(dofs, w)
     adv = _transport(vals, geom.grad.reshape(T, 6, nq, 2))          # (w . grad) phi_b
@@ -241,23 +226,23 @@ def assemble_convection_linearized(
             _velocity_data(dofs, ne.reshape(T, 12, 12)))
 
 
-def assemble_convection_load(mesh: TriMesh, dofs: DofMap, u: np.ndarray,
+def assemble_convection_load(dofs: DofMap, u: np.ndarray,
                              geom: ElementGeometry | None = None) -> np.ndarray:
     """Convection vector c(u, u, .) = N1(u) u, assembled without the matrix."""
-    geom = geom or ElementGeometry(mesh)
+    geom = geom or ElementGeometry(dofs.mesh)
     vals, grads = geom._values_and_gradients(dofs, u)
     conv = _transport(vals, grads)                                   # (u . grad) u_i
     return _velocity_load(dofs, geom.area[:, None, None] * (conv @ geom.wphi))
 
 
-def assemble_load(mesh: TriMesh, dofs: DofMap,
+def assemble_load(dofs: DofMap,
                   f: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
                   degree: int = ELEVATED_QUADRATURE_DEGREE) -> np.ndarray:
     """Load vector L with L . v = int f . v, using an elevated rule by default.
 
     ``f`` maps coordinate arrays (x, y) to the two force components.
     """
-    geom = ElementGeometry(mesh, triangle_rule_collapsed(degree))
+    geom = ElementGeometry(dofs.mesh, triangle_rule_collapsed(degree))
     f1, f2 = f(geom.qpoints[:, :, 0], geom.qpoints[:, :, 1])
     f1 = np.broadcast_to(np.asarray(f1, dtype=float), geom.qpoints.shape[:2])
     f2 = np.broadcast_to(np.asarray(f2, dtype=float), geom.qpoints.shape[:2])
@@ -265,11 +250,10 @@ def assemble_load(mesh: TriMesh, dofs: DofMap,
     return _velocity_load(dofs, geom.area[:, None, None] * le)
 
 
-def assemble_noise_load(mesh: TriMesh, dofs: DofMap,
-                        noise: NoiseField | Sequence[NoiseField],
+def assemble_noise_load(dofs: DofMap, draws: Sequence[NoiseField],
                         geom: ElementGeometry | None = None) -> np.ndarray:
-    """Load vector of a piecewise-constant noise realization, or the (n_u, k)
-    block of loads of a sequence of k >= 1 realizations, one column per draw.
+    """The (n_u, k) block of loads of k >= 1 piecewise-constant noise
+    realizations, one column per draw.
 
     Requires the noise grid to be nested in the FE grid (cells per axis divide
     the mesh resolution), so every triangle lies in exactly one noise cell and
@@ -279,8 +263,7 @@ def assemble_noise_load(mesh: TriMesh, dofs: DofMap,
     column's terms in the order a single draw adds them: column j holds the
     bits of the call on draw j alone.
     """
-    draws = [noise] if isinstance(noise, NoiseField) else list(noise)
-    grid = draws[0].grid
+    mesh, grid = dofs.mesh, draws[0].grid
     n_noise = grid.n_noise
     if n_noise < 1:
         raise ValueError("noise grid must have at least one cell")
@@ -300,6 +283,5 @@ def assemble_noise_load(mesh: TriMesh, dofs: DofMap,
     blocks = fvals[..., None] * phi_int[:, None, :]                 # (k, T, 2, 6)
     k, n_u = len(draws), dofs.n_velocity_dofs
     index = dofs.element_dofs[:, :12].ravel() + n_u * np.arange(k)[:, None]
-    loads = np.bincount(index.ravel(), weights=blocks.ravel(),
-                        minlength=k * n_u).reshape(k, n_u).T
-    return loads[:, 0] if isinstance(noise, NoiseField) else loads
+    return np.bincount(index.ravel(), weights=blocks.ravel(),
+                       minlength=k * n_u).reshape(k, n_u).T

@@ -92,7 +92,7 @@ def velocity_block(dofs: DofMap, data: np.ndarray):
 # ---------------------------------------------------------------------------
 # pointwise divergence-free fields (the trilinear identities need them)
 
-def divergence_constraint_matrix(mesh: TriMesh, dofs: DofMap) -> np.ndarray:
+def divergence_constraint_matrix(dofs: DofMap) -> np.ndarray:
     """Rows enforcing div(u) = 0 at the 3 vertices of every element.
 
     The divergence of a P2 field is linear on each element, so three point
@@ -100,8 +100,7 @@ def divergence_constraint_matrix(mesh: TriMesh, dofs: DofMap) -> np.ndarray:
     """
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     _, grad_ref = p2_shape(corners)
-    tn = triangle_nodes(dofs)
-    nn = dofs.n_scalar_nodes
+    mesh, tn, nn = dofs.mesh, triangle_nodes(dofs), dofs.n_scalar_nodes
     tri = mesh.triangles
     x0 = mesh.vertices[tri[:, 0]]
     e1 = mesh.vertices[tri[:, 1]] - x0
@@ -118,7 +117,7 @@ def divergence_constraint_matrix(mesh: TriMesh, dofs: DofMap) -> np.ndarray:
     return rows
 
 
-def divergence_free_velocity_fields(mesh: TriMesh, dofs: DofMap, count: int,
+def divergence_free_velocity_fields(dofs: DofMap, count: int,
                                     seed: int = 0) -> tuple[list[np.ndarray], int]:
     """Random fields with pointwise zero divergence and zero boundary values.
 
@@ -126,7 +125,7 @@ def divergence_free_velocity_fields(mesh: TriMesh, dofs: DofMap, count: int,
     meshes the space can be empty (dimension 0 for n <= 2 on this family), in
     which case the returned fields are zero.
     """
-    div_rows = divergence_constraint_matrix(mesh, dofs)
+    div_rows = divergence_constraint_matrix(dofs)
     pins = np.eye(dofs.n_velocity_dofs)[dofs.dirichlet_mask]
     constraints = np.vstack([div_rows, pins])
     basis = scipy.linalg.null_space(constraints, rcond=1e-10)
@@ -139,14 +138,14 @@ def divergence_free_velocity_fields(mesh: TriMesh, dofs: DofMap, count: int,
     return fields, dim
 
 
-def trilinear_identity_defects(mesh: TriMesh, dofs: DofMap, w: np.ndarray,
+def trilinear_identity_defects(dofs: DofMap, w: np.ndarray,
                                rng: np.random.Generator) -> tuple[float, float]:
     """Normalized defects of skew-symmetry and self-annihilation around w.
 
     Both vanish exactly when w is pointwise divergence-free and zero on the
     boundary; the normalization uses L2 field norms.
     """
-    n1 = velocity_block(dofs, assembly.assemble_convection_linearized(mesh, dofs, w)[0])
+    n1 = velocity_block(dofs, assembly.assemble_convection_linearized(dofs, w)[0])
     norm_w = max(manufactured.velocity_l2_norm(dofs, w), 1e-300)
     skew = annih = 0.0
     for _ in range(3):
@@ -159,7 +158,7 @@ def trilinear_identity_defects(mesh: TriMesh, dofs: DofMap, w: np.ndarray,
     return skew, annih
 
 
-def trilinear_value_defect(mesh: TriMesh, dofs: DofMap) -> float:
+def trilinear_value_defect(dofs: DofMap) -> float:
     """|assembled - analytic| for polynomial triples with value 1/4.
 
     Pins the sign and scale of both convection linearizations (the identity
@@ -168,10 +167,10 @@ def trilinear_value_defect(mesh: TriMesh, dofs: DofMap) -> float:
     w = manufactured.interpolate_velocity(dofs, lambda x, y: (y, 0.0 * x))
     u = manufactured.interpolate_velocity(dofs, lambda x, y: (x, 0.0 * y))
     v = u.copy()
-    n1, _ = assembly.assemble_convection_linearized(mesh, dofs, w)
+    n1, _ = assembly.assemble_convection_linearized(dofs, w)
     defect = abs(v @ (velocity_block(dofs, n1) @ u) - 0.25)
     u2 = manufactured.interpolate_velocity(dofs, lambda x, y: (0.0 * x, y))
-    _, n2 = assembly.assemble_convection_linearized(mesh, dofs, w)
+    _, n2 = assembly.assemble_convection_linearized(dofs, w)
     n2 = velocity_block(dofs, n2)
     defect = max(defect, abs(v @ (n2 @ u2) - 0.25))
     return defect
@@ -183,8 +182,8 @@ def trilinear_value_defect(mesh: TriMesh, dofs: DofMap) -> float:
 class DenseOracle:
     """Element-by-element dense assembly with a degree-10 rule."""
 
-    def __init__(self, mesh: TriMesh, dofs: DofMap):
-        self.mesh, self.dofs = mesh, dofs
+    def __init__(self, dofs: DofMap):
+        self.mesh, self.dofs = dofs.mesh, dofs
         rule = assembly.triangle_rule_collapsed(assembly.ELEVATED_QUADRATURE_DEGREE)
         self.points, self.weights = rule.points, rule.weights
         self.phi2, self.grad_ref = p2_shape(rule.points)
@@ -269,9 +268,8 @@ class DenseOracle:
 
 def dense_oracle_max_mismatch(n: int = 2, nu: float = 0.02) -> float:
     """Relative mismatch of every assembled operator against the dense oracle."""
-    mesh = build_structured_mesh(n)
-    dofs = build_dof_map(mesh)
-    oracle = DenseOracle(mesh, dofs)
+    dofs = build_dof_map(build_structured_mesh(n))
+    oracle = DenseOracle(dofs)
     rng = np.random.default_rng(7)
     w = rng.standard_normal(dofs.n_velocity_dofs)
 
@@ -280,18 +278,17 @@ def dense_oracle_max_mismatch(n: int = 2, nu: float = 0.02) -> float:
         return np.abs(a - b).max() / scale
 
     n_u = dofs.n_velocity_dofs
-    worst = rel(velocity_block(dofs, assembly.assemble_viscous(mesh, dofs, nu)).toarray(),
+    worst = rel(velocity_block(dofs, assembly.assemble_viscous(dofs, nu)).toarray(),
                 oracle.viscous(nu))
-    saddle = dofs.pattern.matrix(assembly.assemble_divergence(mesh, dofs)).toarray()
+    saddle = dofs.pattern.matrix(assembly.assemble_divergence(dofs)).toarray()
     b = oracle.divergence()
     worst = max(worst, rel(saddle[n_u:, :n_u], b), rel(saddle[:n_u, n_u:], b.T))
-    n1, n2 = assembly.assemble_convection_linearized(mesh, dofs, w)
+    n1, n2 = assembly.assemble_convection_linearized(dofs, w)
     o1, o2 = oracle.convection(w)
     worst = max(worst, rel(velocity_block(dofs, n1).toarray(), o1),
                 rel(velocity_block(dofs, n2).toarray(), o2),
-                rel(assembly.assemble_convection_load(mesh, dofs, w), o1 @ w))
-    load = assembly.assemble_load(
-        mesh, dofs, lambda x, y: manufactured.exact_forcing(x, y, nu))
+                rel(assembly.assemble_convection_load(dofs, w), o1 @ w))
+    load = assembly.assemble_load(dofs, lambda x, y: manufactured.exact_forcing(x, y, nu))
     oload = oracle.load(lambda x, y: manufactured.exact_forcing(x, y, nu))
     worst = max(worst, rel(load, oload))
     return float(worst)
@@ -384,14 +381,13 @@ def run_verification(include_convergence: bool = False,
     with (_mutated_convection() if mutate == "convection-sign" else nullcontext()):
         rng = np.random.default_rng(3)
         for n in (2, 4):
-            mesh = build_structured_mesh(n)
-            dofs = build_dof_map(mesh)
-            fields, dim = divergence_free_velocity_fields(mesh, dofs, 5, seed=n)
+            dofs = build_dof_map(build_structured_mesh(n))
+            fields, dim = divergence_free_velocity_fields(dofs, 5, seed=n)
             worst_skew = worst_annih = 0.0
             for w in fields:
                 if not np.any(w):
                     continue
-                skew, annih = trilinear_identity_defects(mesh, dofs, w, rng)
+                skew, annih = trilinear_identity_defects(dofs, w, rng)
                 worst_skew = max(worst_skew, skew)
                 worst_annih = max(worst_annih, annih)
             ok = worst_skew <= 1e-11 and worst_annih <= 1e-11
@@ -399,9 +395,7 @@ def run_verification(include_convergence: bool = False,
                 f"trilinear_identities_n{n}", ok,
                 f"dim={dim} skew={worst_skew:.2e} annihilation={worst_annih:.2e} tol=1e-11"))
 
-        mesh4 = build_structured_mesh(4)
-        dofs4 = build_dof_map(mesh4)
-        value_defect = trilinear_value_defect(mesh4, dofs4)
+        value_defect = trilinear_value_defect(build_dof_map(build_structured_mesh(4)))
         results.append(CheckResult("trilinear_value", value_defect <= 1e-12,
                                    f"defect={value_defect:.2e} tol=1e-12"))
 

@@ -39,9 +39,8 @@ DEFAULTS = {
     "seed": _MC.base_seed,
     "jobs": 1,
     "methods": ",".join(_MC.methods),
-    "newton_tol": _MC.newton.abs_tol,   # --newton-tol sets both tolerances
+    "newton_tol": _MC.newton.tol,
     "newton_max_iter": _MC.newton.max_iter,
-    "damping": _MC.newton.damping,
     "out_dir": ".",
     "init": _MC.mono_init,
     "sample_index": 0,
@@ -66,9 +65,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=int, help="concurrent samples")
     p.add_argument("--methods", help="comma list from monolithic,split,modified")
     p.add_argument("--newton-tol", dest="newton_tol", type=float,
-                   help="absolute and relative Newton tolerance")
+                   help="Newton tolerance, absolute and relative to the first residual")
     p.add_argument("--newton-max-iter", dest="newton_max_iter", type=int)
-    p.add_argument("--damping", type=float, help="Newton damping factor in (0,1]")
     p.add_argument("--out-dir", dest="out_dir", help="output directory")
 
 
@@ -182,8 +180,6 @@ def _validate(merged: dict) -> dict:
         raise UsageError("--newton-tol must be positive and finite")
     if out["newton_max_iter"] < 1:
         raise UsageError("--newton-max-iter must be >= 1")
-    if not (0 < out["damping"] <= 1):
-        raise UsageError("--damping must lie in (0, 1]")
     return out
 
 
@@ -206,8 +202,7 @@ def _mc_config(v: dict, m: int, sigma: float | None = None) -> McConfig:
         mesh_n=v["mesh_n"],
         noise_n=v["noise_n"],
         methods=v["methods_tuple"],
-        newton=NewtonConfig(abs_tol=v["newton_tol"], rel_tol=v["newton_tol"],
-                            max_iter=v["newton_max_iter"], damping=v["damping"]),
+        newton=NewtonConfig(tol=v["newton_tol"], max_iter=v["newton_max_iter"]),
         mono_init=v["init"],
     )
 
@@ -251,7 +246,7 @@ def cmd_solve(v: dict) -> int:
     else:
         loads, _ = uq.noise_loads(cfg, ops, [v["sample_index"]])
         [(fld, rep)] = uq.solve_sample(method, ops, xi, f_load, loads, v["sample_index"],
-                                       cfg.newton, xi_report, cfg.mono_init)
+                                       cfg, xi_report)
         reports.append(rep)
 
     with _out_dir_errors(out):

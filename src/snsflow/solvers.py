@@ -68,8 +68,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import assembly
-from .assembly import ElementGeometry, ProblemParams
-from .mesh import DofMap, TriMesh
+from .assembly import ElementGeometry
+from .mesh import DofMap
 
 RESIDUAL_CHECK_FACTOR = 1e-10
 # A Newton-Krylov step k is accepted from GMRES when ||J d + r|| <= eta_k ||r|| with
@@ -110,18 +110,16 @@ class FEField:
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
+    """Newton stops at ||r|| <= max(tol, tol ||r_0||) or after max_iter steps."""
+
+    tol: float = 1e-12
     max_iter: int = 25
-    damping: float = 1.0
 
     def __post_init__(self):
-        if not (0 < self.abs_tol < np.inf and 0 < self.rel_tol < np.inf):
-            raise ValueError("Newton tolerances must be positive and finite")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("the Newton tolerance must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError("damping factor must lie in (0, 1]")
 
 
 @dataclass
@@ -156,26 +154,21 @@ class SolveReport:
 
 @dataclass
 class AssembledOperators:
-    """Constant operators shared by every solve on one (mesh, dofs, params).
+    """Constant operators shared by every solve on one dof map and viscosity.
 
     ``stokes`` is the pattern data of [[A, B^T], [B, 0]].
     """
 
-    mesh: TriMesh
     dofs: DofMap
     geom: ElementGeometry
     stokes: np.ndarray
 
-    @property
-    def mask(self) -> np.ndarray:
-        return self.dofs.dirichlet_mask
 
-
-def assemble_operators(mesh: TriMesh, dofs: DofMap, params: ProblemParams) -> AssembledOperators:
-    geom = ElementGeometry(mesh)
-    stokes = (assembly.assemble_viscous(mesh, dofs, params.nu, geom=geom)
-              + assembly.assemble_divergence(mesh, dofs, geom=geom))
-    return AssembledOperators(mesh=mesh, dofs=dofs, geom=geom, stokes=stokes)
+def assemble_operators(dofs: DofMap, nu: float) -> AssembledOperators:
+    geom = ElementGeometry(dofs.mesh)
+    stokes = (assembly.assemble_viscous(dofs, nu, geom=geom)
+              + assembly.assemble_divergence(dofs, geom=geom))
+    return AssembledOperators(dofs=dofs, geom=geom, stokes=stokes)
 
 
 def _saddle_residual(dofs: DofMap, data: np.ndarray, u: np.ndarray, p: np.ndarray,
@@ -308,8 +301,7 @@ class LinearizedOperator:
     """
 
     def __init__(self, ops: AssembledOperators, xi: FEField):
-        n1, n2 = assembly.assemble_convection_linearized(ops.mesh, ops.dofs,
-                                                         xi.velocity, geom=ops.geom)
+        n1, n2 = assembly.assemble_convection_linearized(ops.dofs, xi.velocity, geom=ops.geom)
         self.dofs = ops.dofs
         self.data = ops.stokes + n1 + n2
         try:
@@ -404,12 +396,12 @@ def _newton(ops: AssembledOperators, load: np.ndarray,
     ``linear + N1(u) + N2(u)`` is assembled from the current iterate only
     when a step is taken. ``iterations`` counts the steps.
     """
-    mesh, dofs = ops.mesh, ops.dofs
+    dofs = ops.dofs
     n_u = dofs.n_velocity_dofs
     if linear is None:
         linear = ops.stokes
     u, p = u0.copy(), p0.copy()
-    u[ops.mask] = 0.0
+    u[dofs.dirichlet_mask] = 0.0
     history: list[float] = []
     solves, inner, fallbacks = 0, 0, 0
 
@@ -419,18 +411,18 @@ def _newton(ops: AssembledOperators, load: np.ndarray,
                             inner_iterations=inner, fallbacks=fallbacks))
 
     for _ in range(cfg.max_iter + 1):
-        conv = assembly.assemble_convection_load(mesh, dofs, u, geom=ops.geom)
+        conv = assembly.assemble_convection_load(dofs, u, geom=ops.geom)
         residual = _saddle_residual(dofs, linear, u, p, load - conv)
         r_norm = float(np.linalg.norm(residual))
         history.append(r_norm)
         if not np.isfinite(r_norm):
             return report(False, r_norm, "residual diverged")
-        tol = max(cfg.abs_tol, cfg.rel_tol * history[0])
+        tol = max(cfg.tol, cfg.tol * history[0])
         if r_norm <= tol:
             return report(True, r_norm)
         if solves >= cfg.max_iter:
             break
-        n1, n2 = assembly.assemble_convection_linearized(mesh, dofs, u, geom=ops.geom)
+        n1, n2 = assembly.assemble_convection_linearized(dofs, u, geom=ops.geom)
         jacobian = linear + n1 + n2
         del n1, n2  # not held through the solve, where the peak memory is
         x = None
@@ -450,8 +442,8 @@ def _newton(ops: AssembledOperators, load: np.ndarray,
             if krylov:
                 precond, fallbacks = factor, fallbacks + 1
             del factor  # else held through the next step's factorization
-        u = u + cfg.damping * x[:n_u]
-        p = p + cfg.damping * x[n_u:]
+        u = u + x[:n_u]
+        p = p + x[n_u:]
         solves += 1
     return report(False, history[-1], "max iterations reached")
 
@@ -504,12 +496,14 @@ def solve_stochastic_modified(ops: AssembledOperators, k_xi: LinearizedOperator,
     per column. A failed factorization fails every report; a column that
     fails its checks fails only its own.
     """
+    def failed(failure: str) -> tuple[FEField, SolveReport]:
+        return (FEField.zeros(ops.dofs),
+                SolveReport(False, 1, float("inf"), [], method="modified", failure=failure))
+
+    if k_xi.factor is None:
+        return [failed(k_xi.failure) for _ in range(noise_loads.shape[1])]
     n_u = ops.dofs.n_velocity_dofs
-    if k_xi.factor is not None:
-        x, failures = k_xi.factor.solve(noise_loads)
-    else:
-        x = np.zeros((n_u + ops.dofs.n_pressure_dofs, noise_loads.shape[1]))
-        failures = [k_xi.failure] * noise_loads.shape[1]
+    x, failures = k_xi.factor.solve(noise_loads)
     velocity, pressure = x[:n_u], x[n_u:]
     r_norms = np.linalg.norm(_saddle_residual(ops.dofs, k_xi.data, velocity, pressure,
                                               noise_loads), axis=0)
@@ -519,9 +513,7 @@ def solve_stochastic_modified(ops: AssembledOperators, k_xi: LinearizedOperator,
         if not (failure or np.isfinite(r_norm)):
             failure = "residual diverged"
         if failure:
-            out.append((FEField.zeros(ops.dofs),
-                        SolveReport(False, 1, float("inf"), [], method="modified",
-                                    failure=failure)))
+            out.append(failed(failure))
         else:
             out.append((FEField(velocity[:, j], pressure[:, j], ops.dofs),
                         SolveReport(True, 1, r_norm, [r_norm], method="modified")))

@@ -161,9 +161,8 @@ def prepare(dofs: DofMap, nu: float, newton: NewtonConfig | None = None
     sequencing n=12 from n=6 took 1.09x the time of the Stokes start.
     """
     start = _coarse_start(dofs, nu, newton)
-    ops = solvers.assemble_operators(dofs.mesh, dofs, assembly.ProblemParams(nu=nu))
-    f_load = assembly.assemble_load(dofs.mesh, dofs,
-                                    lambda x, y: manufactured.exact_forcing(x, y, nu))
+    ops = solvers.assemble_operators(dofs, nu)
+    f_load = assembly.assemble_load(dofs, lambda x, y: manufactured.exact_forcing(x, y, nu))
     if start is not None:
         xi, xi_report = solvers.solve_deterministic_ns(ops, f_load, newton, initial_guess=start)
         if xi_report.converged:
@@ -231,7 +230,7 @@ def noise_loads(cfg: McConfig, ops: solvers.AssembledOperators,
     draws = [noise_mod.sample_noise(grid, amplitude,
                                     noise_mod.substream_key(cfg.base_seed, k))
              for k in samples]
-    loads = assembly.assemble_noise_load(ops.mesh, ops.dofs, draws, geom=ops.geom)
+    loads = assembly.assemble_noise_load(ops.dofs, draws, geom=ops.geom)
     return loads, np.array([noise_mod.noise_l2_norm(d) for d in draws])
 
 
@@ -251,8 +250,7 @@ def _failed(method: str, failure: str) -> SolveReport:
 
 def solve_sample(method: str, ops: solvers.AssembledOperators, xi: FEField,
                  f_load: np.ndarray, noise_loads: np.ndarray, first: int,
-                 newton: NewtonConfig, xi_report: SolveReport,
-                 mono_init: str = "deterministic",
+                 cfg: McConfig, xi_report: SolveReport,
                  k_xi: solvers.LinearizedOperator | None = None,
                  ) -> list[tuple[FEField, SolveReport]]:
     """Solve a block of noise samples with one method: the only route from a
@@ -260,14 +258,19 @@ def solve_sample(method: str, ops: solvers.AssembledOperators, xi: FEField,
 
     ``noise_loads`` (n_u, k) holds the loads of samples first, ..., first+k-1.
     Returns one (full field, report) pair per column, the report stamped with
-    its sample id. Modified solves the whole block at once; split and
-    monolithic solve its columns one by one. The splitting methods return xi
-    plus their correction. The methods that solve on K(xi) (``_uses_k_xi``)
-    take ``k_xi``, built here when none is given; the others ignore it.
-    ``mono_init`` picks the monolithic start, xi or zero, and a monolithic
-    sample is accepted only on its own full residual. Every column fails,
-    with its reason and xi as its field, when the splitting correction has no
-    converged xi to be defined around (unsolved), or when the solve raises.
+    its sample id. Modified solves the whole block at once, at the width of a
+    full chunk: a narrower block (a run's last chunk, or one sample) is
+    padded with zero loads, because the multi-column solve may round a
+    column differently at another width, so a sample's bits would depend on
+    M. Split and monolithic solve the columns one by one with the Newton
+    settings ``cfg.newton``. The splitting methods return xi plus their
+    correction. The methods that solve on K(xi) (``_uses_k_xi``) take
+    ``k_xi``, built here when none is given; the others ignore it.
+    ``cfg.mono_init`` picks the monolithic start, xi or zero, and a
+    monolithic sample is accepted only on its own full residual. Every column
+    fails, with its reason and xi as its field, when the splitting correction
+    has no converged xi to be defined around (unsolved), or when the solve
+    raises.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -277,21 +280,22 @@ def solve_sample(method: str, ops: solvers.AssembledOperators, xi: FEField,
         out = [(xi, _failed(method, failure)) for _ in columns]
     else:
         try:
-            if not _uses_k_xi(method, mono_init, xi_report):
+            if not _uses_k_xi(method, cfg.mono_init, xi_report):
                 k_xi = None
             elif k_xi is None:
                 k_xi = solvers.LinearizedOperator(ops, xi)
             if method == "modified":
+                block = np.pad(noise_loads, ((0, 0), (0, max(CHUNK - len(columns), 0))))
                 out = [(xi + eta, rep) for eta, rep in
-                       solvers.solve_stochastic_modified(ops, k_xi, noise_loads)]
+                       solvers.solve_stochastic_modified(ops, k_xi, block)[:len(columns)]]
             elif method == "split":
                 out = []
                 for load in columns:
-                    eta, rep = solvers.solve_stochastic_full(ops, k_xi, load, newton)
+                    eta, rep = solvers.solve_stochastic_full(ops, k_xi, load, cfg.newton)
                     out.append((xi + eta, rep))
             else:
-                start = xi if mono_init == "deterministic" else FEField.zeros(ops.dofs)
-                out = [solvers.solve_monolithic(ops, f_load, load, newton,
+                start = xi if cfg.mono_init == "deterministic" else FEField.zeros(ops.dofs)
+                out = [solvers.solve_monolithic(ops, f_load, load, cfg.newton,
                                                 initial_guess=start, k_xi=k_xi)
                        for load in columns]
         except Exception as exc:  # one bad sample must not abort the others
@@ -326,8 +330,7 @@ def run_experiment(cfg: McConfig, jobs: int = 1) -> McStats:
             if any(_uses_k_xi(m, cfg.mono_init, xi_report) for m in cfg.methods) else None)
 
     def solve(method: str, block: np.ndarray, first: int) -> list[tuple[FEField, SolveReport]]:
-        return solve_sample(method, ops, xi, f_load, block, first, cfg.newton, xi_report,
-                            cfg.mono_init, k_xi)
+        return solve_sample(method, ops, xi, f_load, block, first, cfg, xi_report, k_xi)
 
     newton_methods = [m for m in ("monolithic", "split") if m in cfg.methods]
     errors = np.geterr()   # pool threads start from numpy's default error state
@@ -372,7 +375,7 @@ def run_experiment(cfg: McConfig, jobs: int = 1) -> McStats:
                         acc_m.add(fld_m)
                         acc_r.add(fld_r)
 
-    mean_fields = {m: acc.mean() for m, acc in per_method.items() if acc.mean() is not None}
+    mean_fields = {m: mean for m, acc in per_method.items() if (mean := acc.mean()) is not None}
     eps = {"split": (None, None), "modified": (None, None)}
     for m in pairs:
         acc_m, acc_r = pair_acc[m]

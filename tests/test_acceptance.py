@@ -116,12 +116,12 @@ def test_criterion_6_trilinear_identity_suite():
     for n in (2, 4, 8):
         mesh = build_structured_mesh(n)
         dofs = build_dof_map(mesh)
-        fields, dim = divergence_free_velocity_fields(mesh, dofs, 20, seed=n)
+        fields, dim = divergence_free_velocity_fields(dofs, 20, seed=n)
         dims[n] = dim
         for w in fields:
             if not np.any(w):
                 continue  # n=2: the constrained space is empty, w = 0
-            skew, annih = trilinear_identity_defects(mesh, dofs, w, rng)
+            skew, annih = trilinear_identity_defects(dofs, w, rng)
             worst_skew = max(worst_skew, skew)
             worst_annih = max(worst_annih, annih)
     record("6 trilinear-identities",

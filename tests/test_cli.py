@@ -195,6 +195,8 @@ SOLVE = ["solve", "--method", "split"]
     (SOLVE, 5, "--config"),
     (["mc", "--samples", "2,3", "--sigma-sweep", "0.5,1"], None, "--samples"),
     (["mc", "--samples", "1", "--mesh-n", "1"], None, "--mesh-n"),
+    ([*SOLVE, "--damping", "0.5"], None, "--damping"),
+    (SOLVE, {"damping": 0.5}, "--config"),
 ])
 def test_hostile_input_is_one_line_usage_error(tmp_path, capsys, argv, config, named):
     argv = [argv[0], "--mesh-n", "2", *argv[1:], "--out-dir", str(tmp_path)]
