@@ -18,13 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
 from .mesh import DofMap, TriMesh
-from .noise import NoiseField
 
 ELEVATED_QUADRATURE_DEGREE = 10
 
@@ -250,23 +249,28 @@ def assemble_load(dofs: DofMap,
     return _velocity_load(dofs, geom.area[:, None, None] * le)
 
 
-def assemble_noise_load(dofs: DofMap, draws: Sequence[NoiseField],
+def assemble_noise_load(dofs: DofMap, n_noise: int, amplitude: float, zetas: np.ndarray,
                         geom: ElementGeometry | None = None) -> np.ndarray:
     """The (n_u, k) block of loads of k >= 1 piecewise-constant noise
-    realizations, one column per draw.
+    realizations at white-noise amplitude ``amplitude``, one column per draw.
 
-    Requires the noise grid to be nested in the FE grid (cells per axis divide
-    the mesh resolution), so every triangle lies in exactly one noise cell and
-    the cell value is constant over it; the cell is found by centroid lookup.
-    The lookup and the element integrals are computed once per call, and one
-    ``np.bincount`` over column-offset dofs sums every draw, adding each
-    column's terms in the order a single draw adds them: column j holds the
-    bits of the call on draw j alone.
+    ``zetas`` (k, n_noise^2, 2) holds the draws of each realization on the
+    n_noise x n_noise grid (``noise.sample_noise``). Requires the noise grid to
+    be nested in the FE grid (cells per axis divide the mesh resolution), so
+    every triangle lies in exactly one noise cell and the cell value is
+    constant over it; the cell is found by centroid lookup. The lookup and
+    the element integrals are computed once per call, and one ``np.bincount``
+    over column-offset dofs sums every draw, adding each column's terms in the
+    order a single draw adds them: column j holds the bits of the call on
+    draw j alone.
     """
-    mesh, grid = dofs.mesh, draws[0].grid
-    n_noise = grid.n_noise
+    mesh = dofs.mesh
     if n_noise < 1:
         raise ValueError("noise grid must have at least one cell")
+    if amplitude < 0:
+        raise ValueError(f"noise amplitude must be >= 0, got {amplitude}")
+    if zetas.ndim != 3 or zetas.shape[1:] != (n_noise ** 2, 2):
+        raise ValueError(f"draws of shape {zetas.shape} are not (k, {n_noise ** 2}, 2)")
     if mesh.n % n_noise != 0:
         raise ValueError(
             f"noise grid ({n_noise} cells per axis) is not nested in the "
@@ -276,12 +280,12 @@ def assemble_noise_load(dofs: DofMap, draws: Sequence[NoiseField],
     ix = np.minimum((centroids[:, 0] * n_noise).astype(int), n_noise - 1)
     iy = np.minimum((centroids[:, 1] * n_noise).astype(int), n_noise - 1)
     cell = iy * n_noise + ix
-    scale = np.array([d.sigma for d in draws]) / np.sqrt(grid.cell_volume)
-    fvals = scale[:, None, None] * np.stack([d.zeta for d in draws])[:, cell]   # (k, T, 2)
+    scale = amplitude / np.sqrt(1.0 / n_noise ** 2)
+    fvals = scale * zetas[:, cell]                                  # (k, T, 2)
 
     phi_int = np.outer(geom.area, geom.wphi.sum(axis=0))           # int_T phi_i
     blocks = fvals[..., None] * phi_int[:, None, :]                 # (k, T, 2, 6)
-    k, n_u = len(draws), dofs.n_velocity_dofs
+    k, n_u = len(zetas), dofs.n_velocity_dofs
     index = dofs.element_dofs[:, :12].ravel() + n_u * np.arange(k)[:, None]
     return np.bincount(index.ravel(), weights=blocks.ravel(),
                        minlength=k * n_u).reshape(k, n_u).T

@@ -408,8 +408,7 @@ def run_verification(include_convergence: bool = False,
                                    f"max_rel_gap={gap:.2e} tol=1e-10"))
 
     # quick noise sanity: one-cell statistics over 10^4 draws
-    grid = noise_mod.NoiseGrid(2)
-    draws = np.array([noise_mod.sample_noise(grid, 1.0, noise_mod.substream_key(5, k)).zeta
+    draws = np.array([noise_mod.sample_noise(2, noise_mod.substream_key(5, k))
                       for k in range(10_000)])
     mean_err = float(np.abs(draws.mean(axis=0)).max())
     var = draws.reshape(len(draws), -1).var(axis=0, ddof=1)

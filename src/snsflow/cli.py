@@ -35,7 +35,6 @@ DEFAULTS = {
     "samples": str(_MC.M),
     "mesh_n": _MC.mesh_n,
     "noise_n": None,   # resolved to --mesh-n when not given
-
     "seed": _MC.base_seed,
     "jobs": 1,
     "methods": ",".join(_MC.methods),
@@ -54,6 +53,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
+    """The flags of every command."""
     p.add_argument("--config", help="JSON file with flag defaults")
     p.add_argument("--nu", type=float, help="kinematic viscosity")
     p.add_argument("--sigma", type=float,
@@ -61,13 +61,18 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mesh-n", dest="mesh_n", type=int, help="FE grid resolution")
     p.add_argument("--noise-n", dest="noise_n", type=int,
                    help="noise cells per axis (must divide --mesh-n)")
+
+
+def _add_solving(p: argparse.ArgumentParser) -> None:
+    """The flags of the commands that solve and write files, solve and mc."""
+    _add_common(p)
     p.add_argument("--seed", type=int, help="base seed for all randomness")
-    p.add_argument("--jobs", type=int, help="concurrent samples")
-    p.add_argument("--methods", help="comma list from monolithic,split,modified")
     p.add_argument("--newton-tol", dest="newton_tol", type=float,
                    help="Newton tolerance, absolute and relative to the first residual")
     p.add_argument("--newton-max-iter", dest="newton_max_iter", type=int)
     p.add_argument("--out-dir", dest="out_dir", help="output directory")
+    p.add_argument("--init", choices=["deterministic", "zero"],
+                   help="monolithic initial guess")
 
 
 def build_parser() -> _Parser:
@@ -75,22 +80,20 @@ def build_parser() -> _Parser:
                      description="Steady stochastic flow solver and experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", parents=[], help="one solve, one sample")
-    _add_common(p_solve)
+    p_solve = sub.add_parser("solve", help="one solve, one sample")
+    _add_solving(p_solve)
     p_solve.add_argument("--method", required=True,
                          choices=["deterministic", "monolithic", "split", "modified"])
-    p_solve.add_argument("--init", choices=["deterministic", "zero"],
-                         help="monolithic initial guess")
     p_solve.add_argument("--sample-index", dest="sample_index", type=int,
                          help="noise substream index")
 
     p_mc = sub.add_parser("mc", help="Monte Carlo experiment over sample counts")
-    _add_common(p_mc)
+    _add_solving(p_mc)
+    p_mc.add_argument("--jobs", type=int, help="concurrent samples")
+    p_mc.add_argument("--methods", help="comma list from monolithic,split,modified")
     p_mc.add_argument("--samples", help="sample count or comma list, e.g. 50,100,200")
     p_mc.add_argument("--sigma-sweep", dest="sigma_sweep",
                       help="comma list of amplitudes; one run per value at fixed M")
-    p_mc.add_argument("--init", choices=["deterministic", "zero"],
-                      help="monolithic initial guess")
 
     p_verify = sub.add_parser("verify", help="run the verification battery")
     _add_common(p_verify)
@@ -102,8 +105,10 @@ def build_parser() -> _Parser:
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
+    """DEFAULTS, then the ``--config`` keys of the command's flags, then its flags."""
     merged = dict(DEFAULTS)
-    cfg_path = getattr(args, "config", None)
+    taken = set(DEFAULTS) & set(vars(args))
+    cfg_path = args.config
     if cfg_path:
         try:
             with open(cfg_path) as fh:
@@ -112,15 +117,15 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise UsageError(f"--config: cannot read {cfg_path}: {exc}")
         if not isinstance(file_values, dict):
             raise UsageError(f"--config: {cfg_path} must hold a JSON object")
-        unknown = set(file_values) - set(DEFAULTS)
+        unknown = set(file_values) - taken
         if unknown:
-            raise UsageError(f"--config: unknown keys {sorted(unknown)}")
+            raise UsageError(f"--config: unknown keys for {args.command}: {sorted(unknown)}")
         for key, value in file_values.items():
             if not _config_type_ok(key, value):
                 raise UsageError(f"--config: {key} has the wrong type ({value!r})")
         merged.update(file_values)
-    for key in DEFAULTS:
-        value = getattr(args, key, None)
+    for key in taken:
+        value = getattr(args, key)
         if value is not None:
             merged[key] = value
     return merged
@@ -159,6 +164,7 @@ def _validate(merged: dict) -> dict:
         raise UsageError("--nu must be positive and finite")
     if not (isfinite(out["sigma"]) and out["sigma"] >= 0):
         raise UsageError("--sigma must be finite and non-negative")
+    out["sigma"] = abs(out["sigma"])   # -0.0 passes >= 0; written as sigma=0
     if out["jobs"] < 1:
         raise UsageError("--jobs must be >= 1")
     for key in ("seed", "sample_index"):
@@ -190,7 +196,7 @@ def _amplitudes(text) -> list[float]:
         values = []
     if not values or not all(isfinite(s) and s >= 0 for s in values):
         raise UsageError("--sigma-sweep must be a comma list of finite non-negative numbers")
-    return values
+    return [abs(s) for s in values]   # -0.0 passes >= 0; written as sigma=0
 
 
 def _mc_config(v: dict, m: int, sigma: float | None = None) -> McConfig:
@@ -304,9 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        merged = _merge_config(args)
-        merged.setdefault("init", DEFAULTS["init"])
-        v = _validate(merged)
+        v = _validate(_merge_config(args))
         # extreme physics overflows into inf and NaN; those fail their reports,
         # with a reason, instead of printing numpy warnings
         with np.errstate(all="ignore"):
@@ -314,15 +318,14 @@ def main(argv: list[str] | None = None) -> int:
                 v["method"] = args.method
                 return cmd_solve(v)
             if args.command == "mc":
-                v["sigma_sweep"] = getattr(args, "sigma_sweep", None)
+                v["sigma_sweep"] = args.sigma_sweep
                 return cmd_mc(v)
-            return cmd_verify(v, getattr(args, "convergence", False),
-                              getattr(args, "mutate", None))
+            return cmd_verify(v, args.convergence, args.mutate)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except solvers.SingularSystemError as exc:
-        print(f"error: the discrete problem is singular (is --mesh-n too small?): {exc}",
+        print(f"error: the discrete problem is singular (is --mesh-n or --nu too small?): {exc}",
               file=sys.stderr)
         return EXIT_USAGE
 

@@ -91,21 +91,28 @@ class SingularSystemError(RuntimeError):
 
 @dataclass
 class FEField:
-    """Velocity/pressure coefficient pair on one dof map."""
+    """A field on one dof map: ``values`` is the saddle vector [velocity; pressure]
+    in the dof map's unknown order, and ``velocity`` and ``pressure`` are views of it."""
 
-    velocity: np.ndarray
-    pressure: np.ndarray
+    values: np.ndarray
     dofs: DofMap
+
+    @property
+    def velocity(self) -> np.ndarray:
+        return self.values[:self.dofs.n_velocity_dofs]
+
+    @property
+    def pressure(self) -> np.ndarray:
+        return self.values[self.dofs.n_velocity_dofs:]
 
     def __add__(self, other: "FEField") -> "FEField":
         if other.dofs is not self.dofs:
             raise ValueError("fields live on different dof maps")
-        return FEField(self.velocity + other.velocity,
-                       self.pressure + other.pressure, self.dofs)
+        return FEField(self.values + other.values, self.dofs)
 
     @classmethod
     def zeros(cls, dofs: DofMap) -> "FEField":
-        return cls(np.zeros(dofs.n_velocity_dofs), np.zeros(dofs.n_pressure_dofs), dofs)
+        return cls(np.zeros(dofs.n_velocity_dofs + dofs.n_pressure_dofs), dofs)
 
 
 @dataclass(frozen=True)
@@ -171,13 +178,11 @@ def assemble_operators(dofs: DofMap, nu: float) -> AssembledOperators:
     return AssembledOperators(dofs=dofs, geom=geom, stokes=stokes)
 
 
-def _saddle_residual(dofs: DofMap, data: np.ndarray, u: np.ndarray, p: np.ndarray,
+def _saddle_residual(dofs: DofMap, data: np.ndarray, x: np.ndarray,
                      load: np.ndarray) -> np.ndarray:
-    """[A u + B^T p - load; B u] for the operator ``data``, Dirichlet rows zeroed.
-
-    ``u``, ``p`` and ``load`` may carry one column per load.
-    """
-    residual = dofs.pattern.matrix(data) @ np.concatenate([u, p])
+    """[A u + B^T p - load; B u] at x = [u; p] for the operator ``data``, Dirichlet
+    rows zeroed; ``x`` and ``load`` may carry one column per load."""
+    residual = dofs.pattern.matrix(data) @ x
     residual[:dofs.n_velocity_dofs] -= load
     residual[:dofs.n_velocity_dofs][dofs.dirichlet_mask] = 0.0
     return residual
@@ -286,9 +291,7 @@ def linear_saddle_solve(dofs: DofMap, data: np.ndarray, rhs: np.ndarray) -> np.n
 
 def solve_stokes(ops: AssembledOperators, load: np.ndarray) -> FEField:
     """Linear solve without convection; the deterministic initial guess."""
-    x = linear_saddle_solve(ops.dofs, ops.stokes, load)
-    n_u = ops.dofs.n_velocity_dofs
-    return FEField(x[:n_u], x[n_u:], ops.dofs)
+    return FEField(linear_saddle_solve(ops.dofs, ops.stokes, load), ops.dofs)
 
 
 class LinearizedOperator:
@@ -302,10 +305,9 @@ class LinearizedOperator:
 
     def __init__(self, ops: AssembledOperators, xi: FEField):
         n1, n2 = assembly.assemble_convection_linearized(ops.dofs, xi.velocity, geom=ops.geom)
-        self.dofs = ops.dofs
         self.data = ops.stokes + n1 + n2
         try:
-            self.factor, self.failure = factor_saddle(self.dofs, self.data), ""
+            self.factor, self.failure = factor_saddle(ops.dofs, self.data), ""
         except SingularSystemError as exc:
             self.factor, self.failure = None, str(exc)
 
@@ -377,11 +379,10 @@ def _krylov_step(dofs: DofMap, jacobian: np.ndarray, rhs: np.ndarray,
     return None, its
 
 
-def _newton(ops: AssembledOperators, load: np.ndarray,
-            u0: np.ndarray, p0: np.ndarray, cfg: NewtonConfig,
+def _newton(ops: AssembledOperators, load: np.ndarray, x0: np.ndarray, cfg: NewtonConfig,
             krylov: bool = False, linear: np.ndarray | None = None,
             precond: SaddleFactor | None = None) -> tuple[FEField, SolveReport]:
-    """Newton iteration on linear [u; p] + c(u,u,.) = load.
+    """Newton iteration on linear [u; p] + c(u,u,.) = load from the start x0.
 
     ``linear`` is the pattern data of the linear part, ``ops.stokes`` unless
     given; the correction equation passes K(xi), which adds the coupling
@@ -400,19 +401,19 @@ def _newton(ops: AssembledOperators, load: np.ndarray,
     n_u = dofs.n_velocity_dofs
     if linear is None:
         linear = ops.stokes
-    u, p = u0.copy(), p0.copy()
-    u[dofs.dirichlet_mask] = 0.0
+    x = x0.copy()
+    x[:n_u][dofs.dirichlet_mask] = 0.0
     history: list[float] = []
     solves, inner, fallbacks = 0, 0, 0
 
     def report(converged: bool, r_norm: float, failure: str = "") -> tuple[FEField, SolveReport]:
-        return (FEField(u, p, dofs),
+        return (FEField(x, dofs),
                 SolveReport(converged, solves, r_norm, history, failure=failure,
                             inner_iterations=inner, fallbacks=fallbacks))
 
     for _ in range(cfg.max_iter + 1):
-        conv = assembly.assemble_convection_load(dofs, u, geom=ops.geom)
-        residual = _saddle_residual(dofs, linear, u, p, load - conv)
+        conv = assembly.assemble_convection_load(dofs, x[:n_u], geom=ops.geom)
+        residual = _saddle_residual(dofs, linear, x, load - conv)
         r_norm = float(np.linalg.norm(residual))
         history.append(r_norm)
         if not np.isfinite(r_norm):
@@ -422,28 +423,27 @@ def _newton(ops: AssembledOperators, load: np.ndarray,
             return report(True, r_norm)
         if solves >= cfg.max_iter:
             break
-        n1, n2 = assembly.assemble_convection_linearized(dofs, u, geom=ops.geom)
+        n1, n2 = assembly.assemble_convection_linearized(dofs, x[:n_u], geom=ops.geom)
         jacobian = linear + n1 + n2
         del n1, n2  # not held through the solve, where the peak memory is
-        x = None
+        step = None
         if precond is not None:
             forcing = min(INNER_RTOL, max(r_norm / history[0], 0.5 * tol / r_norm))
-            x, its = _krylov_step(dofs, jacobian, -residual, precond, forcing)
+            step, its = _krylov_step(dofs, jacobian, -residual, precond, forcing)
             inner += its
-        if x is None:
+        if step is None:
             precond = None  # freed before the new factorization: one LU at a time
             try:
                 factor = factor_saddle(dofs, jacobian)
             except SingularSystemError as exc:
                 return report(False, r_norm, str(exc))
-            x, (failure,) = factor.solve(-residual)
+            step, (failure,) = factor.solve(-residual)
             if failure:
                 return report(False, r_norm, failure)
             if krylov:
                 precond, fallbacks = factor, fallbacks + 1
             del factor  # else held through the next step's factorization
-        u = u + x[:n_u]
-        p = p + x[n_u:]
+        x = x + step
         solves += 1
     return report(False, history[-1], "max iterations reached")
 
@@ -463,7 +463,7 @@ def solve_deterministic_ns(ops: AssembledOperators, f_load: np.ndarray,
     """
     cfg = cfg or NewtonConfig()
     init = solve_stokes(ops, f_load) if initial_guess is None else initial_guess
-    fld, report = _newton(ops, f_load, init.velocity, init.pressure, cfg, krylov=True)
+    fld, report = _newton(ops, f_load, init.values, cfg, krylov=True)
     if initial_guess is None:
         report.iterations += 1
     report.method = "deterministic"
@@ -480,9 +480,9 @@ def solve_stochastic_full(ops: AssembledOperators, k_xi: LinearizedOperator,
     correction. A fallback's own factor preconditions this sample's later
     steps and leaves ``k_xi`` untouched.
     """
-    fld, report = _newton(ops, noise_load, np.zeros(ops.dofs.n_velocity_dofs),
-                          np.zeros(ops.dofs.n_pressure_dofs), cfg or NewtonConfig(),
-                          krylov=True, linear=k_xi.data, precond=k_xi.factor)
+    fld, report = _newton(ops, noise_load, FEField.zeros(ops.dofs).values,
+                          cfg or NewtonConfig(), krylov=True, linear=k_xi.data,
+                          precond=k_xi.factor)
     report.method = "split"
     return fld, report
 
@@ -502,11 +502,8 @@ def solve_stochastic_modified(ops: AssembledOperators, k_xi: LinearizedOperator,
 
     if k_xi.factor is None:
         return [failed(k_xi.failure) for _ in range(noise_loads.shape[1])]
-    n_u = ops.dofs.n_velocity_dofs
     x, failures = k_xi.factor.solve(noise_loads)
-    velocity, pressure = x[:n_u], x[n_u:]
-    r_norms = np.linalg.norm(_saddle_residual(ops.dofs, k_xi.data, velocity, pressure,
-                                              noise_loads), axis=0)
+    r_norms = np.linalg.norm(_saddle_residual(ops.dofs, k_xi.data, x, noise_loads), axis=0)
     out = []
     for j, failure in enumerate(failures):
         r_norm = float(r_norms[j])
@@ -515,7 +512,7 @@ def solve_stochastic_modified(ops: AssembledOperators, k_xi: LinearizedOperator,
         if failure:
             out.append(failed(failure))
         else:
-            out.append((FEField(velocity[:, j], pressure[:, j], ops.dofs),
+            out.append((FEField(x[:, j], ops.dofs),
                         SolveReport(True, 1, r_norm, [r_norm], method="modified")))
     return out
 
@@ -532,8 +529,7 @@ def solve_monolithic(ops: AssembledOperators, f_load: np.ndarray,
     Newton-Krylov starting from that factor, like the split one. Either way a
     sample converges only on the residual of its own full equation.
     """
-    fld, report = _newton(ops, f_load + noise_load, initial_guess.velocity,
-                          initial_guess.pressure, cfg or NewtonConfig(),
+    fld, report = _newton(ops, f_load + noise_load, initial_guess.values, cfg or NewtonConfig(),
                           krylov=k_xi is not None,
                           precond=None if k_xi is None else k_xi.factor)
     report.method = "monolithic"

@@ -117,8 +117,8 @@ class Diagnostics:
 
 
 class _MeanAccumulator:
-    """Compensated (Kahan) sum of fields over [u; p]; deterministic for a fixed
-    add order."""
+    """Compensated (Kahan) sum of field values; deterministic for a fixed add
+    order."""
 
     def __init__(self, dofs: DofMap):
         self.dofs = dofs
@@ -127,7 +127,7 @@ class _MeanAccumulator:
         self._comp = np.zeros_like(self._sum)
 
     def add(self, fld: FEField) -> None:
-        y = np.concatenate([fld.velocity, fld.pressure]) - self._comp
+        y = fld.values - self._comp
         t = self._sum + y
         self._comp = (t - self._sum) - y
         self._sum = t
@@ -136,13 +136,12 @@ class _MeanAccumulator:
     def mean(self) -> FEField | None:
         if self.count == 0:
             return None
-        n_u = self.dofs.n_velocity_dofs
-        return FEField(self._sum[:n_u] / self.count, self._sum[n_u:] / self.count,
-                       self.dofs)
+        return FEField(self._sum / self.count, self.dofs)
 
 
 def _noise_amplitude(cfg: McConfig) -> float:
-    return cfg.sigma * np.sqrt(noise_mod.NoiseGrid(cfg.noise_n).cell_volume)
+    """The white-noise amplitude sigma * sqrt(cell volume)."""
+    return cfg.sigma * np.sqrt(1.0 / cfg.noise_n ** 2)
 
 
 def prepare(dofs: DofMap, nu: float, newton: NewtonConfig | None = None
@@ -205,14 +204,14 @@ def prolongate(coarse: FEField, dofs: DofMap) -> FEField:
     nodes = node_at[at[..., 0], at[..., 1]]                      # (T, 15)
     phi2, _ = assembly.p2_shape(_QUARTER_POINTS)
     coef = coarse.velocity[coarse.dofs.element_dofs[:, :12]].reshape(-1, 2, 6)
-    values = coef @ phi2.T                                       # (T, 2, 15)
-    nn = dofs.n_scalar_nodes
-    velocity = np.empty(2 * nn)
-    velocity[nodes], velocity[nn + nodes] = values[:, 0], values[:, 1]
-    # P1 at every fine P2 node; the vertices come first
-    pressure = np.empty(nn)
-    pressure[nodes] = coarse.pressure[coarse_mesh.triangles] @ assembly.p1_shape(_QUARTER_POINTS).T
-    return FEField(velocity, pressure[:dofs.n_pressure_dofs], dofs)
+    velocity = coef @ phi2.T                                     # (T, 2, 15)
+    nn, fine = dofs.n_scalar_nodes, FEField.zeros(dofs)
+    fine.velocity[nodes], fine.velocity[nn + nodes] = velocity[:, 0], velocity[:, 1]
+    # P1 at the fine vertices, which are the first P2 nodes
+    pressure = coarse.pressure[coarse_mesh.triangles] @ assembly.p1_shape(_QUARTER_POINTS).T
+    vertex = nodes < dofs.n_pressure_dofs
+    fine.pressure[nodes[vertex]] = pressure[vertex]
+    return fine
 
 
 def noise_loads(cfg: McConfig, ops: solvers.AssembledOperators,
@@ -225,13 +224,12 @@ def noise_loads(cfg: McConfig, ops: solvers.AssembledOperators,
     assembles the block; each column is contiguous, so a sample's solve
     reads its load in place.
     """
-    grid = noise_mod.NoiseGrid(cfg.noise_n)
     amplitude = _noise_amplitude(cfg)
-    draws = [noise_mod.sample_noise(grid, amplitude,
-                                    noise_mod.substream_key(cfg.base_seed, k))
-             for k in samples]
-    loads = assembly.assemble_noise_load(ops.dofs, draws, geom=ops.geom)
-    return loads, np.array([noise_mod.noise_l2_norm(d) for d in draws])
+    zetas = np.stack([noise_mod.sample_noise(cfg.noise_n,
+                                             noise_mod.substream_key(cfg.base_seed, k))
+                      for k in samples])
+    loads = assembly.assemble_noise_load(ops.dofs, cfg.noise_n, amplitude, zetas, geom=ops.geom)
+    return loads, np.array([noise_mod.noise_l2_norm(amplitude, zeta) for zeta in zetas])
 
 
 def _uses_k_xi(method: str, mono_init: str, xi_report: SolveReport) -> bool:
@@ -425,7 +423,7 @@ def diagnostics(cfg: McConfig) -> Diagnostics:
     """Evaluate the smallness indicator and the expected perturbation ratio."""
     forcing_norm = manufactured.forcing_l2_norm(cfg.nu)
     indicator = float(forcing_norm / np.square(cfg.nu))   # inf, not OverflowError
-    n_cells = noise_mod.NoiseGrid(cfg.noise_n).n_cells
+    n_cells = cfg.noise_n ** 2
     # mean of the chi distribution with 2*n_cells degrees of freedom
     chi_mean = np.sqrt(2.0) * exp(gammaln(n_cells + 0.5) - gammaln(n_cells))
     expected_kappa = _noise_amplitude(cfg) * chi_mean / forcing_norm

@@ -131,8 +131,7 @@ def test_criterion_6_trilinear_identity_suite():
 
 
 def test_criterion_7_noise_statistics():
-    grid = noise_mod.NoiseGrid(2)
-    draws = np.array([noise_mod.sample_noise(grid, 1.0, noise_mod.substream_key(5, k)).zeta
+    draws = np.array([noise_mod.sample_noise(2, noise_mod.substream_key(5, k))
                       for k in range(10_000)])
     flat = draws.reshape(len(draws), -1)
     mean_max = float(np.abs(flat.mean(axis=0)).max())

@@ -25,7 +25,7 @@ from snsflow.checks import (
 )
 from snsflow.manufactured import exact_forcing, interpolate_velocity
 from snsflow.mesh import build_dof_map, build_structured_mesh
-from snsflow.noise import NoiseField, NoiseGrid, sample_noise
+from snsflow.noise import sample_noise
 
 
 @pytest.fixture(scope="module")
@@ -159,38 +159,46 @@ def test_manufactured_load_matches_oracle_rule(dofs2):
 
 
 def test_noise_load_zero_draws(dofs4):
-    field = NoiseField(NoiseGrid(2), 1.0, np.zeros((4, 2)), seed=0)
-    assert np.all(assemble_noise_load(dofs4, [field]) == 0)
+    assert np.all(assemble_noise_load(dofs4, 2, 1.0, np.zeros((1, 4, 2))) == 0)
 
 
 def test_noise_load_linear_in_sigma(dofs4):
-    draw = sample_noise(NoiseGrid(2), 0.7, seed=42)
-    doubled = NoiseField(draw.grid, 1.4, draw.zeta, draw.seed)
-    l1, l2 = assemble_noise_load(dofs4, [draw, doubled]).T
+    zetas = sample_noise(2, 42)[None]
+    [l1] = assemble_noise_load(dofs4, 2, 0.7, zetas).T
+    [l2] = assemble_noise_load(dofs4, 2, 1.4, zetas).T
     assert np.allclose(l2, 2 * l1, rtol=0, atol=1e-15)
 
 
 def test_single_cell_noise_equals_constant_forcing(dofs4):
     sigma = 1.3
-    field = NoiseField(NoiseGrid(1), sigma, np.array([[1.0, 0.0]]), seed=0)
-    [noise_load] = assemble_noise_load(dofs4, [field]).T
+    [noise_load] = assemble_noise_load(dofs4, 1, sigma, np.array([[[1.0, 0.0]]])).T
     const_load = assemble_load(dofs4,
                                lambda x, y: (sigma * np.ones_like(x), 0.0 * y))
     assert np.abs(noise_load - const_load).max() <= 1e-14
 
 
 def test_noise_load_rejects_non_nested_grids(dofs4):
-    field = sample_noise(NoiseGrid(3), 1.0, seed=1)
     with pytest.raises(ValueError, match="nested"):
-        assemble_noise_load(dofs4, [field])
+        assemble_noise_load(dofs4, 3, 1.0, sample_noise(3, 1)[None])
+
+
+def test_noise_load_rejects_a_negative_amplitude(dofs4):
+    with pytest.raises(ValueError, match="amplitude"):
+        assemble_noise_load(dofs4, 1, -0.1, sample_noise(1, 0)[None])
+
+
+def test_noise_load_rejects_an_empty_grid_and_mismatched_draws(dofs4):
+    with pytest.raises(ValueError, match="at least one cell"):
+        assemble_noise_load(dofs4, 0, 1.0, np.zeros((1, 0, 2)))
+    with pytest.raises(ValueError, match="not"):
+        assemble_noise_load(dofs4, 2, 1.0, sample_noise(1, 0)[None])
 
 
 def test_noise_load_cell_lookup(dofs4):
     # a draw active in a single cell only loads nodes touching that cell
     zeta = np.zeros((4, 2))
     zeta[3] = (1.0, 0.0)  # upper-right cell of a 2x2 grid
-    field = NoiseField(NoiseGrid(2), 1.0, zeta, seed=0)
-    [load] = assemble_noise_load(dofs4, [field]).T
+    [load] = assemble_noise_load(dofs4, 2, 1.0, zeta[None]).T
     nn = dofs4.n_scalar_nodes
     active = np.abs(load[:nn]) > 0
     coords = dofs4.node_coords[active]
@@ -253,11 +261,11 @@ def _einsum_kernels(mesh, dofs, w, nu, forcing, noise):
     le = np.einsum("q,t,dtq,qi->tdi", fine.wq, area, f, fine.phi2)
     out["body_load"] = assembly._velocity_load(dofs, le)
 
-    n_noise = noise.grid.n_noise
+    n_noise, amplitude, zeta = noise
     centroids = mesh.vertices[tri].mean(axis=1)
     cell = (np.minimum((centroids[:, 1] * n_noise).astype(int), n_noise - 1) * n_noise
             + np.minimum((centroids[:, 0] * n_noise).astype(int), n_noise - 1))
-    fvals = noise.sigma / np.sqrt(noise.grid.cell_volume) * noise.zeta[cell]
+    fvals = amplitude / np.sqrt(1.0 / n_noise ** 2) * zeta[cell]
     phi_int = np.einsum("q,t,qi->ti", wq, area, phi2)
     out["noise_load"] = assembly._velocity_load(dofs, fvals[:, :, None] * phi_int[:, None, :])
     return out
@@ -268,9 +276,9 @@ def test_element_tables_match_multi_operand_einsum(n):
     mesh = build_structured_mesh(n)
     dofs = build_dof_map(mesh)
     w = np.random.default_rng(n).standard_normal(dofs.n_velocity_dofs)
-    noise = sample_noise(NoiseGrid(n), 1.3, seed=n)
+    zeta = sample_noise(n, n)
     forcing = lambda x, y: exact_forcing(x, y, 0.02)  # noqa: E731
-    want = _einsum_kernels(mesh, dofs, w, 0.02, forcing, noise)
+    want = _einsum_kernels(mesh, dofs, w, 0.02, forcing, (n, 1.3, zeta))
 
     geom = ElementGeometry(mesh)
     n1, n2 = assemble_convection_linearized(dofs, w, geom=geom)
@@ -281,7 +289,7 @@ def test_element_tables_match_multi_operand_einsum(n):
         "n1": n1,
         "n2": n2,
         "body_load": assemble_load(dofs, forcing),
-        "noise_load": assemble_noise_load(dofs, [noise], geom=geom)[:, 0],
+        "noise_load": assemble_noise_load(dofs, n, 1.3, zeta[None], geom=geom)[:, 0],
     }
     for name, ref in want.items():
         defect = np.abs(got[name] - ref).max() / np.abs(ref).max()

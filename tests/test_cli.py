@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -197,9 +198,14 @@ SOLVE = ["solve", "--method", "split"]
     (["mc", "--samples", "1", "--mesh-n", "1"], None, "--mesh-n"),
     ([*SOLVE, "--damping", "0.5"], None, "--damping"),
     (SOLVE, {"damping": 0.5}, "--config"),
+    ([*SOLVE, "--nu", "5e-324"], None, "--nu"),
+    ([*SOLVE, "--jobs", "2"], None, "--jobs"),
+    (["verify", "--seed", "3"], None, "--seed"),
+    (SOLVE, {"jobs": 2}, "--config"),
 ])
 def test_hostile_input_is_one_line_usage_error(tmp_path, capsys, argv, config, named):
-    argv = [argv[0], "--mesh-n", "2", *argv[1:], "--out-dir", str(tmp_path)]
+    out_dir = [] if argv[0] == "verify" else ["--out-dir", str(tmp_path)]
+    argv = [argv[0], "--mesh-n", "2", *argv[1:], *out_dir]
     if config is not None:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
@@ -326,6 +332,31 @@ def test_exception_in_a_solve_is_a_failed_report(tmp_path, monkeypatch, capsys):
     assert not rep.converged and rep.failure == "FloatingPointError: boom"
     rows = (tmp_path / "samples.csv").read_text().splitlines()
     assert rows[-1] == "split,2,0,0,inf"
+
+
+@pytest.mark.parametrize("negative_zero", [["--sigma", "-0.0"], ["--sigma-sweep=-0"]])
+def test_negative_zero_sigma_writes_the_bytes_of_zero(tmp_path, capsys, negative_zero):
+    args = ("mc", "--mesh-n", "4", "--samples", "2", "--seed", "3")
+    assert run_cli(*args, "--sigma", "0", "--out-dir", str(tmp_path / "zero")) == EXIT_OK
+    zero = capsys.readouterr().out
+    assert run_cli(*args, *negative_zero, "--out-dir", str(tmp_path / "neg")) == EXIT_OK
+    assert capsys.readouterr().out == zero and "sigma=0 " in zero
+    names = sorted(p.name for p in (tmp_path / "zero").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "neg").iterdir())
+    for name in names:
+        assert (tmp_path / "neg" / name).read_bytes() == (tmp_path / "zero" / name).read_bytes()
+
+
+def test_each_command_takes_only_the_flags_it_reads(capsys):
+    flags = {}
+    for command in ("solve", "mc", "verify"):
+        assert run_cli(command, "--help") == EXIT_OK
+        flags[command] = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
+    common = {"--config", "--nu", "--sigma", "--mesh-n", "--noise-n"}
+    solving = common | {"--seed", "--newton-tol", "--newton-max-iter", "--out-dir", "--init"}
+    assert flags["verify"] == common | {"--convergence", "--mutate"}
+    assert flags["solve"] == solving | {"--method", "--sample-index"}
+    assert flags["mc"] == solving | {"--jobs", "--methods", "--samples", "--sigma-sweep"}
 
 
 def test_huge_kappa_prints_a_short_stats_line(tmp_path, capsys):

@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 from snsflow import assembly, manufactured as mf, solvers
 from snsflow.checks import DenseOracle, splitting_equivalence_max_defect, velocity_block
 from snsflow.mesh import build_dof_map, build_structured_mesh
-from snsflow.noise import NoiseGrid, sample_noise, substream_key
+from snsflow.noise import sample_noise, substream_key
 from snsflow.solvers import (
     FEField,
     NewtonConfig,
@@ -39,10 +39,10 @@ def _forcing_load(dofs, nu=NU):
 
 
 def _noise_load(ops, sigma, n_noise, seed=0, sample=0):
-    grid = NoiseGrid(n_noise)
-    amplitude = sigma * math.sqrt(grid.cell_volume)
-    draw = sample_noise(grid, amplitude, substream_key(seed, sample))
-    return assembly.assemble_noise_load(ops.dofs, [draw], geom=ops.geom)[:, 0]
+    amplitude = sigma * math.sqrt(1.0 / n_noise ** 2)
+    zeta = sample_noise(n_noise, substream_key(seed, sample))
+    return assembly.assemble_noise_load(ops.dofs, n_noise, amplitude, zeta[None],
+                                        geom=ops.geom)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +626,7 @@ def test_monolithic_minus_deterministic_equals_correction():
     eta, rep_s = solve_stochastic_full(ops, solvers.LinearizedOperator(ops, xi), noise_load)
     mono, rep_m = solve_monolithic(ops, load, noise_load, initial_guess=xi)
     assert rep_s.converged and rep_m.converged
-    diff = FEField(mono.velocity - xi.velocity, mono.pressure - xi.pressure, dofs)
+    diff = FEField(mono.values - xi.values, dofs)
     gap = mf.l2_error(diff, eta)
     assert gap <= 1e-10 * max(mf.velocity_l2_norm(dofs, mono.velocity), 1e-30)
 
@@ -724,6 +724,17 @@ def test_newton_assembles_jacobian_only_for_steps(monkeypatch):
     # one more linearization: the frozen coupling terms around xi
     assert counts == {"assemble_convection_linearized": rep.iterations + 1,
                       "assemble_convection_load": len(rep.residual_history)}
+
+
+def test_velocity_and_pressure_are_views_of_the_values():
+    dofs = build_dof_map(build_structured_mesh(2))
+    fld = FEField.zeros(dofs)
+    fld.velocity[0] = 1.0
+    fld.pressure[-1] = 2.0
+    assert fld.values[0] == 1.0 and fld.values[-1] == 2.0
+    assert len(fld.values) == dofs.n_velocity_dofs + dofs.n_pressure_dofs
+    assert (len(fld.velocity), len(fld.pressure)) == (dofs.n_velocity_dofs,
+                                                      dofs.n_pressure_dofs)
 
 
 def test_field_addition_requires_shared_dof_map():

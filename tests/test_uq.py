@@ -66,15 +66,16 @@ def test_zero_amplitude_collapses_to_deterministic():
 
 def test_error_statistics_identical_means():
     dofs = build_dof_map(build_structured_mesh(3))
-    fld = FEField(np.ones(dofs.n_velocity_dofs), np.zeros(dofs.n_pressure_dofs), dofs)
-    eps, rel = error_statistics(fld, FEField(fld.velocity.copy(), fld.pressure.copy(), dofs))
+    fld = FEField.zeros(dofs)
+    fld.velocity[:] = 1.0
+    eps, rel = error_statistics(fld, FEField(fld.values.copy(), dofs))
     assert eps == 0.0 and rel == 0.0
 
 
 def test_error_statistics_zero_method_mean_against_interpolant():
     dofs = build_dof_map(build_structured_mesh(6))
-    ref = FEField(mf.interpolate_velocity(dofs, mf.exact_velocity),
-                  np.zeros(dofs.n_pressure_dofs), dofs)
+    ref = FEField.zeros(dofs)
+    ref.velocity[:] = mf.interpolate_velocity(dofs, mf.exact_velocity)
     eps, rel = error_statistics(FEField.zeros(dofs), ref)
     assert eps == pytest.approx(mf.velocity_l2_norm(dofs, ref.velocity), rel=1e-12)
     assert rel == pytest.approx(1.0, rel=1e-12)
@@ -82,7 +83,8 @@ def test_error_statistics_zero_method_mean_against_interpolant():
 
 def test_error_statistics_zero_reference_is_nan_sentinel():
     dofs = build_dof_map(build_structured_mesh(2))
-    some = FEField(np.ones(dofs.n_velocity_dofs), np.zeros(dofs.n_pressure_dofs), dofs)
+    some = FEField.zeros(dofs)
+    some.velocity[:] = 1.0
     eps, rel = error_statistics(some, FEField.zeros(dofs))
     assert eps > 0 and np.isnan(rel)
 
@@ -97,12 +99,12 @@ def test_two_sample_mean_against_direct_average():
     load = assembly.assemble_load(dofs, lambda x, y: mf.exact_forcing(x, y, cfg.nu))
     xi, _ = solvers.solve_deterministic_ns(ops, load)
     k_xi = solvers.LinearizedOperator(ops, xi)   # shared by the samples, as in the run
-    grid = noise_mod.NoiseGrid(cfg.noise_n)
-    amp = cfg.sigma * np.sqrt(grid.cell_volume)
+    amp = cfg.sigma * np.sqrt(1.0 / cfg.noise_n ** 2)
     acc = np.zeros(dofs.n_velocity_dofs)
     for k in range(2):
-        draw = noise_mod.sample_noise(grid, amp, noise_mod.substream_key(cfg.base_seed, k))
-        [nl] = assembly.assemble_noise_load(dofs, [draw], geom=ops.geom).T
+        zeta = noise_mod.sample_noise(cfg.noise_n, noise_mod.substream_key(cfg.base_seed, k))
+        [nl] = assembly.assemble_noise_load(dofs, cfg.noise_n, amp, zeta[None],
+                                            geom=ops.geom).T
         fld, rep = solvers.solve_monolithic(ops, load, nl, initial_guess=xi, k_xi=k_xi)
         assert rep.converged
         acc += fld.velocity
@@ -248,13 +250,13 @@ def test_noise_loads_match_per_draw_assembly():
     samples = [0, 3, 7]
     loads, norms = uq.noise_loads(cfg, ops, samples)
     assert loads.shape == (dofs.n_velocity_dofs, 3) and norms.shape == (3,)
-    grid = noise_mod.NoiseGrid(cfg.noise_n)
-    amp = cfg.sigma * np.sqrt(grid.cell_volume)
+    amp = cfg.sigma * np.sqrt(1.0 / cfg.noise_n ** 2)
     for j, k in enumerate(samples):
-        draw = noise_mod.sample_noise(grid, amp, noise_mod.substream_key(cfg.base_seed, k))
-        expected = assembly.assemble_noise_load(dofs, [draw], geom=ops.geom)
+        zeta = noise_mod.sample_noise(cfg.noise_n, noise_mod.substream_key(cfg.base_seed, k))
+        expected = assembly.assemble_noise_load(dofs, cfg.noise_n, amp, zeta[None],
+                                                geom=ops.geom)
         assert np.array_equal(loads[:, j:j + 1], expected)
-        assert norms[j] == noise_mod.noise_l2_norm(draw)
+        assert norms[j] == noise_mod.noise_l2_norm(amp, zeta)
 
 
 def test_reduction_follows_sample_order_not_arrival_order(monkeypatch):
@@ -296,10 +298,9 @@ def test_kappa_definition_per_sample():
     cfg = small_config(M=3, methods=("modified",))
     stats = run_experiment(cfg)
     from snsflow import noise as noise_mod
-    grid = noise_mod.NoiseGrid(cfg.noise_n)
-    amp = cfg.sigma * np.sqrt(grid.cell_volume)
+    amp = cfg.sigma * np.sqrt(1.0 / cfg.noise_n ** 2)
     expected = [noise_mod.noise_l2_norm(
-        noise_mod.sample_noise(grid, amp, noise_mod.substream_key(cfg.base_seed, k)))
+        amp, noise_mod.sample_noise(cfg.noise_n, noise_mod.substream_key(cfg.base_seed, k)))
         / stats.forcing_norm for k in range(3)]
     assert np.allclose(stats.kappa_samples, expected, rtol=1e-12)
     assert stats.kappa_mean == pytest.approx(np.mean(expected), rel=1e-12)
@@ -523,7 +524,8 @@ def test_field_csv_bytes_equal_the_row_by_row_text(tmp_path):
     velocity = np.random.default_rng(3).standard_normal(dofs.n_velocity_dofs)
     velocity[:len(awkward)] = awkward
     velocity[dofs.n_scalar_nodes:dofs.n_scalar_nodes + len(awkward)] = awkward[::-1]
-    fld = FEField(velocity, np.zeros(dofs.n_pressure_dofs), dofs)
+    fld = FEField.zeros(dofs)
+    fld.velocity[:] = velocity
     path = tmp_path / "field.csv"
     uq.write_field_csv(str(path), fld)
     assert path.read_bytes() == _row_by_row_field_text(fld).encode()
@@ -542,8 +544,8 @@ def _node_index(dofs, points):
 def test_prolongation_keeps_the_coarse_coefficients_bitwise():
     coarse_dofs = build_dof_map(build_structured_mesh(4))
     rng = np.random.default_rng(5)
-    coarse = FEField(rng.standard_normal(coarse_dofs.n_velocity_dofs),
-                     rng.standard_normal(coarse_dofs.n_pressure_dofs), coarse_dofs)
+    coarse = FEField(rng.standard_normal(coarse_dofs.n_velocity_dofs
+                                         + coarse_dofs.n_pressure_dofs), coarse_dofs)
     fine_dofs = build_dof_map(build_structured_mesh(8))
     fine = uq.prolongate(coarse, fine_dofs)
     nodes = _node_index(fine_dofs, coarse_dofs.node_coords)
@@ -563,8 +565,9 @@ def test_prolongation_is_exact_on_quadratics():
 
     coarse_dofs = build_dof_map(build_structured_mesh(6))
     fine_dofs = build_dof_map(build_structured_mesh(12))
-    fine = uq.prolongate(FEField(mf.interpolate_velocity(coarse_dofs, velocity),
-                                 pressure(coarse_dofs), coarse_dofs), fine_dofs)
+    coarse = FEField(np.concatenate([mf.interpolate_velocity(coarse_dofs, velocity),
+                                     pressure(coarse_dofs)]), coarse_dofs)
+    fine = uq.prolongate(coarse, fine_dofs)
     assert fine.dofs is fine_dofs
     assert np.abs(fine.velocity - mf.interpolate_velocity(fine_dofs, velocity)).max() <= 1e-13
     assert np.abs(fine.pressure - pressure(fine_dofs)).max() <= 1e-13
