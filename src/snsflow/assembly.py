@@ -235,13 +235,13 @@ def assemble_convection_load(dofs: DofMap, u: np.ndarray,
 
 
 def assemble_load(dofs: DofMap,
-                  f: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-                  degree: int = ELEVATED_QUADRATURE_DEGREE) -> np.ndarray:
-    """Load vector L with L . v = int f . v, using an elevated rule by default.
+                  f: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+                  ) -> np.ndarray:
+    """Load vector L with L . v = int f . v, on the rule of ELEVATED_QUADRATURE_DEGREE.
 
     ``f`` maps coordinate arrays (x, y) to the two force components.
     """
-    geom = ElementGeometry(dofs.mesh, triangle_rule_collapsed(degree))
+    geom = ElementGeometry(dofs.mesh, triangle_rule_collapsed(ELEVATED_QUADRATURE_DEGREE))
     f1, f2 = f(geom.qpoints[:, :, 0], geom.qpoints[:, :, 1])
     f1 = np.broadcast_to(np.asarray(f1, dtype=float), geom.qpoints.shape[:2])
     f2 = np.broadcast_to(np.asarray(f2, dtype=float), geom.qpoints.shape[:2])

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import checks, solvers, uq
 from .mesh import build_dof_map, build_structured_mesh
-from .solvers import NewtonConfig
 from .uq import McConfig
 
 EXIT_OK = 0
@@ -38,8 +37,6 @@ DEFAULTS = {
     "seed": _MC.base_seed,
     "jobs": 1,
     "methods": ",".join(_MC.methods),
-    "newton_tol": _MC.newton.tol,
-    "newton_max_iter": _MC.newton.max_iter,
     "out_dir": ".",
     "init": _MC.mono_init,
     "sample_index": 0,
@@ -67,9 +64,6 @@ def _add_solving(p: argparse.ArgumentParser) -> None:
     """The flags of the commands that solve and write files, solve and mc."""
     _add_common(p)
     p.add_argument("--seed", type=int, help="base seed for all randomness")
-    p.add_argument("--newton-tol", dest="newton_tol", type=float,
-                   help="Newton tolerance, absolute and relative to the first residual")
-    p.add_argument("--newton-max-iter", dest="newton_max_iter", type=int)
     p.add_argument("--out-dir", dest="out_dir", help="output directory")
     p.add_argument("--init", choices=["deterministic", "zero"],
                    help="monolithic initial guess")
@@ -182,10 +176,6 @@ def _validate(merged: dict) -> dict:
         raise UsageError("--methods must be a non-empty comma list from "
                          "monolithic,split,modified")
     out["methods_tuple"] = methods
-    if not (isfinite(out["newton_tol"]) and out["newton_tol"] > 0):
-        raise UsageError("--newton-tol must be positive and finite")
-    if out["newton_max_iter"] < 1:
-        raise UsageError("--newton-max-iter must be >= 1")
     return out
 
 
@@ -208,7 +198,6 @@ def _mc_config(v: dict, m: int, sigma: float | None = None) -> McConfig:
         mesh_n=v["mesh_n"],
         noise_n=v["noise_n"],
         methods=v["methods_tuple"],
-        newton=NewtonConfig(tol=v["newton_tol"], max_iter=v["newton_max_iter"]),
         mono_init=v["init"],
     )
 
@@ -245,7 +234,7 @@ def cmd_solve(v: dict) -> int:
     out = v["out_dir"]
     _make_out_dir(out)
     dofs = build_dof_map(build_structured_mesh(cfg.mesh_n))
-    ops, f_load, xi, xi_report = uq.prepare(dofs, cfg.nu, cfg.newton)
+    ops, f_load, xi, xi_report = uq.prepare(dofs, cfg.nu)
     reports = [xi_report]
     if method == "deterministic":
         fld = xi

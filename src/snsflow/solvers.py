@@ -72,6 +72,13 @@ from .assembly import ElementGeometry
 from .mesh import DofMap
 
 RESIDUAL_CHECK_FACTOR = 1e-10
+# Newton stops at ||r|| <= max(NEWTON_TOL, NEWTON_TOL ||r_0||), or fails after
+# NEWTON_MAX_ITER steps. The tolerance is fixed because the splitting
+# identity (monolithic = xi + eta, to <= 1e-10 relative) shows only at this
+# floor: at n=12, sigma=1.6 a tolerance of 1e-8 left eps_sh_rel at 5e-11 and
+# 1e-3 at 8e-7, against 6e-16 here.
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 25
 # A Newton-Krylov step k is accepted from GMRES when ||J d + r|| <= eta_k ||r|| with
 # the forcing term eta_k = min(INNER_RTOL, max(||r_k|| / ||r_0||, tol / (2 ||r_k||))),
 # tol the outer tolerance, within KRYLOV_CYCLES restart cycles of KRYLOV_BASIS
@@ -113,20 +120,6 @@ class FEField:
     @classmethod
     def zeros(cls, dofs: DofMap) -> "FEField":
         return cls(np.zeros(dofs.n_velocity_dofs + dofs.n_pressure_dofs), dofs)
-
-
-@dataclass(frozen=True)
-class NewtonConfig:
-    """Newton stops at ||r|| <= max(tol, tol ||r_0||) or after max_iter steps."""
-
-    tol: float = 1e-12
-    max_iter: int = 25
-
-    def __post_init__(self):
-        if not 0 < self.tol < np.inf:
-            raise ValueError("the Newton tolerance must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass
@@ -379,7 +372,7 @@ def _krylov_step(dofs: DofMap, jacobian: np.ndarray, rhs: np.ndarray,
     return None, its
 
 
-def _newton(ops: AssembledOperators, load: np.ndarray, x0: np.ndarray, cfg: NewtonConfig,
+def _newton(ops: AssembledOperators, load: np.ndarray, x0: np.ndarray,
             krylov: bool = False, linear: np.ndarray | None = None,
             precond: SaddleFactor | None = None) -> tuple[FEField, SolveReport]:
     """Newton iteration on linear [u; p] + c(u,u,.) = load from the start x0.
@@ -411,17 +404,17 @@ def _newton(ops: AssembledOperators, load: np.ndarray, x0: np.ndarray, cfg: Newt
                 SolveReport(converged, solves, r_norm, history, failure=failure,
                             inner_iterations=inner, fallbacks=fallbacks))
 
-    for _ in range(cfg.max_iter + 1):
+    for _ in range(NEWTON_MAX_ITER + 1):
         conv = assembly.assemble_convection_load(dofs, x[:n_u], geom=ops.geom)
         residual = _saddle_residual(dofs, linear, x, load - conv)
         r_norm = float(np.linalg.norm(residual))
         history.append(r_norm)
         if not np.isfinite(r_norm):
             return report(False, r_norm, "residual diverged")
-        tol = max(cfg.tol, cfg.tol * history[0])
+        tol = max(NEWTON_TOL, NEWTON_TOL * history[0])
         if r_norm <= tol:
             return report(True, r_norm)
-        if solves >= cfg.max_iter:
+        if solves >= NEWTON_MAX_ITER:
             break
         n1, n2 = assembly.assemble_convection_linearized(dofs, x[:n_u], geom=ops.geom)
         jacobian = linear + n1 + n2
@@ -449,7 +442,6 @@ def _newton(ops: AssembledOperators, load: np.ndarray, x0: np.ndarray, cfg: Newt
 
 
 def solve_deterministic_ns(ops: AssembledOperators, f_load: np.ndarray,
-                           cfg: NewtonConfig | None = None,
                            initial_guess: FEField | None = None) -> tuple[FEField, SolveReport]:
     """Steady Navier-Stokes solve with body force load, from ``initial_guess``
     or, without one, from the Stokes solution.
@@ -461,9 +453,8 @@ def solve_deterministic_ns(ops: AssembledOperators, f_load: np.ndarray,
     problem, which is already close: it leaves out the Stokes factorization
     and solve and about half of the Newton steps.
     """
-    cfg = cfg or NewtonConfig()
     init = solve_stokes(ops, f_load) if initial_guess is None else initial_guess
-    fld, report = _newton(ops, f_load, init.values, cfg, krylov=True)
+    fld, report = _newton(ops, f_load, init.values, krylov=True)
     if initial_guess is None:
         report.iterations += 1
     report.method = "deterministic"
@@ -471,8 +462,7 @@ def solve_deterministic_ns(ops: AssembledOperators, f_load: np.ndarray,
 
 
 def solve_stochastic_full(ops: AssembledOperators, k_xi: LinearizedOperator,
-                          noise_load: np.ndarray, cfg: NewtonConfig | None = None,
-                          ) -> tuple[FEField, SolveReport]:
+                          noise_load: np.ndarray) -> tuple[FEField, SolveReport]:
     """Nonlinear stochastic correction around the deterministic field xi.
 
     ``k_xi`` is the K(xi) of that xi: the linear part of the correction
@@ -480,9 +470,8 @@ def solve_stochastic_full(ops: AssembledOperators, k_xi: LinearizedOperator,
     correction. A fallback's own factor preconditions this sample's later
     steps and leaves ``k_xi`` untouched.
     """
-    fld, report = _newton(ops, noise_load, FEField.zeros(ops.dofs).values,
-                          cfg or NewtonConfig(), krylov=True, linear=k_xi.data,
-                          precond=k_xi.factor)
+    fld, report = _newton(ops, noise_load, FEField.zeros(ops.dofs).values, krylov=True,
+                          linear=k_xi.data, precond=k_xi.factor)
     report.method = "split"
     return fld, report
 
@@ -518,8 +507,7 @@ def solve_stochastic_modified(ops: AssembledOperators, k_xi: LinearizedOperator,
 
 
 def solve_monolithic(ops: AssembledOperators, f_load: np.ndarray,
-                     noise_load: np.ndarray, cfg: NewtonConfig | None = None, *,
-                     initial_guess: FEField,
+                     noise_load: np.ndarray, *, initial_guess: FEField,
                      k_xi: LinearizedOperator | None = None) -> tuple[FEField, SolveReport]:
     """Full per-sample solve from ``initial_guess``.
 
@@ -529,7 +517,7 @@ def solve_monolithic(ops: AssembledOperators, f_load: np.ndarray,
     Newton-Krylov starting from that factor, like the split one. Either way a
     sample converges only on the residual of its own full equation.
     """
-    fld, report = _newton(ops, f_load + noise_load, initial_guess.values, cfg or NewtonConfig(),
+    fld, report = _newton(ops, f_load + noise_load, initial_guess.values,
                           krylov=k_xi is not None,
                           precond=None if k_xi is None else k_xi.factor)
     report.method = "monolithic"

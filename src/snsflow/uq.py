@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import exp, isfinite
 
 import numpy as np
@@ -31,7 +31,7 @@ from scipy.special import gammaln
 from . import assembly, manufactured, noise as noise_mod, solvers
 from .ioutil import atomic_write_text
 from .mesh import DofMap, build_dof_map, build_structured_mesh
-from .solvers import FEField, NewtonConfig, SolveReport
+from .solvers import FEField, SolveReport
 
 METHODS = ("monolithic", "split", "modified")
 SPLITTING_SMALLNESS_THRESHOLD = 7.0 / 8.0
@@ -57,7 +57,6 @@ class McConfig:
     mesh_n: int = 12
     noise_n: int = 12
     methods: tuple[str, ...] = METHODS
-    newton: NewtonConfig = field(default_factory=NewtonConfig)
     mono_init: str = "deterministic"   # or "zero" for the stress regime
 
     def __post_init__(self):
@@ -144,7 +143,7 @@ def _noise_amplitude(cfg: McConfig) -> float:
     return cfg.sigma * np.sqrt(1.0 / cfg.noise_n ** 2)
 
 
-def prepare(dofs: DofMap, nu: float, newton: NewtonConfig | None = None
+def prepare(dofs: DofMap, nu: float
             ) -> tuple[solvers.AssembledOperators, np.ndarray, FEField, SolveReport]:
     """Operators, body load and deterministic solution xi with its report.
 
@@ -159,25 +158,25 @@ def prepare(dofs: DofMap, nu: float, newton: NewtonConfig | None = None
     n/2 = 8 the coarse solve costs more than the fine work it saves:
     sequencing n=12 from n=6 took 1.09x the time of the Stokes start.
     """
-    start = _coarse_start(dofs, nu, newton)
+    start = _coarse_start(dofs, nu)
     ops = solvers.assemble_operators(dofs, nu)
     f_load = assembly.assemble_load(dofs, lambda x, y: manufactured.exact_forcing(x, y, nu))
     if start is not None:
-        xi, xi_report = solvers.solve_deterministic_ns(ops, f_load, newton, initial_guess=start)
+        xi, xi_report = solvers.solve_deterministic_ns(ops, f_load, initial_guess=start)
         if xi_report.converged:
             return ops, f_load, xi, xi_report
-    xi, xi_report = solvers.solve_deterministic_ns(ops, f_load, newton)
+    xi, xi_report = solvers.solve_deterministic_ns(ops, f_load)
     return ops, f_load, xi, xi_report
 
 
-def _coarse_start(dofs: DofMap, nu: float, newton: NewtonConfig | None) -> FEField | None:
+def _coarse_start(dofs: DofMap, nu: float) -> FEField | None:
     """The deterministic solution of the n/2 problem prolongated to ``dofs``,
     or None when n is not sequenced or the coarse solve fails."""
     n = dofs.mesh.n
     if n % 2 or n // 2 < COARSEST_SEQUENCED_N:
         return None
     try:
-        _, _, coarse, report = prepare(build_dof_map(build_structured_mesh(n // 2)), nu, newton)
+        _, _, coarse, report = prepare(build_dof_map(build_structured_mesh(n // 2)), nu)
     except solvers.SingularSystemError:
         return None
     return prolongate(coarse, dofs) if report.converged else None
@@ -260,9 +259,8 @@ def solve_sample(method: str, ops: solvers.AssembledOperators, xi: FEField,
     full chunk: a narrower block (a run's last chunk, or one sample) is
     padded with zero loads, because the multi-column solve may round a
     column differently at another width, so a sample's bits would depend on
-    M. Split and monolithic solve the columns one by one with the Newton
-    settings ``cfg.newton``. The splitting methods return xi plus their
-    correction. The methods that solve on K(xi) (``_uses_k_xi``) take
+    M. Split and monolithic solve the columns one by one. The splitting
+    methods return xi plus their correction. The methods that solve on K(xi) (``_uses_k_xi``) take
     ``k_xi``, built here when none is given; the others ignore it.
     ``cfg.mono_init`` picks the monolithic start, xi or zero, and a
     monolithic sample is accepted only on its own full residual. Every column
@@ -289,12 +287,12 @@ def solve_sample(method: str, ops: solvers.AssembledOperators, xi: FEField,
             elif method == "split":
                 out = []
                 for load in columns:
-                    eta, rep = solvers.solve_stochastic_full(ops, k_xi, load, cfg.newton)
+                    eta, rep = solvers.solve_stochastic_full(ops, k_xi, load)
                     out.append((xi + eta, rep))
             else:
                 start = xi if cfg.mono_init == "deterministic" else FEField.zeros(ops.dofs)
-                out = [solvers.solve_monolithic(ops, f_load, load, cfg.newton,
-                                                initial_guess=start, k_xi=k_xi)
+                out = [solvers.solve_monolithic(ops, f_load, load, initial_guess=start,
+                                                k_xi=k_xi)
                        for load in columns]
         except Exception as exc:  # one bad sample must not abort the others
             out = [(xi, _failed(method, f"{type(exc).__name__}: {exc}")) for _ in columns]
@@ -322,7 +320,7 @@ def run_experiment(cfg: McConfig, jobs: int = 1) -> McStats:
     across worker counts.
     """
     dofs = build_dof_map(build_structured_mesh(cfg.mesh_n))
-    ops, f_load, xi, xi_report = prepare(dofs, cfg.nu, cfg.newton)
+    ops, f_load, xi, xi_report = prepare(dofs, cfg.nu)
     forcing_norm = manufactured.forcing_l2_norm(cfg.nu)
     k_xi = (solvers.LinearizedOperator(ops, xi)
             if any(_uses_k_xi(m, cfg.mono_init, xi_report) for m in cfg.methods) else None)

@@ -54,9 +54,10 @@ def test_unknown_method_flag_value(capsys):
     assert "--method" in err and err.count("\n") == 1
 
 
-def test_monolithic_nonconvergence_exits_2(tmp_path, capsys):
+def test_monolithic_nonconvergence_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(solvers, "NEWTON_MAX_ITER", 3)
     code = run_cli("solve", "--method", "monolithic", "--sigma", "80", "--init", "zero",
-                   "--mesh-n", "4", "--newton-max-iter", "3", "--out-dir", str(tmp_path))
+                   "--mesh-n", "4", "--out-dir", str(tmp_path))
     assert code == EXIT_NOT_CONVERGED
     rows = (tmp_path / "samples.csv").read_text().strip().splitlines()
     assert rows[-1].startswith("monolithic,0,0,")  # recorded, not crashed
@@ -202,6 +203,8 @@ SOLVE = ["solve", "--method", "split"]
     ([*SOLVE, "--jobs", "2"], None, "--jobs"),
     (["verify", "--seed", "3"], None, "--seed"),
     (SOLVE, {"jobs": 2}, "--config"),
+    ([*SOLVE, "--newton-max-iter", "3"], None, "--newton-max-iter"),
+    (SOLVE, {"newton_tol": 1e-8}, "--config"),
 ])
 def test_hostile_input_is_one_line_usage_error(tmp_path, capsys, argv, config, named):
     out_dir = [] if argv[0] == "verify" else ["--out-dir", str(tmp_path)]
@@ -273,13 +276,16 @@ def test_singular_k_xi_fails_modified_samples_and_exits_2(tmp_path, monkeypatch,
     assert stats[2].startswith("modified,") and stats[2].endswith(",3")
 
 
-@pytest.mark.parametrize("argv, samples", [
-    (["--mesh-n", "12", "--samples", "3", "--newton-max-iter", "2",
-      "--methods", "modified"], 3),
-    (["--mesh-n", "2", "--noise-n", "2", "--samples", "2", "--nu", "1e10"], 2),
+# the ids name argv and samples only; the first case cuts the Newton budget to 2
+@pytest.mark.parametrize("argv, samples, max_iter", [
+    pytest.param(["--mesh-n", "12", "--samples", "3", "--methods", "modified"], 3, 2,
+                 id="argv0-3"),
+    pytest.param(["--mesh-n", "2", "--noise-n", "2", "--samples", "2", "--nu", "1e10"], 2,
+                 solvers.NEWTON_MAX_ITER, id="argv1-2"),
 ])
-def test_failed_deterministic_solve_fails_every_splitting_sample(tmp_path, capsys, argv,
-                                                                 samples):
+def test_failed_deterministic_solve_fails_every_splitting_sample(tmp_path, monkeypatch, capsys,
+                                                                 argv, samples, max_iter):
+    monkeypatch.setattr(solvers, "NEWTON_MAX_ITER", max_iter)
     assert run_cli("mc", *argv, "--out-dir", str(tmp_path)) == EXIT_NOT_CONVERGED
     out = capsys.readouterr().out
     for method in ("split", "modified"):
@@ -291,10 +297,10 @@ def test_failed_deterministic_solve_fails_every_splitting_sample(tmp_path, capsy
 
 
 @pytest.mark.parametrize("method", ["split", "modified"])
-def test_solve_splitting_sample_fails_on_a_failed_deterministic_solve(tmp_path, capsys,
-                                                                      method):
-    code = run_cli("solve", "--method", method, "--mesh-n", "4", "--newton-max-iter", "2",
-                   "--out-dir", str(tmp_path))
+def test_solve_splitting_sample_fails_on_a_failed_deterministic_solve(tmp_path, monkeypatch,
+                                                                      capsys, method):
+    monkeypatch.setattr(solvers, "NEWTON_MAX_ITER", 2)
+    code = run_cli("solve", "--method", method, "--mesh-n", "4", "--out-dir", str(tmp_path))
     assert code == EXIT_NOT_CONVERGED
     assert f"method={method} converged=0 iterations=0" in capsys.readouterr().out
 
@@ -353,7 +359,7 @@ def test_each_command_takes_only_the_flags_it_reads(capsys):
         assert run_cli(command, "--help") == EXIT_OK
         flags[command] = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
     common = {"--config", "--nu", "--sigma", "--mesh-n", "--noise-n"}
-    solving = common | {"--seed", "--newton-tol", "--newton-max-iter", "--out-dir", "--init"}
+    solving = common | {"--seed", "--out-dir", "--init"}
     assert flags["verify"] == common | {"--convergence", "--mutate"}
     assert flags["solve"] == solving | {"--method", "--sample-index"}
     assert flags["mc"] == solving | {"--jobs", "--methods", "--samples", "--sigma-sweep"}

@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 
 from snsflow import assembly, manufactured as mf, solvers, uq
 from snsflow.mesh import build_dof_map, build_structured_mesh
-from snsflow.solvers import FEField, NewtonConfig
+from snsflow.solvers import FEField
 from snsflow.uq import (
     Diagnostics,
     McConfig,
@@ -32,11 +32,6 @@ def test_non_finite_physics_rejected(nu, sigma):
             assembly.assemble_viscous(build_dof_map(build_structured_mesh(2)), nu)
     with pytest.raises(ValueError):
         small_config(nu=nu, sigma=sigma)
-
-
-def test_infinite_newton_tolerance_rejected():
-    with pytest.raises(ValueError):
-        NewtonConfig(tol=float("inf"))
 
 
 def test_config_validation():
@@ -111,10 +106,10 @@ def test_two_sample_mean_against_direct_average():
     assert np.abs(stats.mean_fields["monolithic"].velocity - acc / 2).max() <= 1e-14
 
 
-def test_exclusion_accounting_under_forced_failures():
+def test_exclusion_accounting_under_forced_failures(monkeypatch):
+    monkeypatch.setattr(solvers, "NEWTON_MAX_ITER", 2)
     cfg = small_config(M=4, sigma=40.0, mono_init="zero",
-                       methods=("monolithic", "split"),
-                       newton=NewtonConfig(max_iter=2))
+                       methods=("monolithic", "split"))
     stats = run_experiment(cfg)
     for method in cfg.methods:
         assert stats.converged_counts[method] + stats.failed_counts[method] == cfg.M
@@ -145,7 +140,7 @@ def test_reproducibility_and_jobs_independence():
 def test_noise_loads_are_drawn_one_chunk_at_a_time(monkeypatch):
     cfg = small_config(M=CHUNKED_M, methods=("modified",))
     dofs = build_dof_map(build_structured_mesh(cfg.mesh_n))
-    ops, _, _, _ = uq.prepare(dofs, cfg.nu, cfg.newton)
+    ops, _, _, _ = uq.prepare(dofs, cfg.nu)
     _, norms = uq.noise_loads(cfg, ops, range(cfg.M))
     real = uq.noise_loads
     asked = []
@@ -263,7 +258,7 @@ def test_reduction_follows_sample_order_not_arrival_order(monkeypatch):
     cfg = small_config(M=4)
     serial = run_experiment(cfg, jobs=1)
     dofs = build_dof_map(build_structured_mesh(cfg.mesh_n))
-    ops, _, _, _ = uq.prepare(dofs, cfg.nu, cfg.newton)
+    ops, _, _, _ = uq.prepare(dofs, cfg.nu)
     loads, _ = uq.noise_loads(cfg, ops, range(cfg.M))
     real_solve = uq.solve_sample
     done = [threading.Event() for _ in range(cfg.M)]
@@ -474,15 +469,16 @@ def test_k_xi_is_built_only_for_methods_that_use_it(monkeypatch, methods, mono_i
         return made[-1]
 
     monkeypatch.setattr(solvers, "LinearizedOperator", recorded)
-    run_experiment(small_config(M=2, methods=methods, mono_init=mono_init,
-                                newton=NewtonConfig(max_iter=max_iter)))
+    monkeypatch.setattr(solvers, "NEWTON_MAX_ITER", max_iter)
+    run_experiment(small_config(M=2, methods=methods, mono_init=mono_init))
     assert len(made) == builds
 
 
 def test_failed_deterministic_solve_fails_every_splitting_sample_unsolved(monkeypatch):
     counts: dict[str, int] = {}
     _counting(monkeypatch, spla, "splu", counts)
-    cfg = small_config(M=3, newton=NewtonConfig(max_iter=2))
+    monkeypatch.setattr(solvers, "NEWTON_MAX_ITER", 2)
+    cfg = small_config(M=3)
     stats = run_experiment(cfg)
     xi_report = stats.reports[0]
     assert xi_report.method == "deterministic" and not xi_report.converged
@@ -608,8 +604,8 @@ def _fail_deterministic_solve(monkeypatch, when):
     of (n, started) of its calls."""
     solve, calls = solvers.solve_deterministic_ns, []
 
-    def failing(ops, f_load, cfg=None, initial_guess=None):
-        fld, report = solve(ops, f_load, cfg, initial_guess)
+    def failing(ops, f_load, initial_guess=None):
+        fld, report = solve(ops, f_load, initial_guess)
         calls.append((ops.dofs.mesh.n, initial_guess is not None))
         if when(*calls[-1]):
             report.converged, report.failure = False, "max iterations reached"
@@ -638,10 +634,10 @@ def test_a_failed_coarse_solve_falls_back_to_the_stokes_start(monkeypatch):
 def test_a_singular_coarse_solve_falls_back_to_the_stokes_start(monkeypatch):
     solve = solvers.solve_deterministic_ns
 
-    def singular_coarse(ops, f_load, cfg=None, initial_guess=None):
+    def singular_coarse(ops, f_load, initial_guess=None):
         if ops.dofs.mesh.n == 8:
             raise solvers.SingularSystemError("sparse factorization failed")
-        return solve(ops, f_load, cfg, initial_guess)
+        return solve(ops, f_load, initial_guess)
 
     monkeypatch.setattr(solvers, "solve_deterministic_ns", singular_coarse)
     dofs = build_dof_map(build_structured_mesh(16))
