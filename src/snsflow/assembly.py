@@ -1,10 +1,11 @@
 """Quadrature and global assembly of the viscous, divergence, convection and
 load forms on the Taylor-Hood pair.
 
-Element blocks are table contractions: :class:`ElementGeometry` builds the
-physical basis gradients and the quadrature-weighted basis tables once, and
-each kernel is one stacked matrix product against them, scaled by the element
-area. Assembled operators are data vectors on the dof map's fixed saddle
+Element blocks are table contractions: :class:`ElementGeometry` holds the
+physical basis gradients and the quadrature-weighted basis tables, built once
+per dof map (``DofMap.geometry``), and each kernel takes the dof map alone and
+is one stacked matrix product against them, scaled by the element area.
+Assembled operators are data vectors on the dof map's fixed saddle
 pattern (:class:`snsflow.mesh.SaddlePattern`): element blocks are summed into
 their pattern slots by ``np.bincount``, so operators add as plain arrays and
 ``pattern.matrix(data)`` is the sparse matrix. Loads, among them the Newton
@@ -18,12 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .mesh import DofMap, TriMesh
+if TYPE_CHECKING:   # mesh imports ElementGeometry from here
+    from .mesh import DofMap, TriMesh
 
 ELEVATED_QUADRATURE_DEGREE = 10
 
@@ -122,7 +124,8 @@ def affine_maps(mesh: TriMesh, points: np.ndarray
 
 
 class ElementGeometry:
-    """Per-element affine maps and quadrature tables for one quadrature rule.
+    """Per-element affine maps and tables of the degree-5 rule; every dof map
+    builds its own once (``DofMap.geometry``).
 
     ``grad[t, i, 2*q + d]`` is d phi_i / dx_d of element t at point q; the
     weighted tables ``wphi[q, a] = w_q phi_a`` and ``wphiphi[2*q + d, 12*a +
@@ -130,9 +133,9 @@ class ElementGeometry:
     stacked matmul, scaled by the element area.
     """
 
-    def __init__(self, mesh: TriMesh, rule: QuadratureRule | None = None):
-        self.rule = rule or triangle_rule_degree5()
-        self.area, self.qpoints, inv_jt = affine_maps(mesh, self.rule.points)
+    def __init__(self, mesh: TriMesh):
+        self.rule = triangle_rule_degree5()
+        self.area, _, inv_jt = affine_maps(mesh, self.rule.points)
         self.phi2, grad_ref = p2_shape(self.rule.points)
         self.phi1 = p1_shape(self.rule.points)
         nq = len(self.rule.points)
@@ -143,19 +146,11 @@ class ElementGeometry:
         self.wphiphi = (self.wphi[:, None, :, None, None] * np.eye(2)[:, None, :, None]
                         * self.phi2[:, None, None, None, :]).reshape(2 * nq, 72)
 
-    def _coefficients(self, dofs: DofMap, u: np.ndarray) -> np.ndarray:
-        """(T, 2, 6) element coefficients of a velocity vector, by component."""
-        return u[dofs.element_dofs[:, :12]].reshape(len(self.area), 2, 6)
-
     def _values_and_gradients(self, dofs: DofMap,
                               u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(T, 2, nq) values u_i and (T, 2, nq, 2) gradients du_i/dx_j at the points."""
-        coef = self._coefficients(dofs, u)
+        coef = u[dofs.element_dofs[:, :12]].reshape(len(self.area), 2, 6)
         return coef @ self.phi2.T, (coef @ self.grad).reshape(len(coef), 2, -1, 2)
-
-    def velocity_at_quadrature(self, dofs: DofMap, u: np.ndarray) -> np.ndarray:
-        """(T, nq, 2) values of a velocity coefficient vector."""
-        return (self._coefficients(dofs, u) @ self.phi2.T).transpose(0, 2, 1)
 
 
 def _velocity_data(dofs: DofMap, blocks: np.ndarray) -> np.ndarray:
@@ -178,24 +173,32 @@ def _transport(wind: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 def _velocity_load(dofs: DofMap, blocks: np.ndarray) -> np.ndarray:
-    """Sum (T, 12) element load blocks into a velocity vector."""
-    return np.bincount(dofs.element_dofs[:, :12].ravel(), weights=blocks.ravel(),
-                       minlength=dofs.n_velocity_dofs)
+    """Sum (T, 2, 6) element load blocks into a velocity vector, or a (k, T, 2, 6)
+    stack of them into the (n_u, k) block of k loads.
+
+    One ``np.bincount`` over column-offset dofs adds each column's terms in the
+    order a lone (T, 2, 6) block adds them: column j holds the bits of block j
+    alone.
+    """
+    k = len(blocks) if blocks.ndim == 4 else 1
+    n_u = dofs.n_velocity_dofs
+    index = dofs.element_dofs[:, :12].ravel() + n_u * np.arange(k)[:, None]
+    load = np.bincount(index.ravel(), weights=blocks.ravel(), minlength=k * n_u)
+    return load.reshape(k, n_u).T if blocks.ndim == 4 else load
 
 
-def assemble_viscous(dofs: DofMap, nu: float,
-                     geom: ElementGeometry | None = None) -> np.ndarray:
+def assemble_viscous(dofs: DofMap, nu: float) -> np.ndarray:
     """Vector-valued viscous operator A with v^T A u = nu * int grad(u):grad(v)."""
     if not (isfinite(nu) and nu > 0):
         raise ValueError(f"viscosity must be positive and finite, got nu={nu}")
-    geom = geom or ElementGeometry(dofs.mesh)
+    geom = dofs.geometry
     ke = (geom.grad * np.repeat(geom.wq, 2)) @ geom.grad.transpose(0, 2, 1)
     return nu * _velocity_data(dofs, _both_components(geom.area[:, None, None] * ke))
 
 
-def assemble_divergence(dofs: DofMap, geom: ElementGeometry | None = None) -> np.ndarray:
+def assemble_divergence(dofs: DofMap) -> np.ndarray:
     """Divergence operator B with q^T B u = -int q div(u), together with B^T."""
-    geom = geom or ElementGeometry(dofs.mesh)
+    geom = dofs.geometry
     # table[(q, d'), (a, d)] = w_q psi_a delta_dd' for the P1 pressure basis psi
     table = np.kron(geom.wq[:, None] * geom.phi1, np.eye(2))
     be = (geom.grad @ table).reshape(len(geom.area), 6, 3, 2)     # [t, j, a, d]
@@ -205,16 +208,15 @@ def assemble_divergence(dofs: DofMap, geom: ElementGeometry | None = None) -> np
                        minlength=pattern.nnz)
 
 
-def assemble_convection_linearized(dofs: DofMap, w: np.ndarray,
-                                   geom: ElementGeometry | None = None
-                                   ) -> tuple[np.ndarray, np.ndarray]:
+def assemble_convection_linearized(dofs: DofMap,
+                                   w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Linearizations of the convective trilinear form around the velocity w.
 
     Returns (N1, N2) with v^T N1 u = c(w, u, v) (w transports u) and
     v^T N2 u = c(u, w, v) (u transports w), where
     c(a, b, v) = int (a . grad) b . v.
     """
-    geom = geom or ElementGeometry(dofs.mesh)
+    geom = dofs.geometry
     T, nq = len(geom.area), len(geom.wq)
     area = geom.area[:, None, None]
     vals, grads = geom._values_and_gradients(dofs, w)
@@ -225,10 +227,9 @@ def assemble_convection_linearized(dofs: DofMap, w: np.ndarray,
             _velocity_data(dofs, ne.reshape(T, 12, 12)))
 
 
-def assemble_convection_load(dofs: DofMap, u: np.ndarray,
-                             geom: ElementGeometry | None = None) -> np.ndarray:
+def assemble_convection_load(dofs: DofMap, u: np.ndarray) -> np.ndarray:
     """Convection vector c(u, u, .) = N1(u) u, assembled without the matrix."""
-    geom = geom or ElementGeometry(dofs.mesh)
+    geom = dofs.geometry
     vals, grads = geom._values_and_gradients(dofs, u)
     conv = _transport(vals, grads)                                   # (u . grad) u_i
     return _velocity_load(dofs, geom.area[:, None, None] * (conv @ geom.wphi))
@@ -241,16 +242,17 @@ def assemble_load(dofs: DofMap,
 
     ``f`` maps coordinate arrays (x, y) to the two force components.
     """
-    geom = ElementGeometry(dofs.mesh, triangle_rule_collapsed(ELEVATED_QUADRATURE_DEGREE))
-    f1, f2 = f(geom.qpoints[:, :, 0], geom.qpoints[:, :, 1])
-    f1 = np.broadcast_to(np.asarray(f1, dtype=float), geom.qpoints.shape[:2])
-    f2 = np.broadcast_to(np.asarray(f2, dtype=float), geom.qpoints.shape[:2])
-    le = np.stack([f1, f2], axis=1) @ geom.wphi
-    return _velocity_load(dofs, geom.area[:, None, None] * le)
+    rule = triangle_rule_collapsed(ELEVATED_QUADRATURE_DEGREE)
+    area, qpoints, _ = affine_maps(dofs.mesh, rule.points)
+    f1, f2 = f(qpoints[:, :, 0], qpoints[:, :, 1])
+    f1 = np.broadcast_to(np.asarray(f1, dtype=float), qpoints.shape[:2])
+    f2 = np.broadcast_to(np.asarray(f2, dtype=float), qpoints.shape[:2])
+    le = np.stack([f1, f2], axis=1) @ (rule.weights[:, None] * p2_shape(rule.points)[0])
+    return _velocity_load(dofs, area[:, None, None] * le)
 
 
-def assemble_noise_load(dofs: DofMap, n_noise: int, amplitude: float, zetas: np.ndarray,
-                        geom: ElementGeometry | None = None) -> np.ndarray:
+def assemble_noise_load(dofs: DofMap, n_noise: int, amplitude: float,
+                        zetas: np.ndarray) -> np.ndarray:
     """The (n_u, k) block of loads of k >= 1 piecewise-constant noise
     realizations at white-noise amplitude ``amplitude``, one column per draw.
 
@@ -259,10 +261,8 @@ def assemble_noise_load(dofs: DofMap, n_noise: int, amplitude: float, zetas: np.
     be nested in the FE grid (cells per axis divide the mesh resolution), so
     every triangle lies in exactly one noise cell and the cell value is
     constant over it; the cell is found by centroid lookup. The lookup and
-    the element integrals are computed once per call, and one ``np.bincount``
-    over column-offset dofs sums every draw, adding each column's terms in the
-    order a single draw adds them: column j holds the bits of the call on
-    draw j alone.
+    the element integrals are computed once per call, and column j holds the
+    bits of the call on draw j alone.
     """
     mesh = dofs.mesh
     if n_noise < 1:
@@ -275,7 +275,6 @@ def assemble_noise_load(dofs: DofMap, n_noise: int, amplitude: float, zetas: np.
         raise ValueError(
             f"noise grid ({n_noise} cells per axis) is not nested in the "
             f"FE grid (n={mesh.n}); resolution must divide the mesh resolution")
-    geom = geom or ElementGeometry(mesh)
     centroids = mesh.vertices[mesh.triangles].mean(axis=1)
     ix = np.minimum((centroids[:, 0] * n_noise).astype(int), n_noise - 1)
     iy = np.minimum((centroids[:, 1] * n_noise).astype(int), n_noise - 1)
@@ -283,9 +282,6 @@ def assemble_noise_load(dofs: DofMap, n_noise: int, amplitude: float, zetas: np.
     scale = amplitude / np.sqrt(1.0 / n_noise ** 2)
     fvals = scale * zetas[:, cell]                                  # (k, T, 2)
 
+    geom = dofs.geometry
     phi_int = np.outer(geom.area, geom.wphi.sum(axis=0))           # int_T phi_i
-    blocks = fvals[..., None] * phi_int[:, None, :]                 # (k, T, 2, 6)
-    k, n_u = len(zetas), dofs.n_velocity_dofs
-    index = dofs.element_dofs[:, :12].ravel() + n_u * np.arange(k)[:, None]
-    return np.bincount(index.ravel(), weights=blocks.ravel(),
-                       minlength=k * n_u).reshape(k, n_u).T
+    return _velocity_load(dofs, fvals[..., None] * phi_int[:, None, :])

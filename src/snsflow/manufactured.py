@@ -18,8 +18,9 @@ import numpy as np
 
 from .assembly import (
     ELEVATED_QUADRATURE_DEGREE,
-    ElementGeometry,
     affine_maps,
+    p1_shape,
+    p2_shape,
     triangle_rule_collapsed,
 )
 from .mesh import DofMap
@@ -106,8 +107,7 @@ def forcing_l2_norm(nu: float, degree: int = 2 * ELEVATED_QUADRATURE_DEGREE) -> 
     """L2(Omega) norm of the body force, by high-order quadrature.
 
     Independent of any mesh: integrates on a fixed fine reference grid. The
-    integrand is closed-form, so it takes the rule and the affine maps alone,
-    without the basis tables of an ``ElementGeometry``.
+    integrand is closed-form, so it takes the rule and the affine maps alone.
     """
     from .mesh import build_structured_mesh
 
@@ -124,19 +124,19 @@ def interpolate_velocity(dofs: DofMap, fn) -> np.ndarray:
     return np.concatenate([np.asarray(u1, dtype=float), np.asarray(u2, dtype=float)])
 
 
-def _velocity_values(geom: ElementGeometry, dofs: DofMap, u: np.ndarray):
-    vals = geom.velocity_at_quadrature(dofs, u)
-    return vals[:, :, 0], vals[:, :, 1]
-
-
-def _pressure_values(geom: ElementGeometry, dofs: DofMap, p: np.ndarray):
-    return p[dofs.mesh.triangles] @ geom.phi1.T
+def _values_at(dofs: DofMap, vector: np.ndarray, part: str,
+               phi2: np.ndarray, phi1: np.ndarray) -> np.ndarray:
+    """(T, c, nq) values of a velocity (c = 2) or pressure (c = 1) vector at the
+    points of the P2 and P1 basis tables ``phi2`` and ``phi1`` (nq, .)."""
+    if part == "velocity":
+        return vector[dofs.element_dofs[:, :12]].reshape(-1, 2, 6) @ phi2.T
+    return (vector[dofs.mesh.triangles] @ phi1.T)[:, None]
 
 
 def velocity_l2_norm(dofs: DofMap, u: np.ndarray) -> float:
-    geom = ElementGeometry(dofs.mesh)
-    v1, v2 = _velocity_values(geom, dofs, u)
-    return float(np.sqrt(np.einsum("q,t,tq->", geom.wq, geom.area, v1 ** 2 + v2 ** 2)))
+    geom = dofs.geometry
+    squares = _values_at(dofs, u, "velocity", geom.phi2, geom.phi1) ** 2
+    return float(np.sqrt(np.einsum("q,t,tq->", geom.wq, geom.area, squares.sum(axis=1))))
 
 
 def l2_error(field, reference, part: str = "velocity") -> float:
@@ -145,30 +145,24 @@ def l2_error(field, reference, part: str = "velocity") -> float:
     ``field`` is an FE field (anything with .velocity, .pressure, .dofs);
     ``reference`` is either another FE field on the same dof map or a callable
     (x, y) -> (u1, u2) for part="velocity" / (x, y) -> p for part="pressure".
-    FE-vs-FE differences are integrated with the default degree-5 rule (exact
-    for the piecewise-polynomial integrand); closed-form references use the
-    elevated degree-10 rule.
+    FE-vs-FE differences are integrated on the dof map's degree-5 geometry
+    (exact for the piecewise-polynomial integrand); closed-form references use
+    the elevated degree-10 rule.
     """
     if part not in ("velocity", "pressure"):
         raise ValueError(f"unknown part {part!r}")
     dofs = field.dofs
-    closed_form = callable(reference)
-    if not closed_form and reference.dofs is not dofs:
-        raise ValueError("fields live on different dof maps")
-    rule = triangle_rule_collapsed(ELEVATED_QUADRATURE_DEGREE) if closed_form else None
-    geom = ElementGeometry(dofs.mesh, rule)
-    if part == "velocity":
-        v1, v2 = _velocity_values(geom, dofs, field.velocity)
-        if closed_form:
-            r1, r2 = reference(geom.qpoints[:, :, 0], geom.qpoints[:, :, 1])
-        else:
-            r1, r2 = _velocity_values(geom, dofs, reference.velocity)
-        diff = (v1 - r1) ** 2 + (v2 - r2) ** 2
+    if callable(reference):
+        rule = triangle_rule_collapsed(ELEVATED_QUADRATURE_DEGREE)
+        area, qpoints, _ = affine_maps(dofs.mesh, rule.points)
+        weights, phi2, phi1 = rule.weights, p2_shape(rule.points)[0], p1_shape(rule.points)
+        ref = reference(qpoints[:, :, 0], qpoints[:, :, 1])
+        ref = np.stack(ref, axis=1) if part == "velocity" else ref[:, None]
     else:
-        ph = _pressure_values(geom, dofs, field.pressure)
-        if closed_form:
-            ref = reference(geom.qpoints[:, :, 0], geom.qpoints[:, :, 1])
-        else:
-            ref = _pressure_values(geom, dofs, reference.pressure)
-        diff = (ph - ref) ** 2
-    return float(np.sqrt(np.einsum("q,t,tq->", geom.wq, geom.area, diff)))
+        if reference.dofs is not dofs:
+            raise ValueError("fields live on different dof maps")
+        geom = dofs.geometry
+        area, weights, phi2, phi1 = geom.area, geom.wq, geom.phi2, geom.phi1
+        ref = _values_at(dofs, getattr(reference, part), part, phi2, phi1)
+    diff = (_values_at(dofs, getattr(field, part), part, phi2, phi1) - ref) ** 2
+    return float(np.sqrt(np.einsum("q,t,tq->", weights, area, diff.sum(axis=1))))

@@ -4,8 +4,9 @@ The mesh family is the uniform n x n grid of squares, each split along the
 bottom-left -> top-right diagonal. Velocity uses quadratic (P2) nodes at the
 vertices and edge midpoints, pressure uses linear (P1) nodes at the vertices.
 Each dof map also fixes the sparsity pattern of the saddle matrix that every
-assembled operator is a data vector on, and the nested-dissection order in
-which its free unknowns are eliminated.
+assembled operator is a data vector on, the nested-dissection order in which
+its free unknowns are eliminated, and the quadrature geometry every assembly
+kernel reads.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+
+from .assembly import ElementGeometry
 
 BOUNDARY_TOL = 1e-14
 # Nested dissection stops at regions of at most this many unknowns.
@@ -119,6 +122,7 @@ class DofMap:
     pressure_gauge: np.ndarray       # (n_pressure_dofs,) P1 basis integrals
     pattern: SaddlePattern = field(repr=False)
     node_coords: np.ndarray = field(repr=False)  # (V+E, 2) P2 node coordinates
+    geometry: ElementGeometry = field(repr=False)  # degree-5 tables of the mesh
 
     @property
     def n_scalar_nodes(self) -> int:
@@ -174,7 +178,8 @@ def _on_boundary(points: np.ndarray) -> np.ndarray:
 
 
 def build_dof_map(mesh: TriMesh) -> DofMap:
-    """Number the Taylor-Hood dofs and mark the homogeneous Dirichlet set."""
+    """Number the Taylor-Hood dofs, mark the homogeneous Dirichlet set and build
+    the element geometry that every assembly kernel reads."""
     V, E = mesh.n_vertices, mesh.n_edges
     nn = V + E
     node_coords = np.vstack([mesh.vertices, mesh.edge_midpoints])
@@ -201,6 +206,7 @@ def build_dof_map(mesh: TriMesh) -> DofMap:
         pressure_gauge=gauge,
         pattern=_saddle_pattern(element_dofs, free, lattice),
         node_coords=node_coords,
+        geometry=ElementGeometry(mesh),
     )
 
 
@@ -289,8 +295,3 @@ def _nested_dissection(points: np.ndarray) -> np.ndarray:
     dissect([0, 0], [int(size[0]) - 1, int(size[1]) - 1])
     # ties keep the given order; distinct keys make any sort stable
     return np.argsort(rank[points[:, 0], points[:, 1]] * len(points) + np.arange(len(points)))
-
-
-def triangle_nodes(dofs: DofMap) -> np.ndarray:
-    """(T, 6) global P2 scalar-node indices per triangle."""
-    return dofs.element_dofs[:, :6]

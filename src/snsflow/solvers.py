@@ -68,7 +68,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import assembly
-from .assembly import ElementGeometry
 from .mesh import DofMap
 
 RESIDUAL_CHECK_FACTOR = 1e-10
@@ -160,15 +159,12 @@ class AssembledOperators:
     """
 
     dofs: DofMap
-    geom: ElementGeometry
     stokes: np.ndarray
 
 
 def assemble_operators(dofs: DofMap, nu: float) -> AssembledOperators:
-    geom = ElementGeometry(dofs.mesh)
-    stokes = (assembly.assemble_viscous(dofs, nu, geom=geom)
-              + assembly.assemble_divergence(dofs, geom=geom))
-    return AssembledOperators(dofs=dofs, geom=geom, stokes=stokes)
+    stokes = assembly.assemble_viscous(dofs, nu) + assembly.assemble_divergence(dofs)
+    return AssembledOperators(dofs=dofs, stokes=stokes)
 
 
 def _saddle_residual(dofs: DofMap, data: np.ndarray, x: np.ndarray,
@@ -238,8 +234,10 @@ class SaddleFactor:
         finite = np.isfinite(solved).all(axis=0)
         solved[:, ~finite] = 0.0
         residual = np.abs(self.matrix @ solved - b).max(axis=0)
+        # at a subnormal load the scaled bound underflows to 0, below any
+        # nonzero residual; tiny leaves every bound above ~1e-292 unchanged
         bound = RESIDUAL_CHECK_FACTOR * (self.norm * np.abs(solved).max(axis=0)
-                                         + np.abs(b).max(axis=0))
+                                         + np.abs(b).max(axis=0)) + np.finfo(float).tiny
         failures = ["" if ok and r <= tol and np.isfinite(r) else
                     "factorization produced non-finite values" if not ok else
                     f"solve residual {r:.3e} exceeds {tol:.3e}; "
@@ -297,7 +295,7 @@ class LinearizedOperator:
     """
 
     def __init__(self, ops: AssembledOperators, xi: FEField):
-        n1, n2 = assembly.assemble_convection_linearized(ops.dofs, xi.velocity, geom=ops.geom)
+        n1, n2 = assembly.assemble_convection_linearized(ops.dofs, xi.velocity)
         self.data = ops.stokes + n1 + n2
         try:
             self.factor, self.failure = factor_saddle(ops.dofs, self.data), ""
@@ -405,7 +403,7 @@ def _newton(ops: AssembledOperators, load: np.ndarray, x0: np.ndarray,
                             inner_iterations=inner, fallbacks=fallbacks))
 
     for _ in range(NEWTON_MAX_ITER + 1):
-        conv = assembly.assemble_convection_load(dofs, x[:n_u], geom=ops.geom)
+        conv = assembly.assemble_convection_load(dofs, x[:n_u])
         residual = _saddle_residual(dofs, linear, x, load - conv)
         r_norm = float(np.linalg.norm(residual))
         history.append(r_norm)
@@ -416,7 +414,7 @@ def _newton(ops: AssembledOperators, load: np.ndarray, x0: np.ndarray,
             return report(True, r_norm)
         if solves >= NEWTON_MAX_ITER:
             break
-        n1, n2 = assembly.assemble_convection_linearized(dofs, x[:n_u], geom=ops.geom)
+        n1, n2 = assembly.assemble_convection_linearized(dofs, x[:n_u])
         jacobian = linear + n1 + n2
         del n1, n2  # not held through the solve, where the peak memory is
         step = None

@@ -227,7 +227,7 @@ def noise_loads(cfg: McConfig, ops: solvers.AssembledOperators,
     zetas = np.stack([noise_mod.sample_noise(cfg.noise_n,
                                              noise_mod.substream_key(cfg.base_seed, k))
                       for k in samples])
-    loads = assembly.assemble_noise_load(ops.dofs, cfg.noise_n, amplitude, zetas, geom=ops.geom)
+    loads = assembly.assemble_noise_load(ops.dofs, cfg.noise_n, amplitude, zetas)
     return loads, np.array([noise_mod.noise_l2_norm(amplitude, zeta) for zeta in zetas])
 
 

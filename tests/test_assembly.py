@@ -6,15 +6,16 @@ from hypothesis import strategies as st
 
 from snsflow import assembly
 from snsflow.assembly import (
-    ElementGeometry,
     assemble_convection_linearized,
     assemble_convection_load,
     assemble_divergence,
     assemble_load,
     assemble_noise_load,
     assemble_viscous,
+    p1_shape,
     p2_shape,
     triangle_rule_collapsed,
+    triangle_rule_degree5,
 )
 from snsflow.checks import (
     dense_oracle_max_mismatch,
@@ -231,9 +232,9 @@ def _einsum_kernels(mesh, dofs, w, nu, forcing, noise):
     area = 0.5 * det
     inv_jt = np.stack([np.stack([e2[:, 1], -e1[:, 1]], axis=1),
                        np.stack([-e2[:, 0], e1[:, 0]], axis=1)], axis=1) / det[:, None, None]
-    geom = ElementGeometry(mesh)
-    wq, phi2, phi1 = geom.wq, geom.phi2, geom.phi1
-    grad2 = np.einsum("tde,qie->tqid", inv_jt, p2_shape(geom.rule.points)[1])
+    rule = triangle_rule_degree5()
+    wq, (phi2, grad_ref), phi1 = rule.weights, p2_shape(rule.points), p1_shape(rule.points)
+    grad2 = np.einsum("tde,qie->tqid", inv_jt, grad_ref)
     T = mesh.n_triangles
     out = {"grad": grad2}
 
@@ -254,11 +255,11 @@ def _einsum_kernels(mesh, dofs, w, nu, forcing, noise):
     out["n1"] = assembly._velocity_data(dofs, assembly._both_components(c1))
     out["n2"] = assembly._velocity_data(dofs, ne)
 
-    fine = ElementGeometry(mesh, triangle_rule_collapsed(assembly.ELEVATED_QUADRATURE_DEGREE))
-    qpoints = (x0[:, None, :] + np.einsum("td,q->tqd", e1, fine.rule.points[:, 0])
-               + np.einsum("td,q->tqd", e2, fine.rule.points[:, 1]))
+    fine = triangle_rule_collapsed(assembly.ELEVATED_QUADRATURE_DEGREE)
+    qpoints = (x0[:, None, :] + np.einsum("td,q->tqd", e1, fine.points[:, 0])
+               + np.einsum("td,q->tqd", e2, fine.points[:, 1]))
     f = np.stack(forcing(qpoints[:, :, 0], qpoints[:, :, 1]))
-    le = np.einsum("q,t,dtq,qi->tdi", fine.wq, area, f, fine.phi2)
+    le = np.einsum("q,t,dtq,qi->tdi", fine.weights, area, f, p2_shape(fine.points)[0])
     out["body_load"] = assembly._velocity_load(dofs, le)
 
     n_noise, amplitude, zeta = noise
@@ -280,16 +281,15 @@ def test_element_tables_match_multi_operand_einsum(n):
     forcing = lambda x, y: exact_forcing(x, y, 0.02)  # noqa: E731
     want = _einsum_kernels(mesh, dofs, w, 0.02, forcing, (n, 1.3, zeta))
 
-    geom = ElementGeometry(mesh)
-    n1, n2 = assemble_convection_linearized(dofs, w, geom=geom)
+    n1, n2 = assemble_convection_linearized(dofs, w)
     got = {
-        "grad": geom.grad.reshape(mesh.n_triangles, 6, -1, 2).transpose(0, 2, 1, 3),
-        "viscous": assemble_viscous(dofs, 0.02, geom=geom),
-        "divergence": assemble_divergence(dofs, geom=geom),
+        "grad": dofs.geometry.grad.reshape(mesh.n_triangles, 6, -1, 2).transpose(0, 2, 1, 3),
+        "viscous": assemble_viscous(dofs, 0.02),
+        "divergence": assemble_divergence(dofs),
         "n1": n1,
         "n2": n2,
         "body_load": assemble_load(dofs, forcing),
-        "noise_load": assemble_noise_load(dofs, n, 1.3, zeta[None], geom=geom)[:, 0],
+        "noise_load": assemble_noise_load(dofs, n, 1.3, zeta[None])[:, 0],
     }
     for name, ref in want.items():
         defect = np.abs(got[name] - ref).max() / np.abs(ref).max()

@@ -373,6 +373,16 @@ def test_huge_kappa_prints_a_short_stats_line(tmp_path, capsys):
     assert len(kappa) <= 10 and float(kappa) > 1e298
 
 
+@pytest.mark.parametrize("argv", [["solve", "--method", "modified"], ["mc", "--samples", "3"]])
+def test_a_subnormal_sigma_solves_every_modified_sample(tmp_path, capsys, argv):
+    # the residual bound of a subnormal load underflowed to 0 and failed the
+    # modified solves that split and monolithic passed on the same draws
+    assert run_cli(*argv, "--mesh-n", "4", "--sigma", "1e-320",
+                   "--out-dir", str(tmp_path)) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "failures_modified=0" in out or "method=modified converged=1" in out
+
+
 def test_perfbench_traced_names_exist(monkeypatch):
     # the benchmark's tracer patches these module attributes by name
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"

@@ -84,13 +84,14 @@ def test_forcing_norm_frozen_and_rule_independent():
 
 @pytest.mark.parametrize("nu", [1e-3, 0.02, 0.5, 7.0])
 def test_forcing_norm_equals_the_element_geometry_integral(nu):
-    # the reference integrates on a full ElementGeometry, basis tables and all
-    from snsflow.assembly import (ELEVATED_QUADRATURE_DEGREE, ElementGeometry,
+    # the reference integrates on the n=4 mesh's affine maps and the rule of
+    # twice the elevated degree, the default of forcing_l2_norm
+    from snsflow.assembly import (ELEVATED_QUADRATURE_DEGREE, affine_maps,
                                   triangle_rule_collapsed)
-    geom = ElementGeometry(build_structured_mesh(4),
-                           triangle_rule_collapsed(2 * ELEVATED_QUADRATURE_DEGREE))
-    f1, f2 = mf.exact_forcing(geom.qpoints[:, :, 0], geom.qpoints[:, :, 1], nu)
-    reference = float(np.sqrt(np.einsum("q,t,tq->", geom.wq, geom.area,
+    rule = triangle_rule_collapsed(2 * ELEVATED_QUADRATURE_DEGREE)
+    area, qpoints, _ = affine_maps(build_structured_mesh(4), rule.points)
+    f1, f2 = mf.exact_forcing(qpoints[:, :, 0], qpoints[:, :, 1], nu)
+    reference = float(np.sqrt(np.einsum("q,t,tq->", rule.weights, area,
                                         f1 ** 2 + f2 ** 2)))
     assert mf.forcing_l2_norm(nu) == reference
 
@@ -109,14 +110,15 @@ def test_l2_error_zero_field_vs_exact_velocity():
     err = mf.l2_error(zero, mf.exact_velocity)
     assert err == pytest.approx(EXACT_VELOCITY_NORM, abs=1e-9)
     # independent accumulation of the same elevated rule agrees much tighter
-    from snsflow.assembly import ElementGeometry, triangle_rule_collapsed
-    geom = ElementGeometry(dofs.mesh, triangle_rule_collapsed(10))
+    from snsflow.assembly import affine_maps, triangle_rule_collapsed
+    rule = triangle_rule_collapsed(10)
+    area, qpoints, _ = affine_maps(dofs.mesh, rule.points)
     total = 0.0
     for t in range(dofs.mesh.n_triangles):
-        for q, w in enumerate(geom.wq):
-            x, y = geom.qpoints[t, q]
+        for q, w in enumerate(rule.weights):
+            x, y = qpoints[t, q]
             u1, u2 = mf.exact_velocity(x, y)
-            total += w * geom.area[t] * (u1 ** 2 + u2 ** 2)
+            total += w * area[t] * (u1 ** 2 + u2 ** 2)
     assert err == pytest.approx(math.sqrt(total), abs=1e-12)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from snsflow.checks import audit_mesh
-from snsflow.mesh import build_dof_map, build_structured_mesh, triangle_nodes
+from snsflow.mesh import build_dof_map, build_structured_mesh
 
 
 def test_smallest_mesh_counts_and_euler():
@@ -81,7 +81,7 @@ def test_node_coords_cover_vertices_then_midpoints():
     dofs = build_dof_map(mesh)
     assert np.array_equal(dofs.node_coords[:mesh.n_vertices], mesh.vertices)
     assert np.array_equal(dofs.node_coords[mesh.n_vertices:], mesh.edge_midpoints)
-    tn = triangle_nodes(dofs)
+    tn = dofs.element_dofs[:, :6]
     # local node 3 sits opposite local vertex 0, etc.
     for t in range(mesh.n_triangles):
         for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):

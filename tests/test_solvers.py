@@ -40,8 +40,7 @@ def _forcing_load(dofs, nu=NU):
 def _noise_load(ops, sigma, n_noise, seed=0, sample=0):
     amplitude = sigma * math.sqrt(1.0 / n_noise ** 2)
     zeta = sample_noise(n_noise, substream_key(seed, sample))
-    return assembly.assemble_noise_load(ops.dofs, n_noise, amplitude, zeta[None],
-                                        geom=ops.geom)[:, 0]
+    return assembly.assemble_noise_load(ops.dofs, n_noise, amplitude, zeta[None])[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +107,7 @@ def test_nested_dissection_order_fills_less_than_colamd():
 def test_free_dof_jacobian_matches_dense_oracle():
     dofs, ops = _setup(2)
     w = np.random.default_rng(5).standard_normal(dofs.n_velocity_dofs)
-    n1, n2 = assembly.assemble_convection_linearized(dofs, w, geom=ops.geom)
+    n1, n2 = assembly.assemble_convection_linearized(dofs, w)
     got = solvers.factor_saddle(dofs, ops.stokes + n1 + n2).matrix.toarray()
 
     oracle = DenseOracle(dofs)
@@ -480,7 +479,7 @@ def _stokes_preconditioned_step(monkeypatch):
     dofs, ops = _setup(6)
     load = _forcing_load(dofs)
     u = solve_stokes(ops, load).velocity
-    n1, n2 = assembly.assemble_convection_linearized(dofs, u, geom=ops.geom)
+    n1, n2 = assembly.assemble_convection_linearized(dofs, u)
     rhs = np.concatenate([np.where(dofs.dirichlet_mask, 0.0, load),
                           np.zeros(dofs.n_pressure_dofs)])
     factors = _counting_splu(monkeypatch)
@@ -694,11 +693,11 @@ def test_jacobian_matches_directional_finite_differences():
     free = ~dofs.dirichlet_mask
 
     def residual(vec):
-        n1, _ = assembly.assemble_convection_linearized(dofs, vec, geom=ops.geom)
+        n1, _ = assembly.assemble_convection_linearized(dofs, vec)
         r = velocity_block(dofs, ops.stokes + n1) @ vec
         return r[free]
 
-    n1, n2 = assembly.assemble_convection_linearized(dofs, u, geom=ops.geom)
+    n1, n2 = assembly.assemble_convection_linearized(dofs, u)
     jac = velocity_block(dofs, ops.stokes + n1 + n2)
     eps = 1e-6
     for _ in range(10):

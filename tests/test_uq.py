@@ -98,8 +98,7 @@ def test_two_sample_mean_against_direct_average():
     acc = np.zeros(dofs.n_velocity_dofs)
     for k in range(2):
         zeta = noise_mod.sample_noise(cfg.noise_n, noise_mod.substream_key(cfg.base_seed, k))
-        [nl] = assembly.assemble_noise_load(dofs, cfg.noise_n, amp, zeta[None],
-                                            geom=ops.geom).T
+        [nl] = assembly.assemble_noise_load(dofs, cfg.noise_n, amp, zeta[None]).T
         fld, rep = solvers.solve_monolithic(ops, load, nl, initial_guess=xi, k_xi=k_xi)
         assert rep.converged
         acc += fld.velocity
@@ -237,6 +236,22 @@ def test_pool_threads_are_bounded_by_the_chunk(monkeypatch):
     assert sizes == [uq.CHUNK]
 
 
+def test_a_run_builds_one_element_geometry_per_dof_map(monkeypatch):
+    # every kernel reads DofMap.geometry; n=24 is grid-sequenced through
+    # n=12, so the run builds two dof maps and two degree-5 geometries
+    built, init = [], assembly.ElementGeometry.__init__
+
+    def counted(self, mesh, *args):
+        built.append(mesh.n)
+        init(self, mesh, *args)
+
+    monkeypatch.setattr(assembly.ElementGeometry, "__init__", counted)
+    stats = run_experiment(McConfig(M=2, mesh_n=24, noise_n=12, sigma=1.6))
+    assert sorted(built) == [12, 24]
+    dofs = stats.mean_fields["monolithic"].dofs
+    assert dofs.geometry.rule.degree == 5 and dofs.mesh.n == 24
+
+
 def test_noise_loads_match_per_draw_assembly():
     from snsflow import noise as noise_mod
     cfg = small_config(noise_n=2)
@@ -248,8 +263,7 @@ def test_noise_loads_match_per_draw_assembly():
     amp = cfg.sigma * np.sqrt(1.0 / cfg.noise_n ** 2)
     for j, k in enumerate(samples):
         zeta = noise_mod.sample_noise(cfg.noise_n, noise_mod.substream_key(cfg.base_seed, k))
-        expected = assembly.assemble_noise_load(dofs, cfg.noise_n, amp, zeta[None],
-                                                geom=ops.geom)
+        expected = assembly.assemble_noise_load(dofs, cfg.noise_n, amp, zeta[None])
         assert np.array_equal(loads[:, j:j + 1], expected)
         assert norms[j] == noise_mod.noise_l2_norm(amp, zeta)
 
