@@ -322,7 +322,7 @@ def splitting_equivalence_max_defect(n: int = 8, sigma: float = 1.5,
     ops, load, xi, _ = uq.prepare(dofs, nu)
     cfg = uq.McConfig(M=samples, base_seed=seed, sigma=sigma, nu=nu, mesh_n=n, noise_n=n)
     loads, _ = uq.noise_loads(cfg, ops, range(samples))
-    k_xi = solvers.LinearizedOperator(ops, xi)
+    k_xi = solvers.linearized_operator(ops, xi)
     worst = 0.0
     for noise_load in loads.T:
         eta, rep_s = solvers.solve_stochastic_full(ops, k_xi, noise_load)

@@ -29,10 +29,13 @@ K(xi), and at u = xi + eta its Jacobian is that same J(eta), so it takes the
 split rule; without K(xi) (a zero start, or a direct reference) every step
 is a direct factorization.
 
-``LinearizedOperator`` holds K(xi) and its factor, made once when it is built
-and read-only after, so the modified, split and monolithic solves of one
-experiment share one assembly and one factorization. The solvers here take
-it as given; ``uq.solve_sample`` decides when one is built.
+``SaddleFactor`` is the one factored operator, read-only once built. K(xi)
+is one (``linearized_operator``), so the modified, split and monolithic
+solves of one experiment share one assembly and one factorization. A failed
+factorization is a value that fails every solve on it; only
+``linear_saddle_solve``, the Stokes start, raises SingularSystemError. The
+solvers here take K(xi) as given; ``uq.solve_sample`` decides when one is
+built.
 
 Every operator is a data vector on the dof map's fixed saddle pattern, so a
 Jacobian is an array sum such as ``stokes + n1 + n2``, a residual is one
@@ -64,7 +67,6 @@ from dataclasses import dataclass, field
 from math import hypot
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import assembly
@@ -209,14 +211,29 @@ def _full_rows(dofs: DofMap, solved: np.ndarray) -> np.ndarray:
     return solution
 
 
-@dataclass
 class SaddleFactor:
-    """LU factors of the saddle system on its free unknowns, for any number of loads."""
+    """The saddle matrix with pattern data ``data``, factorized on its free
+    unknowns, for any number of loads.
 
-    matrix: sp.csc_matrix
-    lu: spla.SuperLU
-    dofs: DofMap
-    norm: float
+    The unknown layout is [velocity, pressure]. The Dirichlet velocity dofs
+    and pressure dof 0 are dropped before factorization, and the rest are
+    eliminated in the dof map's nested-dissection order; solves return them
+    as zero and shift the pressure to zero gauge-weighted mean. A failed
+    factorization is kept, not raised: ``lu`` is then None and ``failure``
+    says why ("" otherwise), and every column of every solve fails with it.
+    """
+
+    def __init__(self, dofs: DofMap, data: np.ndarray):
+        self.dofs, self.data = dofs, data
+        self.matrix = matrix = dofs.pattern.free_matrix(data)   # rows and columns in free_order
+        try:
+            self.lu, self.failure = spla.splu(matrix, permc_spec="NATURAL"), ""
+        except RuntimeError as exc:  # SuperLU signals exact singularity this way
+            self.lu, self.failure = None, f"sparse factorization failed: {exc}"
+        # ||K||_inf, the largest absolute row sum; spla.norm(matrix, np.inf) copies
+        # the matrix, which raised the peak memory of an n=12 mc run by 0.5 MB
+        self.norm = float(np.bincount(matrix.indices, weights=np.abs(matrix.data),
+                                      minlength=matrix.shape[0]).max())
 
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, list[str]]:
         """Solve for a 1-D rhs, or for every column of a 2-D block at once.
@@ -227,9 +244,13 @@ class SaddleFactor:
         column that passed: non-finite values, or a residual that is not
         finite or exceeds RESIDUAL_CHECK_FACTOR (||K|| ||x|| + ||b||). The
         norms are max-norms (``norm`` is ||K||_inf), which square nothing, so
-        the check still certifies a load near the overflow range.
+        the check still certifies a load near the overflow range. Without an
+        LU every column is zero and fails with ``failure``.
         """
         b = _free_rows(self.dofs, rhs)
+        if self.lu is None:
+            return (np.zeros((len(self.dofs.pattern.free),) + rhs.shape[1:]),
+                    [self.failure] * b.shape[1])
         solved = self.lu.solve(b)
         finite = np.isfinite(solved).all(axis=0)
         solved[:, ~finite] = 0.0
@@ -247,60 +268,28 @@ class SaddleFactor:
         return solution.reshape((len(solution),) + rhs.shape[1:]), failures
 
 
-def factor_saddle(dofs: DofMap, data: np.ndarray) -> SaddleFactor:
-    """Factorize the saddle matrix with pattern data ``data`` on its free unknowns.
-
-    The unknown layout is [velocity, pressure]. The Dirichlet velocity dofs
-    and pressure dof 0 are dropped before factorization, and the rest are
-    eliminated in the dof map's nested-dissection order; solves return them
-    as zero and shift the pressure to zero gauge-weighted mean. A failed
-    factorization raises SingularSystemError.
-    """
-    matrix = dofs.pattern.free_matrix(data)   # rows and columns in free_order
-    try:
-        lu = spla.splu(matrix, permc_spec="NATURAL")
-    except RuntimeError as exc:  # SuperLU signals exact singularity this way
-        raise SingularSystemError(f"sparse factorization failed: {exc}") from exc
-    # ||K||_inf, the largest absolute row sum; spla.norm(matrix, np.inf) copies
-    # the matrix, which raised the peak memory of an n=12 mc run by 0.5 MB
-    norm = np.bincount(matrix.indices, weights=np.abs(matrix.data),
-                       minlength=matrix.shape[0]).max()
-    return SaddleFactor(matrix, lu, dofs, float(norm))
-
-
 def linear_saddle_solve(dofs: DofMap, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """One factorization and one solve; see ``factor_saddle`` and ``SaddleFactor.solve``.
+    """One factorization and one solve; see ``SaddleFactor``.
 
-    A column that fails its checks raises SingularSystemError.
+    A failed factorization, or a column that fails its checks, raises
+    SingularSystemError.
     """
-    solution, failures = factor_saddle(dofs, data).solve(rhs)
+    solution, failures = SaddleFactor(dofs, data).solve(rhs)
     failed = [f for f in failures if f]
     if failed:
         raise SingularSystemError(failed[0])
     return solution
 
 
-def solve_stokes(ops: AssembledOperators, load: np.ndarray) -> FEField:
-    """Linear solve without convection; the deterministic initial guess."""
-    return FEField(linear_saddle_solve(ops.dofs, ops.stokes, load), ops.dofs)
-
-
-class LinearizedOperator:
+def linearized_operator(ops: AssembledOperators, xi: FEField) -> SaddleFactor:
     """K(xi) = A + N1(xi) + N2(xi) around the frozen field xi, factorized once.
 
-    ``data`` is its pattern data: the linear part of the split correction
-    equation and the operator of the modified one. The constructor factorizes
-    it: ``factor`` is its LU, shared read-only by every sample, or None when
-    the factorization failed, and ``failure`` then says why ("" otherwise).
+    Its ``data`` is the linear part of the split correction equation and the
+    operator of the modified one, and its LU is shared read-only by every
+    sample.
     """
-
-    def __init__(self, ops: AssembledOperators, xi: FEField):
-        n1, n2 = assembly.assemble_convection_linearized(ops.dofs, xi.velocity)
-        self.data = ops.stokes + n1 + n2
-        try:
-            self.factor, self.failure = factor_saddle(ops.dofs, self.data), ""
-        except SingularSystemError as exc:
-            self.factor, self.failure = None, str(exc)
+    n1, n2 = assembly.assemble_convection_linearized(ops.dofs, xi.velocity)
+    return SaddleFactor(ops.dofs, ops.stokes + n1 + n2)
 
 
 def _krylov_step(dofs: DofMap, jacobian: np.ndarray, rhs: np.ndarray,
@@ -379,8 +368,8 @@ def _newton(ops: AssembledOperators, load: np.ndarray, x0: np.ndarray,
     given; the correction equation passes K(xi), which adds the coupling
     terms N1(xi) u + N2(xi) u. ``krylov`` makes it Newton-Krylov on the
     newest factor: a step first runs GMRES preconditioned by the newest LU
-    (see ``_krylov_step``), starting from ``precond`` when one is given; a
-    step with no factor, or one GMRES misses, factorizes its Jacobian,
+    (see ``_krylov_step``), starting from ``precond`` when it has an LU; a
+    step with no LU, or one GMRES misses, factorizes its Jacobian,
     counts a fallback and keeps that factor for the following steps. Without
     ``krylov`` every step is direct. ``precond`` only preconditions: the
     residual and the Jacobian are those of ``linear``. The residual takes the
@@ -418,16 +407,13 @@ def _newton(ops: AssembledOperators, load: np.ndarray, x0: np.ndarray,
         jacobian = linear + n1 + n2
         del n1, n2  # not held through the solve, where the peak memory is
         step = None
-        if precond is not None:
+        if precond is not None and precond.lu is not None:
             forcing = min(INNER_RTOL, max(r_norm / history[0], 0.5 * tol / r_norm))
             step, its = _krylov_step(dofs, jacobian, -residual, precond, forcing)
             inner += its
         if step is None:
             precond = None  # freed before the new factorization: one LU at a time
-            try:
-                factor = factor_saddle(dofs, jacobian)
-            except SingularSystemError as exc:
-                return report(False, r_norm, str(exc))
+            factor = SaddleFactor(dofs, jacobian)
             step, (failure,) = factor.solve(-residual)
             if failure:
                 return report(False, r_norm, failure)
@@ -451,15 +437,16 @@ def solve_deterministic_ns(ops: AssembledOperators, f_load: np.ndarray,
     problem, which is already close: it leaves out the Stokes factorization
     and solve and about half of the Newton steps.
     """
-    init = solve_stokes(ops, f_load) if initial_guess is None else initial_guess
-    fld, report = _newton(ops, f_load, init.values, krylov=True)
+    init = (linear_saddle_solve(ops.dofs, ops.stokes, f_load) if initial_guess is None
+            else initial_guess.values)
+    fld, report = _newton(ops, f_load, init, krylov=True)
     if initial_guess is None:
         report.iterations += 1
     report.method = "deterministic"
     return fld, report
 
 
-def solve_stochastic_full(ops: AssembledOperators, k_xi: LinearizedOperator,
+def solve_stochastic_full(ops: AssembledOperators, k_xi: SaddleFactor,
                           noise_load: np.ndarray) -> tuple[FEField, SolveReport]:
     """Nonlinear stochastic correction around the deterministic field xi.
 
@@ -469,12 +456,12 @@ def solve_stochastic_full(ops: AssembledOperators, k_xi: LinearizedOperator,
     steps and leaves ``k_xi`` untouched.
     """
     fld, report = _newton(ops, noise_load, FEField.zeros(ops.dofs).values, krylov=True,
-                          linear=k_xi.data, precond=k_xi.factor)
+                          linear=k_xi.data, precond=k_xi)
     report.method = "split"
     return fld, report
 
 
-def solve_stochastic_modified(ops: AssembledOperators, k_xi: LinearizedOperator,
+def solve_stochastic_modified(ops: AssembledOperators, k_xi: SaddleFactor,
                               noise_loads: np.ndarray) -> list[tuple[FEField, SolveReport]]:
     """Linearized stochastic correction: one factorization for every load.
 
@@ -483,13 +470,7 @@ def solve_stochastic_modified(ops: AssembledOperators, k_xi: LinearizedOperator,
     per column. A failed factorization fails every report; a column that
     fails its checks fails only its own.
     """
-    def failed(failure: str) -> tuple[FEField, SolveReport]:
-        return (FEField.zeros(ops.dofs),
-                SolveReport(False, 1, float("inf"), [], method="modified", failure=failure))
-
-    if k_xi.factor is None:
-        return [failed(k_xi.failure) for _ in range(noise_loads.shape[1])]
-    x, failures = k_xi.factor.solve(noise_loads)
+    x, failures = k_xi.solve(noise_loads)
     r_norms = np.linalg.norm(_saddle_residual(ops.dofs, k_xi.data, x, noise_loads), axis=0)
     out = []
     for j, failure in enumerate(failures):
@@ -497,7 +478,8 @@ def solve_stochastic_modified(ops: AssembledOperators, k_xi: LinearizedOperator,
         if not (failure or np.isfinite(r_norm)):
             failure = "residual diverged"
         if failure:
-            out.append(failed(failure))
+            out.append((FEField.zeros(ops.dofs), SolveReport(
+                False, 1, float("inf"), [], method="modified", failure=failure)))
         else:
             out.append((FEField(x[:, j], ops.dofs),
                         SolveReport(True, 1, r_norm, [r_norm], method="modified")))
@@ -506,7 +488,7 @@ def solve_stochastic_modified(ops: AssembledOperators, k_xi: LinearizedOperator,
 
 def solve_monolithic(ops: AssembledOperators, f_load: np.ndarray,
                      noise_load: np.ndarray, *, initial_guess: FEField,
-                     k_xi: LinearizedOperator | None = None) -> tuple[FEField, SolveReport]:
+                     k_xi: SaddleFactor | None = None) -> tuple[FEField, SolveReport]:
     """Full per-sample solve from ``initial_guess``.
 
     Direct Newton, unless ``k_xi`` gives the shared K(xi) of the deterministic
@@ -516,7 +498,6 @@ def solve_monolithic(ops: AssembledOperators, f_load: np.ndarray,
     sample converges only on the residual of its own full equation.
     """
     fld, report = _newton(ops, f_load + noise_load, initial_guess.values,
-                          krylov=k_xi is not None,
-                          precond=None if k_xi is None else k_xi.factor)
+                          krylov=k_xi is not None, precond=k_xi)
     report.method = "monolithic"
     return fld, report

@@ -248,7 +248,7 @@ def _failed(method: str, failure: str) -> SolveReport:
 def solve_sample(method: str, ops: solvers.AssembledOperators, xi: FEField,
                  f_load: np.ndarray, noise_loads: np.ndarray, first: int,
                  cfg: McConfig, xi_report: SolveReport,
-                 k_xi: solvers.LinearizedOperator | None = None,
+                 k_xi: solvers.SaddleFactor | None = None,
                  ) -> list[tuple[FEField, SolveReport]]:
     """Solve a block of noise samples with one method: the only route from a
     method and its loads to the solvers.
@@ -279,7 +279,7 @@ def solve_sample(method: str, ops: solvers.AssembledOperators, xi: FEField,
             if not _uses_k_xi(method, cfg.mono_init, xi_report):
                 k_xi = None
             elif k_xi is None:
-                k_xi = solvers.LinearizedOperator(ops, xi)
+                k_xi = solvers.linearized_operator(ops, xi)
             if method == "modified":
                 block = np.pad(noise_loads, ((0, 0), (0, max(CHUNK - len(columns), 0))))
                 out = [(xi + eta, rep) for eta, rep in
@@ -322,7 +322,7 @@ def run_experiment(cfg: McConfig, jobs: int = 1) -> McStats:
     dofs = build_dof_map(build_structured_mesh(cfg.mesh_n))
     ops, f_load, xi, xi_report = prepare(dofs, cfg.nu)
     forcing_norm = manufactured.forcing_l2_norm(cfg.nu)
-    k_xi = (solvers.LinearizedOperator(ops, xi)
+    k_xi = (solvers.linearized_operator(ops, xi)
             if any(_uses_k_xi(m, cfg.mono_init, xi_report) for m in cfg.methods) else None)
 
     def solve(method: str, block: np.ndarray, first: int) -> list[tuple[FEField, SolveReport]]:

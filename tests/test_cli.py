@@ -178,6 +178,7 @@ def test_verify_convergence_prints_observed_orders(capsys):
 
 
 SOLVE = ["solve", "--method", "split"]
+DETERMINISTIC = ["solve", "--method", "deterministic"]
 
 
 @pytest.mark.parametrize("argv, config, named", [
@@ -205,6 +206,9 @@ SOLVE = ["solve", "--method", "split"]
     (SOLVE, {"jobs": 2}, "--config"),
     ([*SOLVE, "--newton-max-iter", "3"], None, "--newton-max-iter"),
     (SOLVE, {"newton_tol": 1e-8}, "--config"),
+    (["mc", "--samples", "1", "--mesh-n", "100000", "--noise-n", "2"], None, "--mesh-n"),
+    ([*DETERMINISTIC, "--mesh-n", "3000000000", "--noise-n", "1"], None, "--mesh-n"),
+    ([*DETERMINISTIC, "--mesh-n", str(10 ** 20), "--noise-n", "1"], None, "--mesh-n"),
 ])
 def test_hostile_input_is_one_line_usage_error(tmp_path, capsys, argv, config, named):
     out_dir = [] if argv[0] == "verify" else ["--out-dir", str(tmp_path)]
@@ -244,33 +248,45 @@ def test_an_unwritable_output_is_one_line_usage_error(tmp_path, monkeypatch, cap
     assert "Permission denied" in err
 
 
+def test_running_out_of_memory_is_one_line_usage_error(tmp_path, monkeypatch, capsys):
+    def exhausted(n):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(uq, "build_structured_mesh", exhausted)
+    assert run_cli("mc", "--samples", "1", "--mesh-n", "2",
+                   "--out-dir", str(tmp_path)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: out of memory")
+    assert "74.5 GiB" in err and "Traceback" not in err
+
+
 def test_singular_k_xi_fails_modified_samples_and_exits_2(tmp_path, monkeypatch, capsys):
     # K(xi) is the converged Newton Jacobian, so only a stub can make it
     # singular; it fails wherever K(xi) is factorized, and the monolithic
     # samples, which start from that factor, must survive on their own
-    real_init, real_splu = solvers.LinearizedOperator.__init__, spla.splu
+    real_k_xi, real_splu = solvers.linearized_operator, spla.splu
     made, inside = [], []
 
-    def init(self, *args):
-        made.append(self)
+    def k_xi(*args):
         inside.append(True)
         try:
-            real_init(self, *args)
+            made.append(real_k_xi(*args))
         finally:
             inside.clear()
+        return made[-1]
 
     def splu(matrix, *args, **kwargs):
         if inside:
             raise RuntimeError("Factor is exactly singular")
         return real_splu(matrix, *args, **kwargs)
 
-    monkeypatch.setattr(solvers.LinearizedOperator, "__init__", init)
+    monkeypatch.setattr(solvers, "linearized_operator", k_xi)
     monkeypatch.setattr(spla, "splu", splu)
     code = run_cli("mc", "--mesh-n", "4", "--samples", "3", "--sigma", "1.0",
                    "--methods", "monolithic,modified", "--out-dir", str(tmp_path))
     assert code == EXIT_NOT_CONVERGED
     assert capsys.readouterr().err == ""
-    assert len(made) == 1 and made[0].factor is None and "singular" in made[0].failure
+    assert len(made) == 1 and made[0].lu is None and "singular" in made[0].failure
     stats = (tmp_path / "stats.csv").read_text().splitlines()
     assert stats[1].startswith("monolithic,") and stats[1].endswith(",0")
     assert stats[2].startswith("modified,") and stats[2].endswith(",3")

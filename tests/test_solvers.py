@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +22,6 @@ from snsflow.solvers import (
     solve_monolithic,
     solve_stochastic_full,
     solve_stochastic_modified,
-    solve_stokes,
 )
 
 NU = 0.02
@@ -92,23 +91,32 @@ def test_stokes_factorization_at_n1_is_singular():
     # two free velocity dofs (the diagonal's midpoint) against three free
     # pressure dofs: B^T has a null vector, so the free system is singular
     dofs, ops = _setup(1)
-    with pytest.raises(SingularSystemError):
-        solvers.factor_saddle(dofs, ops.stokes)
+    factor = solvers.SaddleFactor(dofs, ops.stokes)
+    assert factor.lu is None and factor.failure.startswith("sparse factorization failed: ")
+    # the kept failure fails every column of every solve, with zeros
+    rhs = np.ones((dofs.n_velocity_dofs, 3))
+    for load, k in ((rhs[:, 0], 1), (rhs, 3)):
+        x, failures = factor.solve(load)
+        assert failures == [factor.failure] * k
+        assert x.shape == (len(dofs.pattern.free),) + load.shape[1:] and np.all(x == 0)
+    with pytest.raises(SingularSystemError) as raised:
+        linear_saddle_solve(dofs, ops.stokes, rhs[:, 0])
+    assert str(raised.value) == factor.failure
 
 
 def test_nested_dissection_order_fills_less_than_colamd():
     dofs, ops = _setup(24)
     xi, _ = solve_deterministic_ns(ops, _forcing_load(dofs))
-    k_xi = solvers.LinearizedOperator(ops, xi)
+    k_xi = solvers.linearized_operator(ops, xi)
     matrix = dofs.pattern.free_matrix(k_xi.data)
-    assert k_xi.factor.lu.nnz < spla.splu(matrix, permc_spec="COLAMD").nnz
+    assert k_xi.lu.nnz < spla.splu(matrix, permc_spec="COLAMD").nnz
 
 
 def test_free_dof_jacobian_matches_dense_oracle():
     dofs, ops = _setup(2)
     w = np.random.default_rng(5).standard_normal(dofs.n_velocity_dofs)
     n1, n2 = assembly.assemble_convection_linearized(dofs, w)
-    got = solvers.factor_saddle(dofs, ops.stokes + n1 + n2).matrix.toarray()
+    got = solvers.SaddleFactor(dofs, ops.stokes + n1 + n2).matrix.toarray()
 
     oracle = DenseOracle(dofs)
     o1, o2 = oracle.convection(w)
@@ -129,7 +137,7 @@ def test_stokes_convergence_under_refinement():
     for n in (4, 8, 16):
         dofs, ops = _setup(n)
         load = assembly.assemble_load(dofs, stokes_forcing)
-        fld = solve_stokes(ops, load)
+        fld = FEField(linear_saddle_solve(dofs, ops.stokes, load), dofs)
         errors.append(mf.l2_error(fld, mf.exact_velocity))
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
     assert min(orders) >= 2.5
@@ -166,7 +174,7 @@ def test_a_converged_initial_guess_takes_no_step_and_no_stokes_solve(monkeypatch
     dofs, ops = _setup(6)
     load = _forcing_load(dofs)
     xi, _ = solve_deterministic_ns(ops, load)
-    monkeypatch.setattr(solvers, "solve_stokes", lambda *a: pytest.fail("Stokes solve"))
+    monkeypatch.setattr(solvers, "linear_saddle_solve", lambda *a: pytest.fail("Stokes solve"))
     fld, report = solve_deterministic_ns(ops, load, initial_guess=xi)
     assert report.converged and report.iterations == 0 and report.method == "deterministic"
     assert np.array_equal(fld.velocity, xi.velocity)
@@ -279,7 +287,7 @@ def test_zero_noise_gives_zero_corrections():
     dofs, ops = _setup(4)
     xi, _ = solve_deterministic_ns(ops, _forcing_load(dofs))
     zero = np.zeros(dofs.n_velocity_dofs)
-    k_xi = solvers.LinearizedOperator(ops, xi)
+    k_xi = solvers.linearized_operator(ops, xi)
     eta, rep = solve_stochastic_full(ops, k_xi, zero)
     assert rep.converged and np.all(eta.velocity == 0)
     [(eta_l, rep_l)] = solve_stochastic_modified(ops, k_xi, zero[:, None])
@@ -295,7 +303,7 @@ def test_full_correction_converges_at_large_amplitude_from_zero():
     dofs, ops = _setup(8)
     xi, _ = solve_deterministic_ns(ops, _forcing_load(dofs))
     noise_load = _noise_load(ops, 8.0, 8, seed=3)
-    eta, rep = solve_stochastic_full(ops, solvers.LinearizedOperator(ops, xi), noise_load)
+    eta, rep = solve_stochastic_full(ops, solvers.linearized_operator(ops, xi), noise_load)
     assert rep.converged
 
 
@@ -303,7 +311,7 @@ def test_modified_error_scales_quadratically_in_amplitude():
     dofs, ops = _setup(8)
     xi, _ = solve_deterministic_ns(ops, _forcing_load(dofs))
     base = _noise_load(ops, 1.0, 8, seed=21)
-    k_xi = solvers.LinearizedOperator(ops, xi)
+    k_xi = solvers.linearized_operator(ops, xi)
     ratios = []
     for sigma in (0.8, 1.6, 3.2):
         load = sigma * base  # identical draw at three amplitudes
@@ -333,7 +341,7 @@ def test_modified_is_faster_than_full():
     # each timed call builds its own K(xi): modified is then one factorization
     # and one solve, split one factorization and a Newton-Krylov solve
     def k_xi():
-        return solvers.LinearizedOperator(ops, xi)
+        return solvers.linearized_operator(ops, xi)
 
     t_full = best_of(lambda: solve_stochastic_full(ops, k_xi(), load))
     t_mod = best_of(lambda: solve_stochastic_modified(ops, k_xi(), load[:, None])[0])
@@ -344,7 +352,7 @@ def test_modified_reports_one_iteration():
     dofs, ops = _setup(4)
     xi, _ = solve_deterministic_ns(ops, _forcing_load(dofs))
     load = _noise_load(ops, 1.0, 4)
-    [(_, rep)] = solve_stochastic_modified(ops, solvers.LinearizedOperator(ops, xi),
+    [(_, rep)] = solve_stochastic_modified(ops, solvers.linearized_operator(ops, xi),
                                            load[:, None])
     assert rep.iterations == 1
 
@@ -359,7 +367,7 @@ def _modified_setup(n=6, samples=5):
 
 def test_batched_modified_equals_per_column_solves():
     dofs, ops, xi, loads = _modified_setup()
-    k_xi = solvers.LinearizedOperator(ops, xi)
+    k_xi = solvers.linearized_operator(ops, xi)
     block = solve_stochastic_modified(ops, k_xi, loads)
     assert len(block) == loads.shape[1]
     for j, (eta, rep) in enumerate(block):
@@ -379,7 +387,7 @@ def test_failed_factorization_fails_every_modified_column(monkeypatch):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(spla, "splu", singular)
-    block = solve_stochastic_modified(ops, solvers.LinearizedOperator(ops, xi), loads)
+    block = solve_stochastic_modified(ops, solvers.linearized_operator(ops, xi), loads)
     assert len(block) == 3
     for eta, rep in block:
         assert not rep.converged and "exactly singular" in rep.failure
@@ -389,7 +397,7 @@ def test_failed_factorization_fails_every_modified_column(monkeypatch):
 def test_saddle_factor_solves_a_block_like_its_columns():
     dofs, ops = _setup(3)
     rhs = np.random.default_rng(2).standard_normal((dofs.n_velocity_dofs, 4))
-    factor = solvers.factor_saddle(dofs, ops.stokes)
+    factor = solvers.SaddleFactor(dofs, ops.stokes)
     block, failures = factor.solve(rhs)
     assert failures == [""] * 4
     for j in range(4):
@@ -403,7 +411,7 @@ def test_saddle_factor_pads_a_velocity_block_with_zero_pressure_rows():
     dofs, ops = _setup(3)
     rhs = np.random.default_rng(3).standard_normal((dofs.n_velocity_dofs, 3))
     padded = np.vstack([rhs, np.zeros((dofs.n_pressure_dofs, 3))])
-    factor = solvers.factor_saddle(dofs, ops.stokes)
+    factor = solvers.SaddleFactor(dofs, ops.stokes)
     assert np.array_equal(factor.solve(rhs)[0], factor.solve(padded)[0])
 
 
@@ -412,14 +420,16 @@ def test_residual_check_fails_a_corrupt_solve_near_the_overflow_range():
     # residual still tells a correct solve from one off by a factor 1.001
     dofs, ops = _setup(4)
     load = 1e200 * np.random.default_rng(4).standard_normal((dofs.n_velocity_dofs, 1))
-    factor = solvers.factor_saddle(dofs, ops.stokes)
+    factor = solvers.SaddleFactor(dofs, ops.stokes)
     assert factor.solve(load)[1] == [""]
 
     class Corrupt:
         def solve(self, rhs):
             return factor.lu.solve(rhs) * 1.001
 
-    _, (failure,) = dataclasses.replace(factor, lu=Corrupt()).solve(load)
+    corrupt = copy.copy(factor)
+    corrupt.lu = Corrupt()
+    _, (failure,) = corrupt.solve(load)
     assert "residual" in failure
 
 
@@ -435,7 +445,7 @@ def _split_setup(sigma, n=8):
 @pytest.mark.parametrize("sigma", [1.6, 8.0])
 def test_newton_krylov_split_matches_direct_split(monkeypatch, sigma):
     ops, xi, load = _split_setup(sigma)
-    k_xi = solvers.LinearizedOperator(ops, xi)
+    k_xi = solvers.linearized_operator(ops, xi)
     eta, rep = solve_stochastic_full(ops, k_xi, load)
     assert rep.converged and rep.inner_iterations > 0
     if sigma <= 4.0:
@@ -449,10 +459,10 @@ def test_newton_krylov_split_matches_direct_split(monkeypatch, sigma):
 
 def test_gmres_miss_falls_back_to_a_direct_step(monkeypatch):
     ops, xi, load = _split_setup(1.6)
-    eta, rep = solve_stochastic_full(ops, solvers.LinearizedOperator(ops, xi), load)
+    eta, rep = solve_stochastic_full(ops, solvers.linearized_operator(ops, xi), load)
     calls = _gmres_missing(monkeypatch, misses=1)
     factors = _counting_splu(monkeypatch)
-    eta_f, rep_f = solve_stochastic_full(ops, solvers.LinearizedOperator(ops, xi), load)
+    eta_f, rep_f = solve_stochastic_full(ops, solvers.linearized_operator(ops, xi), load)
     assert rep_f.converged and rep_f.fallbacks == 1 and len(calls) >= 2
     assert len(factors) == 2   # K(xi), then the one fallback step
     # the steps after the fallback run GMRES on its factor, not on K(xi)'s
@@ -478,12 +488,12 @@ def _stokes_preconditioned_step(monkeypatch):
     bring the step to forcing 1e-4."""
     dofs, ops = _setup(6)
     load = _forcing_load(dofs)
-    u = solve_stokes(ops, load).velocity
+    u = linear_saddle_solve(dofs, ops.stokes, load)[:dofs.n_velocity_dofs]
     n1, n2 = assembly.assemble_convection_linearized(dofs, u)
     rhs = np.concatenate([np.where(dofs.dirichlet_mask, 0.0, load),
                           np.zeros(dofs.n_pressure_dofs)])
     factors = _counting_splu(monkeypatch)
-    precond = solvers.factor_saddle(dofs, ops.stokes)
+    precond = solvers.SaddleFactor(dofs, ops.stokes)
     matvecs = []
     real = type(dofs.pattern).free_matrix
     monkeypatch.setattr(type(dofs.pattern), "free_matrix",
@@ -537,7 +547,7 @@ def test_krylov_step_abandons_a_step_its_first_cycle_shows_will_miss(monkeypatch
 def test_split_at_sigma_8_falls_back_at_most_once_per_sample():
     dofs, ops = _setup(12)
     xi, _ = solve_deterministic_ns(ops, _forcing_load(dofs))
-    k_xi = solvers.LinearizedOperator(ops, xi)
+    k_xi = solvers.linearized_operator(ops, xi)
     for sample in range(8):
         load = _noise_load(ops, 8.0, 12, seed=0, sample=sample)
         _, rep = solve_stochastic_full(ops, k_xi, load)
@@ -548,7 +558,7 @@ def test_split_at_sigma_8_falls_back_at_most_three_times_in_samples_8_to_39():
     # sample 15 of seed 0 falls back three times; the others at most once
     dofs, ops = _setup(12)
     xi, _ = solve_deterministic_ns(ops, _forcing_load(dofs))
-    k_xi = solvers.LinearizedOperator(ops, xi)
+    k_xi = solvers.linearized_operator(ops, xi)
     for sample in range(8, 40):
         load = _noise_load(ops, 8.0, 12, seed=0, sample=sample)
         _, rep = solve_stochastic_full(ops, k_xi, load)
@@ -558,7 +568,7 @@ def test_split_at_sigma_8_falls_back_at_most_three_times_in_samples_8_to_39():
 def test_split_at_sigma_8_misses_within_one_restart_cycle(monkeypatch):
     dofs, ops = _setup(12)
     xi, _ = solve_deterministic_ns(ops, _forcing_load(dofs))
-    k_xi = solvers.LinearizedOperator(ops, xi)
+    k_xi = solvers.linearized_operator(ops, xi)
     real, steps = solvers._krylov_step, []
 
     def recorded(*args):
@@ -576,17 +586,17 @@ def test_split_at_sigma_8_misses_within_one_restart_cycle(monkeypatch):
 
 def test_split_converges_when_k_xi_factorization_fails(monkeypatch):
     ops, xi, load = _split_setup(1.6)
-    eta, _ = solve_stochastic_full(ops, solvers.LinearizedOperator(ops, xi), load)
+    eta, _ = solve_stochastic_full(ops, solvers.linearized_operator(ops, xi), load)
     real_splu = spla.splu
 
     def singular(matrix, *args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(spla, "splu", singular)
-    k_xi = solvers.LinearizedOperator(ops, xi)
-    assert k_xi.factor is None and "exactly singular" in k_xi.failure
+    k_xi = solvers.linearized_operator(ops, xi)
+    assert k_xi.lu is None and "exactly singular" in k_xi.failure
     monkeypatch.setattr(spla, "splu", real_splu)
-    assert k_xi.factor is None   # the failure is kept, not retried
+    assert k_xi.lu is None   # the failure is kept, not retried
     eta_s, rep_s = solve_stochastic_full(ops, k_xi, load)
     # the first step factorizes J(0) itself; that factor preconditions the rest
     assert rep_s.converged and rep_s.inner_iterations > 0 and rep_s.fallbacks == 1
@@ -597,7 +607,7 @@ def test_direct_solves_report_no_inner_iterations():
     ops, xi, load = _split_setup(1.6, n=4)
     _, rep_m = solve_monolithic(ops, _forcing_load(ops.dofs), load,
                                    initial_guess=xi)
-    [(_, rep_l)] = solve_stochastic_modified(ops, solvers.LinearizedOperator(ops, xi),
+    [(_, rep_l)] = solve_stochastic_modified(ops, solvers.linearized_operator(ops, xi),
                                              load[:, None])
     for rep in (rep_m, rep_l):
         assert rep.converged and rep.inner_iterations == rep.fallbacks == 0
@@ -605,7 +615,7 @@ def test_direct_solves_report_no_inner_iterations():
 
 def test_concurrent_solves_on_one_factor_match_serial():
     ops, xi, _ = _split_setup(1.6, n=6)
-    factor = solvers.LinearizedOperator(ops, xi).factor
+    factor = solvers.linearized_operator(ops, xi)
     rhs = np.random.default_rng(5).standard_normal((ops.dofs.n_velocity_dofs, 32))
     serial = [factor.solve(rhs[:, j].copy())[0] for j in range(32)]
     with ThreadPoolExecutor(max_workers=8) as pool:
@@ -632,7 +642,7 @@ def test_monolithic_minus_deterministic_equals_correction():
     load = _forcing_load(dofs)
     xi, _ = solve_deterministic_ns(ops, load)
     noise_load = _noise_load(ops, 1.5, 8, seed=9)
-    eta, rep_s = solve_stochastic_full(ops, solvers.LinearizedOperator(ops, xi), noise_load)
+    eta, rep_s = solve_stochastic_full(ops, solvers.linearized_operator(ops, xi), noise_load)
     mono, rep_m = solve_monolithic(ops, load, noise_load, initial_guess=xi)
     assert rep_s.converged and rep_m.converged
     diff = FEField(mono.values - xi.values, dofs)
@@ -644,7 +654,7 @@ def test_monolithic_minus_deterministic_equals_correction():
 def test_newton_krylov_monolithic_matches_direct_monolithic(monkeypatch, sigma):
     ops, xi, load = _split_setup(sigma)
     f_load = _forcing_load(ops.dofs)
-    k_xi = solvers.LinearizedOperator(ops, xi)
+    k_xi = solvers.linearized_operator(ops, xi)
     mono, rep = solve_monolithic(ops, f_load, load, initial_guess=xi, k_xi=k_xi)
     assert rep.converged and rep.inner_iterations > 0
     if sigma <= 4.0:
@@ -660,7 +670,7 @@ def test_newton_krylov_monolithic_minus_deterministic_equals_correction():
     dofs, ops = _setup(8)
     load = _forcing_load(dofs)
     xi, _ = solve_deterministic_ns(ops, load)
-    k_xi = solvers.LinearizedOperator(ops, xi)
+    k_xi = solvers.linearized_operator(ops, xi)
     for sample in range(3):
         noise_load = _noise_load(ops, 1.5, 8, seed=9, sample=sample)
         eta, rep_s = solve_stochastic_full(ops, k_xi, noise_load)
@@ -727,7 +737,7 @@ def test_newton_assembles_jacobian_only_for_steps(monkeypatch):
                       "assemble_convection_load": len(rep.residual_history)}
 
     counts.update(dict.fromkeys(counts, 0))
-    k_xi = solvers.LinearizedOperator(ops, xi)
+    k_xi = solvers.linearized_operator(ops, xi)
     _, rep = solve_stochastic_full(ops, k_xi, _noise_load(ops, 1.6, 6))
     assert rep.converged and rep.iterations >= 2
     # one more linearization: the frozen coupling terms around xi

@@ -93,7 +93,7 @@ def test_two_sample_mean_against_direct_average():
     ops = solvers.assemble_operators(dofs, cfg.nu)
     load = assembly.assemble_load(dofs, lambda x, y: mf.exact_forcing(x, y, cfg.nu))
     xi, _ = solvers.solve_deterministic_ns(ops, load)
-    k_xi = solvers.LinearizedOperator(ops, xi)   # shared by the samples, as in the run
+    k_xi = solvers.linearized_operator(ops, xi)   # shared by the samples, as in the run
     amp = cfg.sigma * np.sqrt(1.0 / cfg.noise_n ** 2)
     acc = np.zeros(dofs.n_velocity_dofs)
     for k in range(2):
@@ -476,13 +476,13 @@ def test_monolithic_is_newton_krylov_only_from_the_deterministic_start():
 def test_k_xi_is_built_only_for_methods_that_use_it(monkeypatch, methods, mono_init,
                                                     max_iter, builds):
     made = []
-    real = solvers.LinearizedOperator
+    real = solvers.linearized_operator
 
     def recorded(*args):
         made.append(real(*args))
         return made[-1]
 
-    monkeypatch.setattr(solvers, "LinearizedOperator", recorded)
+    monkeypatch.setattr(solvers, "linearized_operator", recorded)
     monkeypatch.setattr(solvers, "NEWTON_MAX_ITER", max_iter)
     run_experiment(small_config(M=2, methods=methods, mono_init=mono_init))
     assert len(made) == builds
