@@ -69,14 +69,8 @@ def triangle_rule_collapsed(degree: int) -> QuadratureRule:
     wj = 0.25 * wj                          # maps the (1-x) Jacobi weight to [0,1]
     xl = 0.5 * (xl + 1.0)
     wl = 0.5 * wl
-    pts = np.empty((m * m, 2))
-    ws = np.empty(m * m)
-    k = 0
-    for i in range(m):
-        for j in range(m):
-            pts[k] = (xj[i], xl[j] * (1.0 - xj[i]))
-            ws[k] = wj[i] * wl[j]
-            k += 1
+    pts = np.column_stack([np.repeat(xj, m), np.outer(1.0 - xj, xl).ravel()])
+    ws = np.outer(wj, wl).ravel()
     return QuadratureRule(pts, ws / ws.sum(), degree=degree)
 
 
@@ -85,25 +79,35 @@ def p2_shape(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Local nodes: 0..2 vertices, 3..5 midpoints of the edges opposite them.
     """
-    nq = len(points)
-    phi = np.empty((nq, 6))
-    grad = np.empty((nq, 6, 2))
+    xi, eta = points[:, 0], points[:, 1]
+    lam = np.stack([1.0 - xi - eta, xi, eta], axis=1)                   # (nq, 3)
     dlam = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-    pairs = ((1, 2), (2, 0), (0, 1))
-    for q, (xi, eta) in enumerate(points):
-        lam = (1.0 - xi - eta, xi, eta)
-        for i in range(3):
-            phi[q, i] = lam[i] * (2.0 * lam[i] - 1.0)
-            grad[q, i] = (4.0 * lam[i] - 1.0) * dlam[i]
-        for k, (i, j) in enumerate(pairs):
-            phi[q, 3 + k] = 4.0 * lam[i] * lam[j]
-            grad[q, 3 + k] = 4.0 * (lam[i] * dlam[j] + lam[j] * dlam[i])
+    i, j = [1, 2, 0], [2, 0, 1]                # midpoint 3 + k joins vertices i[k], j[k]
+    phi = np.hstack([lam * (2.0 * lam - 1.0), 4.0 * lam[:, i] * lam[:, j]])
+    grad = np.hstack([(4.0 * lam - 1.0)[:, :, None] * dlam,
+                      4.0 * (lam[:, i, None] * dlam[j] + lam[:, j, None] * dlam[i])])
     return phi, grad
 
 
 def p1_shape(points: np.ndarray) -> np.ndarray:
     lam0 = 1.0 - points.sum(axis=1)
     return np.column_stack([lam0, points])
+
+
+# the elevated rule and its P2/P1 value tables depend on no input: built once, read-only
+ELEVATED_RULE = triangle_rule_collapsed(ELEVATED_QUADRATURE_DEGREE)
+ELEVATED_PHI2 = p2_shape(ELEVATED_RULE.points)[0]
+ELEVATED_PHI1 = p1_shape(ELEVATED_RULE.points)
+for _table in (ELEVATED_RULE.points, ELEVATED_RULE.weights, ELEVATED_PHI2, ELEVATED_PHI1):
+    _table.setflags(write=False)
+
+
+def values_at(dofs: DofMap, vector: np.ndarray, part: str, table: np.ndarray) -> np.ndarray:
+    """(T, c, nq) values of a velocity (c = 2) or pressure (c = 1) vector at the
+    points of its P2 or P1 basis ``table`` (nq, 6) or (nq, 3)."""
+    if part == "velocity":
+        return vector[dofs.element_dofs[:, :12]].reshape(-1, 2, 6) @ table.T
+    return (vector[dofs.mesh.triangles] @ table.T)[:, None]
 
 
 def affine_maps(mesh: TriMesh, points: np.ndarray
@@ -238,16 +242,15 @@ def assemble_convection_load(dofs: DofMap, u: np.ndarray) -> np.ndarray:
 def assemble_load(dofs: DofMap,
                   f: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
                   ) -> np.ndarray:
-    """Load vector L with L . v = int f . v, on the rule of ELEVATED_QUADRATURE_DEGREE.
+    """Load vector L with L . v = int f . v, on ELEVATED_RULE.
 
     ``f`` maps coordinate arrays (x, y) to the two force components.
     """
-    rule = triangle_rule_collapsed(ELEVATED_QUADRATURE_DEGREE)
-    area, qpoints, _ = affine_maps(dofs.mesh, rule.points)
+    area, qpoints, _ = affine_maps(dofs.mesh, ELEVATED_RULE.points)
     f1, f2 = f(qpoints[:, :, 0], qpoints[:, :, 1])
     f1 = np.broadcast_to(np.asarray(f1, dtype=float), qpoints.shape[:2])
     f2 = np.broadcast_to(np.asarray(f2, dtype=float), qpoints.shape[:2])
-    le = np.stack([f1, f2], axis=1) @ (rule.weights[:, None] * p2_shape(rule.points)[0])
+    le = np.stack([f1, f2], axis=1) @ (ELEVATED_RULE.weights[:, None] * ELEVATED_PHI2)
     return _velocity_load(dofs, area[:, None, None] * le)
 
 

@@ -19,7 +19,7 @@ from math import isfinite
 
 import numpy as np
 
-from . import checks, solvers, uq
+from . import checks, manufactured, solvers, uq
 from .mesh import build_dof_map, build_structured_mesh
 from .uq import McConfig
 
@@ -32,6 +32,11 @@ EXIT_NOT_CONVERGED = 2
 # 10 GB, more than a machine with 8 GB of RAM and a 4 GB commit limit holds,
 # so a larger --mesh-n is a usage error before anything is allocated.
 MAX_MESH_N = 128
+# np.empty(M) in uq.run_experiment raises ValueError, not MemoryError, from
+# M = 2**60 upward, where its 8*M bytes exceed the largest array size; so a
+# larger --samples is a usage error, and a smaller one that does not fit in
+# memory ends in the out-of-memory line.
+MAX_SAMPLES = 2 ** 60 - 1
 
 _MC = McConfig()
 DEFAULTS = {
@@ -71,7 +76,7 @@ def _add_solving(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--seed", type=int, help="base seed for all randomness")
     p.add_argument("--out-dir", dest="out_dir", help="output directory")
-    p.add_argument("--init", choices=["deterministic", "zero"],
+    p.add_argument("--init", choices=uq.INITS,
                    help="monolithic initial guess")
 
 
@@ -113,7 +118,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
         try:
             with open(cfg_path) as fh:
                 file_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        # ValueError covers bad JSON, bad UTF-8 and an int of over 4300 digits
+        except (OSError, ValueError) as exc:
             raise UsageError(f"--config: cannot read {cfg_path}: {exc}")
         if not isinstance(file_values, dict):
             raise UsageError(f"--config: {cfg_path} must hold a JSON object")
@@ -123,6 +129,11 @@ def _merge_config(args: argparse.Namespace) -> dict:
         for key, value in file_values.items():
             if not _config_type_ok(key, value):
                 raise UsageError(f"--config: {key} has the wrong type ({value!r})")
+            if isinstance(DEFAULTS[key], float):
+                try:
+                    file_values[key] = float(value)
+                except OverflowError:
+                    raise UsageError(f"--config: {key} is too large for a float")
         merged.update(file_values)
     for key in taken:
         value = getattr(args, key)
@@ -174,8 +185,10 @@ def _validate(merged: dict) -> dict:
         out["samples_list"] = [int(s) for s in str(out["samples"]).split(",") if s]
     except ValueError:
         raise UsageError("--samples must be an integer or comma list of integers")
-    if not out["samples_list"] or min(out["samples_list"]) < 1:
-        raise UsageError("--samples must contain positive integers")
+    if not out["samples_list"] or not all(1 <= m <= MAX_SAMPLES for m in out["samples_list"]):
+        raise UsageError("--samples must contain positive integers of at most 2**60 - 1")
+    if out["init"] not in uq.INITS:   # a --config value skips the parser's choices
+        raise UsageError("--init must be deterministic or zero")
     methods = tuple(m.strip() for m in str(out["methods"]).split(",") if m.strip())
     bad = set(methods) - set(uq.METHODS)
     if bad or not methods:
@@ -261,7 +274,7 @@ def cmd_solve(v: dict) -> int:
 
 
 def cmd_mc(v: dict) -> int:
-    if v.get("sigma_sweep"):
+    if v["sigma_sweep"] is not None:
         sweep_sigmas = _amplitudes(v["sigma_sweep"])
         if len(v["samples_list"]) != 1:
             raise UsageError("--samples must be a single count with --sigma-sweep")
@@ -290,6 +303,10 @@ def cmd_mc(v: dict) -> int:
 
 
 def cmd_verify(v: dict, include_convergence: bool, mutate: str | None) -> int:
+    # the diagnostics line divides the body force's norm by nu^2: once that
+    # norm overflows (from about nu = 2e152) it would read inf or nan
+    if not isfinite(manufactured.forcing_l2_norm(v["nu"])):
+        raise UsageError("--nu is too large: the norm of the body force overflows")
     results = checks.run_verification(include_convergence=include_convergence,
                                       mutate=mutate)
     for res in results:

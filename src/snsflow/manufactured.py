@@ -16,13 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .assembly import (
-    ELEVATED_QUADRATURE_DEGREE,
-    affine_maps,
-    p1_shape,
-    p2_shape,
-    triangle_rule_collapsed,
-)
+from . import assembly
 from .mesh import DofMap
 
 
@@ -103,7 +97,7 @@ def exact_forcing(x, y, nu: float):
             -nu * lap2 + u1 * u2x + u2 * u2y + py)
 
 
-def forcing_l2_norm(nu: float, degree: int = 2 * ELEVATED_QUADRATURE_DEGREE) -> float:
+def forcing_l2_norm(nu: float, degree: int = 2 * assembly.ELEVATED_QUADRATURE_DEGREE) -> float:
     """L2(Omega) norm of the body force, by high-order quadrature.
 
     Independent of any mesh: integrates on a fixed fine reference grid. The
@@ -111,8 +105,8 @@ def forcing_l2_norm(nu: float, degree: int = 2 * ELEVATED_QUADRATURE_DEGREE) -> 
     """
     from .mesh import build_structured_mesh
 
-    rule = triangle_rule_collapsed(degree)
-    area, qpoints, _ = affine_maps(build_structured_mesh(4), rule.points)
+    rule = assembly.triangle_rule_collapsed(degree)
+    area, qpoints, _ = assembly.affine_maps(build_structured_mesh(4), rule.points)
     f1, f2 = exact_forcing(qpoints[:, :, 0], qpoints[:, :, 1], nu)
     return float(np.sqrt(np.einsum("q,t,tq->", rule.weights, area, f1 ** 2 + f2 ** 2)))
 
@@ -124,18 +118,9 @@ def interpolate_velocity(dofs: DofMap, fn) -> np.ndarray:
     return np.concatenate([np.asarray(u1, dtype=float), np.asarray(u2, dtype=float)])
 
 
-def _values_at(dofs: DofMap, vector: np.ndarray, part: str,
-               phi2: np.ndarray, phi1: np.ndarray) -> np.ndarray:
-    """(T, c, nq) values of a velocity (c = 2) or pressure (c = 1) vector at the
-    points of the P2 and P1 basis tables ``phi2`` and ``phi1`` (nq, .)."""
-    if part == "velocity":
-        return vector[dofs.element_dofs[:, :12]].reshape(-1, 2, 6) @ phi2.T
-    return (vector[dofs.mesh.triangles] @ phi1.T)[:, None]
-
-
 def velocity_l2_norm(dofs: DofMap, u: np.ndarray) -> float:
     geom = dofs.geometry
-    squares = _values_at(dofs, u, "velocity", geom.phi2, geom.phi1) ** 2
+    squares = assembly.values_at(dofs, u, "velocity", geom.phi2) ** 2
     return float(np.sqrt(np.einsum("q,t,tq->", geom.wq, geom.area, squares.sum(axis=1))))
 
 
@@ -152,17 +137,18 @@ def l2_error(field, reference, part: str = "velocity") -> float:
     if part not in ("velocity", "pressure"):
         raise ValueError(f"unknown part {part!r}")
     dofs = field.dofs
+    velocity = part == "velocity"
     if callable(reference):
-        rule = triangle_rule_collapsed(ELEVATED_QUADRATURE_DEGREE)
-        area, qpoints, _ = affine_maps(dofs.mesh, rule.points)
-        weights, phi2, phi1 = rule.weights, p2_shape(rule.points)[0], p1_shape(rule.points)
+        area, qpoints, _ = assembly.affine_maps(dofs.mesh, assembly.ELEVATED_RULE.points)
+        weights = assembly.ELEVATED_RULE.weights
+        table = assembly.ELEVATED_PHI2 if velocity else assembly.ELEVATED_PHI1
         ref = reference(qpoints[:, :, 0], qpoints[:, :, 1])
-        ref = np.stack(ref, axis=1) if part == "velocity" else ref[:, None]
+        ref = np.stack(ref, axis=1) if velocity else ref[:, None]
     else:
         if reference.dofs is not dofs:
             raise ValueError("fields live on different dof maps")
         geom = dofs.geometry
-        area, weights, phi2, phi1 = geom.area, geom.wq, geom.phi2, geom.phi1
-        ref = _values_at(dofs, getattr(reference, part), part, phi2, phi1)
-    diff = (_values_at(dofs, getattr(field, part), part, phi2, phi1) - ref) ** 2
+        area, weights, table = geom.area, geom.wq, geom.phi2 if velocity else geom.phi1
+        ref = assembly.values_at(dofs, getattr(reference, part), part, table)
+    diff = (assembly.values_at(dofs, getattr(field, part), part, table) - ref) ** 2
     return float(np.sqrt(np.einsum("q,t,tq->", weights, area, diff.sum(axis=1))))

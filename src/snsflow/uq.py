@@ -34,6 +34,7 @@ from .mesh import DofMap, build_dof_map, build_structured_mesh
 from .solvers import FEField, SolveReport
 
 METHODS = ("monolithic", "split", "modified")
+INITS = ("deterministic", "zero")   # monolithic initial guesses
 SPLITTING_SMALLNESS_THRESHOLD = 7.0 / 8.0
 MODIFIED_SMALLNESS_THRESHOLD = 5.0 / 8.0
 # samples per chunk of run_experiment: a chunk's loads, modified fields and
@@ -76,7 +77,7 @@ class McConfig:
         if not (isfinite(self.sigma) and isfinite(self.nu)
                 and self.sigma >= 0 and self.nu > 0):
             raise ValueError("need finite sigma >= 0 and nu > 0")
-        if self.mono_init not in ("deterministic", "zero"):
+        if self.mono_init not in INITS:
             raise ValueError(f"unknown monolithic initial guess {self.mono_init!r}")
 
 
@@ -201,13 +202,13 @@ def prolongate(coarse: FEField, dofs: DofMap) -> FEField:
     _, points, _ = assembly.affine_maps(coarse_mesh, _QUARTER_POINTS)
     at = np.rint(points * (2 * n)).astype(np.intp)
     nodes = node_at[at[..., 0], at[..., 1]]                      # (T, 15)
-    phi2, _ = assembly.p2_shape(_QUARTER_POINTS)
-    coef = coarse.velocity[coarse.dofs.element_dofs[:, :12]].reshape(-1, 2, 6)
-    velocity = coef @ phi2.T                                     # (T, 2, 15)
+    velocity = assembly.values_at(coarse.dofs, coarse.velocity, "velocity",
+                                  assembly.p2_shape(_QUARTER_POINTS)[0])    # (T, 2, 15)
     nn, fine = dofs.n_scalar_nodes, FEField.zeros(dofs)
     fine.velocity[nodes], fine.velocity[nn + nodes] = velocity[:, 0], velocity[:, 1]
     # P1 at the fine vertices, which are the first P2 nodes
-    pressure = coarse.pressure[coarse_mesh.triangles] @ assembly.p1_shape(_QUARTER_POINTS).T
+    pressure = assembly.values_at(coarse.dofs, coarse.pressure, "pressure",
+                                  assembly.p1_shape(_QUARTER_POINTS))[:, 0]
     vertex = nodes < dofs.n_pressure_dofs
     fine.pressure[nodes[vertex]] = pressure[vertex]
     return fine

@@ -24,9 +24,16 @@ from snsflow.checks import (
     trilinear_value_defect,
     velocity_block,
 )
-from snsflow.manufactured import exact_forcing, interpolate_velocity
+from snsflow.manufactured import (
+    exact_forcing,
+    exact_pressure,
+    exact_velocity,
+    interpolate_velocity,
+    l2_error,
+)
 from snsflow.mesh import build_dof_map, build_structured_mesh
 from snsflow.noise import sample_noise
+from snsflow.solvers import FEField
 
 
 @pytest.fixture(scope="module")
@@ -304,3 +311,26 @@ def test_convection_load_is_n1_times_u(dofs4, seed, scale):
     want = velocity_block(dofs4, assemble_convection_linearized(dofs4, u)[0]) @ u
     got = assemble_convection_load(dofs4, u)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_load_and_closed_form_errors_read_the_tables_built_at_import(dofs4, monkeypatch):
+    field = FEField.zeros(dofs4)
+    field.velocity[:] = 0.5 * interpolate_velocity(dofs4, exact_velocity)
+    field.pressure[:] = exact_pressure(*dofs4.node_coords[:dofs4.n_pressure_dofs].T)
+
+    def values():
+        return (assemble_load(dofs4, lambda x, y: exact_forcing(x, y, 0.02)),
+                l2_error(field, exact_velocity), l2_error(field, exact_pressure, "pressure"))
+
+    def rebuilt(*args):
+        pytest.fail("a quadrature rule or shape table was built at call time")
+
+    built = values()
+    for name in ("p2_shape", "p1_shape", "triangle_rule_collapsed"):
+        monkeypatch.setattr(assembly, name, rebuilt)
+    again = values()
+    assert np.array_equal(again[0], built[0]) and again[1:] == built[1:]
+    for table in (assembly.ELEVATED_RULE.points, assembly.ELEVATED_RULE.weights,
+                  assembly.ELEVATED_PHI2, assembly.ELEVATED_PHI1):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0

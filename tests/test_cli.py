@@ -1,15 +1,20 @@
+import contextlib
 import importlib.util
+import io
 import json
 import re
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from snsflow import assembly, checks, solvers, uq
+from snsflow import assembly, checks, cli, solvers, uq
 
 from snsflow.cli import EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, main
 
@@ -135,6 +140,17 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "--config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe{", b'{"nu": 1' + b"0" * 5000 + b"}"],
+                         ids=["bad-utf8", "int-of-5001-digits"])
+def test_an_unreadable_config_is_one_line_usage_error(tmp_path, capsys, content):
+    # both raise ValueErrors that are not JSONDecodeErrors
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(content)
+    assert run_cli("mc", "--mesh-n", "2", "--config", str(cfg_path)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: --config: cannot read {cfg_path}")
+
+
 def test_jobs_flag_changes_nothing(tmp_path, capsys):
     args = ("mc", "--mesh-n", "4", "--samples", "3", "--sigma", "1.0")
     assert run_cli(*args, "--jobs", "1", "--out-dir", str(tmp_path / "a")) == EXIT_OK
@@ -209,6 +225,15 @@ DETERMINISTIC = ["solve", "--method", "deterministic"]
     (["mc", "--samples", "1", "--mesh-n", "100000", "--noise-n", "2"], None, "--mesh-n"),
     ([*DETERMINISTIC, "--mesh-n", "3000000000", "--noise-n", "1"], None, "--mesh-n"),
     ([*DETERMINISTIC, "--mesh-n", str(10 ** 20), "--noise-n", "1"], None, "--mesh-n"),
+    (DETERMINISTIC, {"nu": 10 ** 400}, "--config: nu"),
+    (DETERMINISTIC, {"sigma": 10 ** 400}, "--config: sigma"),
+    (["mc", "--samples", str(2 ** 60)], None, "--samples"),
+    (["mc", "--samples", f"1,{10 ** 23}"], None, "--samples"),
+    (["mc"], {"samples": 2 ** 60}, "--samples"),
+    (["mc", "--samples", str(2 ** 60), "--sigma-sweep", "0.5,1"], None, "--samples"),
+    (["mc", "--samples", "1", "--sigma-sweep", ""], None, "--sigma-sweep"),
+    (["mc", "--samples", "1"], {"init": "abc"}, "--init"),
+    (["verify", "--nu", "1e308"], None, "--nu"),
 ])
 def test_hostile_input_is_one_line_usage_error(tmp_path, capsys, argv, config, named):
     out_dir = [] if argv[0] == "verify" else ["--out-dir", str(tmp_path)]
@@ -408,3 +433,89 @@ def test_perfbench_traced_names_exist(monkeypatch):
     spec.loader.exec_module(spans)
     for owner, attr, _ in spans.TARGETS:
         assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
+
+
+# -- property test: no argv of the declared flags ends in a traceback ------------
+
+HOSTILE = ["nan", "-inf", "inf", "0.0", "-0.0", "5e-324", "1e308", "1" + "0" * 400, "-3",
+           "abc", ""]
+HOSTILE_JSON = [float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 5e-324, 1e308,
+                10 ** 400, -3, "abc", "", None, True]
+# the accepted values of each flag; every one keeps a run at --mesh-n <= 4, --samples <= 3
+ACCEPTED = {
+    "--nu": ["0.02", "1"], "--sigma": ["1.6", "0"], "--mesh-n": ["1", "2", "3", "4"],
+    "--noise-n": ["1", "2"], "--seed": ["0", "7"], "--init": ["deterministic", "zero"],
+    "--method": ["deterministic", "monolithic", "split", "modified"],
+    "--sample-index": ["0", "5"], "--jobs": ["1", "2"],
+    "--methods": ["monolithic,split,modified", "modified", "split,monolithic"],
+    "--samples": ["1", "2", "3", "1,2"], "--sigma-sweep": ["0.5,1", "0"],
+    "--mutate": ["convection-sign"],
+}
+COMMON = ["--nu", "--sigma", "--mesh-n", "--noise-n"]
+FLAGS = {
+    "verify": [*COMMON, "--mutate"],
+    "solve": [*COMMON, "--seed", "--init", "--method", "--sample-index"],
+    "mc": [*COMMON, "--seed", "--init", "--jobs", "--methods", "--samples", "--sigma-sweep"],
+}
+
+
+def _as_json(value: str):
+    """An accepted flag value as its config value: numbers as JSON numbers."""
+    return json.loads(value) if value[0].isdigit() and "," not in value else value
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv without --out-dir, config dict or None) of one command: accepted
+    values for a few of its flags and config keys, one or two of them hostile."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    flags = draw(st.lists(st.sampled_from(FLAGS[command]), unique=True, max_size=4))
+    if command == "solve" and "--method" not in flags:
+        flags.append("--method")   # required
+    keys = [flag[2:].replace("-", "_") for flag in FLAGS[command]]
+    keys = draw(st.none() | st.lists(st.sampled_from([k for k in keys if k in cli.DEFAULTS]),
+                                     unique=True, max_size=3))
+    names = flags + [f"--config:{key}" for key in keys or []]
+    hostile = draw(st.lists(st.sampled_from(names), unique=True, min_size=1, max_size=2)
+                   if names else st.just([]))
+    argv = [command]
+    for flag in flags:
+        argv += [flag, draw(st.sampled_from(HOSTILE if flag in hostile else ACCEPTED[flag]))]
+    if command == "verify" and draw(st.booleans()):
+        argv.append("--convergence")
+    config = None if keys is None else {
+        key: draw(st.sampled_from(HOSTILE_JSON if f"--config:{key}" in hostile else
+                                  [_as_json(v) for v in ACCEPTED["--" + key.replace("_", "-")]]))
+        for key in keys}
+    return argv, config
+
+
+@given(call=cli_calls())
+@settings(max_examples=1000, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_drawn_argv_exits_0_1_or_2_without_a_traceback(monkeypatch, call):
+    # the battery has its own tests; verify here runs its diagnostics line only
+    monkeypatch.setattr(checks, "run_verification", lambda **kwargs: [])
+    argv, config = [*call[0]], call[1]
+    given_keys = {a[2:].replace("-", "_") for a in argv if a.startswith("--")} | set(config or {})
+    if "mesh_n" not in given_keys:
+        argv += ["--mesh-n", "2"]
+    if argv[0] == "mc" and "samples" not in given_keys:
+        argv += ["--samples", "2"]
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp) / "out"
+        if argv[0] != "verify":
+            argv += ["--out-dir", str(out_dir)]
+        if config is not None:
+            (Path(tmp) / "cfg.json").write_text(json.dumps(config))
+            argv += ["--config", str(Path(tmp) / "cfg.json")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        written = [out.getvalue()] + [p.read_text() for p in sorted(out_dir.glob("*"))]
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_NOT_CONVERGED), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == EXIT_USAGE:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: "), argv
+    if code == EXIT_OK:
+        assert not any("nan" in text.lower() for text in written), argv

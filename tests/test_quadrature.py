@@ -55,3 +55,8 @@ def test_p2_partition_of_unity_and_gradient_sum():
     assert np.allclose(grad.sum(axis=1), 0.0, atol=1e-13)
     phi1 = p1_shape(pts)
     assert np.allclose(phi1.sum(axis=1), 1.0, atol=1e-14)
+    # P2 is quadratic, so central differences are exact up to rounding
+    h = 1e-6
+    for d, step in enumerate(np.eye(2) * h):
+        fd = (p2_shape(pts + step)[0] - p2_shape(pts - step)[0]) / (2 * h)
+        assert np.allclose(grad[:, :, d], fd, rtol=0, atol=1e-8)
