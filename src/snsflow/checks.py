@@ -427,7 +427,8 @@ def run_verification(include_convergence: bool = False,
 
 
 def diagnostics_line(cfg: uq.McConfig) -> str:
-    d = uq.diagnostics(cfg)
-    return (f"indicator={d.indicator:.6g} splitting_threshold={d.splitting_threshold} "
-            f"splitting_ok={d.splitting_ok} modified_threshold={d.modified_threshold} "
-            f"modified_ok={d.modified_ok} expected_kappa={d.expected_kappa:.4f}")
+    indicator, expected_kappa = uq.diagnostics(cfg)
+    split, mod = uq.SPLITTING_SMALLNESS_THRESHOLD, uq.MODIFIED_SMALLNESS_THRESHOLD
+    return (f"indicator={indicator:.6g} splitting_threshold={split} "
+            f"splitting_ok={indicator <= split} modified_threshold={mod} "
+            f"modified_ok={indicator <= mod} expected_kappa={expected_kappa:.4f}")

@@ -110,9 +110,11 @@ def build_parser() -> _Parser:
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """DEFAULTS, then the ``--config`` keys of the command's flags, then its flags."""
+    """DEFAULTS, then the ``--config`` keys of the command's flags, then its
+    flags; ``given`` is the set of keys that the file or a flag set."""
     merged = dict(DEFAULTS)
     taken = set(DEFAULTS) & set(vars(args))
+    given = set()
     cfg_path = args.config
     if cfg_path:
         try:
@@ -135,10 +137,13 @@ def _merge_config(args: argparse.Namespace) -> dict:
                 except OverflowError:
                     raise UsageError(f"--config: {key} is too large for a float")
         merged.update(file_values)
+        given.update(file_values)
     for key in taken:
         value = getattr(args, key)
         if value is not None:
             merged[key] = value
+            given.add(key)
+    merged["given"] = given
     return merged
 
 
@@ -173,6 +178,10 @@ def _validate(merged: dict) -> dict:
         raise UsageError("--noise-n must divide --mesh-n (nested grids)")
     if not (isfinite(out["nu"]) and out["nu"] > 0):
         raise UsageError("--nu must be positive and finite")
+    # the body force's norm squares the pointwise force, so it overflows from
+    # about nu = 2e152; kappa and the diagnostics line divide by it
+    if not isfinite(manufactured.forcing_l2_norm(out["nu"])):
+        raise UsageError("--nu is too large: the norm of the body force overflows")
     if not (isfinite(out["sigma"]) and out["sigma"] >= 0):
         raise UsageError("--sigma must be finite and non-negative")
     out["sigma"] = abs(out["sigma"])   # -0.0 passes >= 0; written as sigma=0
@@ -275,6 +284,8 @@ def cmd_solve(v: dict) -> int:
 
 def cmd_mc(v: dict) -> int:
     if v["sigma_sweep"] is not None:
+        if "sigma" in v["given"]:
+            raise UsageError("--sigma and --sigma-sweep cannot be combined")
         sweep_sigmas = _amplitudes(v["sigma_sweep"])
         if len(v["samples_list"]) != 1:
             raise UsageError("--samples must be a single count with --sigma-sweep")
@@ -303,10 +314,6 @@ def cmd_mc(v: dict) -> int:
 
 
 def cmd_verify(v: dict, include_convergence: bool, mutate: str | None) -> int:
-    # the diagnostics line divides the body force's norm by nu^2: once that
-    # norm overflows (from about nu = 2e152) it would read inf or nan
-    if not isfinite(manufactured.forcing_l2_norm(v["nu"])):
-        raise UsageError("--nu is too large: the norm of the body force overflows")
     results = checks.run_verification(include_convergence=include_convergence,
                                       mutate=mutate)
     for res in results:
@@ -322,10 +329,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        v = _validate(_merge_config(args))
         # extreme physics overflows into inf and NaN; those fail their reports,
-        # with a reason, instead of printing numpy warnings
+        # with a reason, or a usage check, instead of printing numpy warnings
         with np.errstate(all="ignore"):
+            v = _validate(_merge_config(args))
             if args.command == "solve":
                 v["method"] = args.method
                 return cmd_solve(v)

@@ -14,6 +14,8 @@ errors in convergence studies.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from . import assembly
@@ -97,11 +99,14 @@ def exact_forcing(x, y, nu: float):
             -nu * lap2 + u1 * u2x + u2 * u2y + py)
 
 
+@cache
 def forcing_l2_norm(nu: float, degree: int = 2 * assembly.ELEVATED_QUADRATURE_DEGREE) -> float:
     """L2(Omega) norm of the body force, by high-order quadrature.
 
     Independent of any mesh: integrates on a fixed fine reference grid. The
     integrand is closed-form, so it takes the rule and the affine maps alone.
+    Memoized: the command line's ``--nu`` check and the run then evaluate it
+    once between them.
     """
     from .mesh import build_structured_mesh
 

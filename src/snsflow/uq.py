@@ -91,29 +91,10 @@ class McStats:
     eps_mh: float | None
     eps_sh_rel: float | None
     eps_mh_rel: float | None
-    kappa_samples: np.ndarray
     kappa_mean: float
-    converged_counts: dict[str, int]
-    failed_counts: dict[str, int]
+    failed_counts: dict[str, int]   # a method converged on M minus these samples
     reports: list[SolveReport]
     deterministic_field: FEField
-    forcing_norm: float
-
-
-@dataclass(frozen=True)
-class Diagnostics:
-    """Computable proxy for the small-data conditions, plus the expected kappa.
-
-    ``indicator`` is ||F||_L2 / nu^2 (an L2 stand-in for the dual norm the
-    theory uses, so the flags are indicative rather than certifying).
-    """
-
-    indicator: float
-    splitting_threshold: float
-    modified_threshold: float
-    splitting_ok: bool
-    modified_ok: bool
-    expected_kappa: float
 
 
 class _MeanAccumulator:
@@ -387,13 +368,10 @@ def run_experiment(cfg: McConfig, jobs: int = 1) -> McStats:
         eps_mh=eps["modified"][0],
         eps_sh_rel=eps["split"][1],
         eps_mh_rel=eps["modified"][1],
-        kappa_samples=kappas,
         kappa_mean=float(kappas.mean()),
-        converged_counts={m: per_method[m].count for m in cfg.methods},
         failed_counts=failed,
         reports=reports,
         deterministic_field=xi,
-        forcing_norm=forcing_norm,
     )
 
 
@@ -410,30 +388,20 @@ def error_statistics(mean_field: FEField, reference_mean: FEField) -> tuple[floa
     return eps, rel
 
 
-def mean_closeness_check(xi: FEField, stats: McStats) -> float:
-    """L2 distance between the deterministic field and the monolithic mean."""
-    reference = stats.mean_fields.get("monolithic")
-    if reference is None:
-        raise ValueError("stats carry no monolithic mean field")
-    return manufactured.l2_error(xi, reference, part="velocity")
+def diagnostics(cfg: McConfig) -> tuple[float, float]:
+    """The smallness indicator and the expected perturbation ratio kappa.
 
-
-def diagnostics(cfg: McConfig) -> Diagnostics:
-    """Evaluate the smallness indicator and the expected perturbation ratio."""
+    The indicator is ||F||_L2 / nu^2, a computable proxy for the small-data
+    conditions: an L2 stand-in for the dual norm the theory uses, so the
+    flags drawn from it against the smallness thresholds are indicative
+    rather than certifying.
+    """
     forcing_norm = manufactured.forcing_l2_norm(cfg.nu)
     indicator = float(forcing_norm / np.square(cfg.nu))   # inf, not OverflowError
     n_cells = cfg.noise_n ** 2
     # mean of the chi distribution with 2*n_cells degrees of freedom
     chi_mean = np.sqrt(2.0) * exp(gammaln(n_cells + 0.5) - gammaln(n_cells))
-    expected_kappa = _noise_amplitude(cfg) * chi_mean / forcing_norm
-    return Diagnostics(
-        indicator=indicator,
-        splitting_threshold=SPLITTING_SMALLNESS_THRESHOLD,
-        modified_threshold=MODIFIED_SMALLNESS_THRESHOLD,
-        splitting_ok=indicator <= SPLITTING_SMALLNESS_THRESHOLD,
-        modified_ok=indicator <= MODIFIED_SMALLNESS_THRESHOLD,
-        expected_kappa=float(expected_kappa),
-    )
+    return indicator, float(_noise_amplitude(cfg) * chi_mean / forcing_norm)
 
 
 def write_stats_csv(path: str, stats_rows: list[McStats]) -> None:

@@ -18,7 +18,7 @@ from snsflow.checks import (
     trilinear_identity_defects,
 )
 from snsflow.mesh import build_dof_map, build_structured_mesh
-from snsflow.uq import McConfig, mean_closeness_check, run_experiment
+from snsflow.uq import McConfig, run_experiment
 
 BASE_SEED = 20240901
 SWEEP_SIGMAS = (0.8, 1.6, 2.4, 3.2, 4.0)
@@ -85,13 +85,14 @@ def test_criterion_4_robustness_at_sigma_8():
                    mesh_n=12, noise_n=12, methods=("monolithic", "split"),
                    mono_init="zero")
     stats = run_experiment(cfg)  # must survive non-convergences
-    split_rate = stats.converged_counts["split"] / cfg.M
-    accounted = all(stats.converged_counts[m] + stats.failed_counts[m] == cfg.M
-                    for m in cfg.methods)
+    converged = {m: sum(r.converged for r in stats.reports if r.method == m)
+                 for m in cfg.methods}
+    split_rate = converged["split"] / cfg.M
+    accounted = all(converged[m] + stats.failed_counts[m] == cfg.M for m in cfg.methods)
     floor_ok = stats.eps_sh is not None and stats.eps_sh <= 1e-10
     record("4 robustness-sigma-8",
            split_rate >= 0.95 and floor_ok and accounted,
-           f"split converged {stats.converged_counts['split']}/{cfg.M}, "
+           f"split converged {converged['split']}/{cfg.M}, "
            f"eps_sh={stats.eps_sh:.3e} <= 1e-10, "
            f"monolithic-from-zero failures={stats.failed_counts['monolithic']} recorded")
 
@@ -152,14 +153,16 @@ def test_criterion_8_deterministic_mean_closeness():
         cfg = McConfig(M=1000, base_seed=BASE_SEED, sigma=sigma, nu=0.02,
                        mesh_n=8, noise_n=8, methods=("monolithic",))
         stats = run_experiment(cfg)
-        closeness.append(mean_closeness_check(stats.deterministic_field, stats))
+        closeness.append(mf.l2_error(stats.deterministic_field,
+                                     stats.mean_fields["monolithic"]))
     monotone = closeness[0] < closeness[1] < closeness[2]
 
     cfg = McConfig(M=100, base_seed=BASE_SEED, sigma=1.5, nu=0.02,
                    mesh_n=12, noise_n=12, methods=("monolithic",))
     stats = run_experiment(cfg)
     xi = stats.deterministic_field
-    ratio = mean_closeness_check(xi, stats) / mf.velocity_l2_norm(xi.dofs, xi.velocity)
+    ratio = (mf.l2_error(xi, stats.mean_fields["monolithic"])
+             / mf.velocity_l2_norm(xi.dofs, xi.velocity))
     record("8 mean-closeness",
            monotone and ratio < 0.1,
            "closeness=" + ",".join(f"{c:.3e}" for c in closeness)

@@ -234,6 +234,12 @@ DETERMINISTIC = ["solve", "--method", "deterministic"]
     (["mc", "--samples", "1", "--sigma-sweep", ""], None, "--sigma-sweep"),
     (["mc", "--samples", "1"], {"init": "abc"}, "--init"),
     (["verify", "--nu", "1e308"], None, "--nu"),
+    (["mc", "--samples", "1", "--nu", "3e152"], None, "--nu"),
+    ([*DETERMINISTIC, "--nu", "1e300"], None, "--nu"),
+    (["mc", "--samples", "1", "--sigma", "9", "--sigma-sweep", "0.5"], None,
+     "--sigma and --sigma-sweep"),
+    (["mc", "--samples", "1", "--sigma-sweep", "0.5"], {"sigma": 9.0},
+     "--sigma and --sigma-sweep"),
 ])
 def test_hostile_input_is_one_line_usage_error(tmp_path, capsys, argv, config, named):
     out_dir = [] if argv[0] == "verify" else ["--out-dir", str(tmp_path)]
@@ -246,6 +252,7 @@ def test_hostile_input_is_one_line_usage_error(tmp_path, capsys, argv, config, n
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert named in err
+    assert [p.name for p in tmp_path.iterdir()] == ([] if config is None else ["cfg.json"])
 
 
 @pytest.mark.parametrize("argv", [["solve", "--method", "deterministic"],
@@ -346,7 +353,7 @@ def test_solve_splitting_sample_fails_on_a_failed_deterministic_solve(tmp_path, 
     assert f"method={method} converged=0 iterations=0" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("argv", [["--nu", "1e300"], ["--nu", "1e-300"],
+@pytest.mark.parametrize("argv", [["--nu", "1e150"], ["--nu", "1e-300"],
                                   ["--sigma", "1e300"], ["--sigma", "1e300", "--jobs", "2"]])
 def test_extreme_physics_fails_every_sample_without_warnings(tmp_path, capsys, argv):
     with warnings.catch_warnings(record=True) as caught:

@@ -1,6 +1,7 @@
 """No dead code in ``snsflow``: every module-level function, class and
-constant, and every method of its classes, is read somewhere in ``src/``,
-``perfbench/`` or ``tests/`` outside its own definition.
+constant, and every method of its classes, is read somewhere in the program,
+``src/`` or ``perfbench/``, outside its own definition. A read in ``tests/``
+does not count: a helper that only the tests call is dead code too.
 
 Dunder names are exempt, and so is a method that overrides one of a base
 class outside the package (``_Parser.error``), which its base calls.
@@ -34,7 +35,7 @@ def _definitions(tree: ast.Module):
 def _reads() -> dict[str, list[tuple[Path, int]]]:
     """Every loaded name and attribute, with the file and line it is read on."""
     reads: dict[str, list[tuple[Path, int]]] = {}
-    files = [p for d in ("src", "perfbench", "tests") for p in sorted((ROOT / d).rglob("*.py"))]
+    files = [p for d in ("src", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
     for path in files:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):

@@ -5,17 +5,15 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from snsflow import assembly, manufactured as mf, solvers, uq
+from snsflow import assembly, checks, manufactured as mf, solvers, uq
 from snsflow.mesh import build_dof_map, build_structured_mesh
 from snsflow.solvers import FEField
-from snsflow.uq import (
-    Diagnostics,
-    McConfig,
-    diagnostics,
-    error_statistics,
-    mean_closeness_check,
-    run_experiment,
-)
+from snsflow.uq import McConfig, diagnostics, error_statistics, run_experiment
+
+
+def _converged(stats, method):
+    """The number of samples ``method`` converged on, read from the reports."""
+    return sum(r.converged for r in stats.reports if r.method == method)
 
 
 def small_config(**kw):
@@ -56,7 +54,7 @@ def test_zero_amplitude_collapses_to_deterministic():
     for method in uq.METHODS:
         mean = stats.mean_fields[method]
         assert np.abs(mean.velocity - xi.velocity).max() <= 1e-12
-    assert mean_closeness_check(xi, stats) <= 1e-12
+    assert mf.l2_error(xi, stats.mean_fields["monolithic"]) <= 1e-12
 
 
 def test_error_statistics_identical_means():
@@ -111,7 +109,7 @@ def test_exclusion_accounting_under_forced_failures(monkeypatch):
                        methods=("monolithic", "split"))
     stats = run_experiment(cfg)
     for method in cfg.methods:
-        assert stats.converged_counts[method] + stats.failed_counts[method] == cfg.M
+        assert _converged(stats, method) + stats.failed_counts[method] == cfg.M
     assert stats.failed_counts["monolithic"] == cfg.M  # 2 iterations cannot reach 1e-12
     assert "monolithic" not in stats.mean_fields  # nothing converged to average
 
@@ -123,7 +121,7 @@ def _assert_same_results(a, b):
         assert np.array_equal(a.mean_fields[method].pressure,
                               b.mean_fields[method].pressure)
     assert (a.eps_sh, a.eps_mh) == (b.eps_sh, b.eps_mh)
-    assert np.array_equal(a.kappa_samples, b.kappa_samples)
+    assert a.kappa_mean == b.kappa_mean
     assert [r.to_csv_row() for r in a.reports] == [r.to_csv_row() for r in b.reports]
 
 
@@ -152,7 +150,7 @@ def test_noise_loads_are_drawn_one_chunk_at_a_time(monkeypatch):
     stats = run_experiment(cfg)
     assert max(len(ks) for ks in asked) <= uq.CHUNK
     assert [k for ks in asked for k in ks] == list(range(cfg.M))
-    assert np.array_equal(stats.kappa_samples, norms / stats.forcing_norm)
+    assert stats.kappa_mean == float(np.mean(norms / mf.forcing_l2_norm(cfg.nu)))
 
 
 def test_a_third_chunk_sample_matches_its_own_solve(monkeypatch):
@@ -310,10 +308,8 @@ def test_kappa_definition_per_sample():
     amp = cfg.sigma * np.sqrt(1.0 / cfg.noise_n ** 2)
     expected = [noise_mod.noise_l2_norm(
         amp, noise_mod.sample_noise(cfg.noise_n, noise_mod.substream_key(cfg.base_seed, k)))
-        / stats.forcing_norm for k in range(3)]
-    assert np.allclose(stats.kappa_samples, expected, rtol=1e-12)
+        / mf.forcing_l2_norm(cfg.nu) for k in range(3)]
     assert stats.kappa_mean == pytest.approx(np.mean(expected), rel=1e-12)
-    assert np.all(stats.kappa_samples >= 0)
 
 
 def test_reports_cover_every_sample_and_method():
@@ -326,19 +322,33 @@ def test_reports_cover_every_sample_and_method():
 
 def test_diagnostics_thresholds_and_expected_kappa():
     cfg = small_config(sigma=1.5, mesh_n=12, noise_n=12)
-    diag = diagnostics(cfg)
-    assert isinstance(diag, Diagnostics)
+    indicator, expected_kappa = diagnostics(cfg)
     # the reference experiment deliberately violates the small-data conditions
-    assert diag.indicator == pytest.approx(mf.forcing_l2_norm(0.02) / 0.02 ** 2, rel=1e-12)
-    assert not diag.splitting_ok and not diag.modified_ok
+    assert indicator == pytest.approx(mf.forcing_l2_norm(0.02) / 0.02 ** 2, rel=1e-12)
+    assert not indicator <= uq.SPLITTING_SMALLNESS_THRESHOLD
+    assert not indicator <= uq.MODIFIED_SMALLNESS_THRESHOLD
     # expected kappa ~ 0.2146 * sigma on the 12x12 grid
-    assert diag.expected_kappa == pytest.approx(0.2146 * 1.5, rel=2e-3)
+    assert expected_kappa == pytest.approx(0.2146 * 1.5, rel=2e-3)
+    # the printed line, byte for byte, with both truth values of each flag
+    lines = {
+        McConfig(M=1):
+            "indicator=16473.2 splitting_threshold=0.875 splitting_ok=False "
+            "modified_threshold=0.625 modified_ok=False expected_kappa=0.3217",
+        McConfig(M=1, nu=100.0, sigma=1.6):
+            "indicator=0.632027 splitting_threshold=0.875 splitting_ok=True "
+            "modified_threshold=0.625 modified_ok=False expected_kappa=0.0004",
+        McConfig(M=1, nu=1000.0, sigma=1.6):
+            "indicator=0.0632027 splitting_threshold=0.875 splitting_ok=True "
+            "modified_threshold=0.625 modified_ok=True expected_kappa=0.0000",
+    }
+    for line_cfg, line in lines.items():
+        assert checks.diagnostics_line(line_cfg) == line
 
 
 def test_diagnostics_quarters_under_viscosity_doubling():
-    d1 = diagnostics(small_config(nu=0.02))
-    d2 = diagnostics(small_config(nu=0.04))
-    ratio = d2.indicator / d1.indicator
+    i1, _ = diagnostics(small_config(nu=0.02))
+    i2, _ = diagnostics(small_config(nu=0.04))
+    ratio = i2 / i1
     assert ratio <= 0.5  # affine-in-nu numerator over nu^2
     assert ratio >= 1.0 / 8.0
 
@@ -347,11 +357,6 @@ def test_diagnostics_zero_forcing_passes_both():
     from snsflow.uq import MODIFIED_SMALLNESS_THRESHOLD, SPLITTING_SMALLNESS_THRESHOLD
     # indicator 0 sits below both thresholds
     assert 0.0 <= MODIFIED_SMALLNESS_THRESHOLD <= SPLITTING_SMALLNESS_THRESHOLD
-    diag = Diagnostics(indicator=0.0,
-                       splitting_threshold=SPLITTING_SMALLNESS_THRESHOLD,
-                       modified_threshold=MODIFIED_SMALLNESS_THRESHOLD,
-                       splitting_ok=True, modified_ok=True, expected_kappa=0.0)
-    assert diag.splitting_ok and diag.modified_ok
 
 
 def test_csv_writers(tmp_path):
@@ -396,7 +401,7 @@ def test_modified_factorizes_once_per_experiment(monkeypatch):
     for samples in (1, 8):
         counts.clear()
         stats = run_experiment(small_config(M=samples, methods=("modified",)))
-        assert stats.converged_counts["modified"] == samples
+        assert _converged(stats, "modified") == samples
         per_m[samples] = dict(counts)
     assert per_m[1] == per_m[8]
     assert set(per_m[1]) == {"splu", "assemble_convection_linearized"}
@@ -439,7 +444,7 @@ def test_exception_in_one_sample_is_a_failed_report(monkeypatch):
     assert not split[1].converged and "boom" in split[1].failure
     assert split[0].converged and split[2].converged
     assert stats.failed_counts == {"monolithic": 0, "split": 1}
-    assert stats.converged_counts["split"] == 2
+    assert _converged(stats, "split") == 2
 
 
 def test_split_adds_no_factorization_per_sample(monkeypatch):
@@ -449,7 +454,8 @@ def test_split_adds_no_factorization_per_sample(monkeypatch):
     for samples in (1, 8):
         counts.clear()
         stats = run_experiment(small_config(M=samples, sigma=1.6))
-        assert stats.converged_counts == {m: samples for m in uq.METHODS}
+        assert {m: _converged(stats, m) for m in uq.METHODS} == \
+            {m: samples for m in uq.METHODS}
         newton = [r for r in stats.reports if r.method in ("monolithic", "split")]
         assert len(newton) == 2 * samples
         assert all(r.inner_iterations > 0 and r.fallbacks == 0 for r in newton)
