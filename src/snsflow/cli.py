@@ -88,14 +88,14 @@ def build_parser() -> _Parser:
     p_solve = sub.add_parser("solve", help="one solve, one sample")
     _add_solving(p_solve)
     p_solve.add_argument("--method", required=True,
-                         choices=["deterministic", "monolithic", "split", "modified"])
+                         choices=["deterministic", *uq.METHODS])
     p_solve.add_argument("--sample-index", dest="sample_index", type=int,
                          help="noise substream index")
 
     p_mc = sub.add_parser("mc", help="Monte Carlo experiment over sample counts")
     _add_solving(p_mc)
     p_mc.add_argument("--jobs", type=int, help="concurrent samples")
-    p_mc.add_argument("--methods", help="comma list from monolithic,split,modified")
+    p_mc.add_argument("--methods", help=f"comma list from {','.join(uq.METHODS)}")
     p_mc.add_argument("--samples", help="sample count or comma list, e.g. 50,100,200")
     p_mc.add_argument("--sigma-sweep", dest="sigma_sweep",
                       help="comma list of amplitudes; one run per value at fixed M")
@@ -199,10 +199,10 @@ def _validate(merged: dict) -> dict:
     if out["init"] not in uq.INITS:   # a --config value skips the parser's choices
         raise UsageError("--init must be deterministic or zero")
     methods = tuple(m.strip() for m in str(out["methods"]).split(",") if m.strip())
-    bad = set(methods) - set(uq.METHODS)
-    if bad or not methods:
-        raise UsageError("--methods must be a non-empty comma list from "
-                         "monolithic,split,modified")
+    if set(methods) - set(uq.METHODS) or not methods:
+        raise UsageError(f"--methods must be a non-empty comma list from {','.join(uq.METHODS)}")
+    if len(set(methods)) != len(methods):
+        raise UsageError("--methods must not name a method twice")
     out["methods_tuple"] = methods
     return out
 
@@ -234,10 +234,9 @@ def _print_stats(st: uq.McStats) -> None:
     cfg = st.config
     parts = [f"sigma={cfg.sigma:g}", f"M={cfg.M}",
              f"kappa_mean={st.kappa_mean:.4g}"]
-    if st.eps_sh is not None:
-        parts += [f"eps_sh={st.eps_sh:.6e}", f"eps_sh_rel={st.eps_sh_rel:.6e}"]
-    if st.eps_mh is not None:
-        parts += [f"eps_mh={st.eps_mh:.6e}", f"eps_mh_rel={st.eps_mh_rel:.6e}"]
+    for method, (eps, rel) in st.errors.items():
+        key = {"split": "eps_sh", "modified": "eps_mh"}[method]
+        parts += [f"{key}={eps:.6e}", f"{key}_rel={rel:.6e}"]
     parts += [f"failures_{m}={st.failed_counts[m]}" for m in cfg.methods]
     print(" ".join(parts))
 

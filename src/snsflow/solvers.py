@@ -55,10 +55,10 @@ The free unknowns are numbered in the dof map's nested-dissection order
 (``pattern.free_order``), so the free matrix arrives permuted and SuperLU
 factorizes it in that order (``permc_spec="NATURAL"``): at n=24 it fills
 about 4.8x nnz(K), against 6.4x under SuperLU's own COLAMD order. Free-row
-vectors (``_free_rows``, ``_full_rows``, the GMRES right-hand side) follow
-the same order, so the velocity rows are no longer a leading block. SuperLU
-keeps its partial pivoting, which the zero pressure block needs, and which
-turns an exactly singular system (``--mesh-n 1``) into an exact zero pivot.
+vectors (``SaddleFactor.solve``, ``_full_rows``, GMRES) follow the same
+order, so the velocity rows are no longer a leading block. SuperLU keeps its
+partial pivoting, which the zero pressure block needs, and which turns an
+exactly singular system (``--mesh-n 1``) into an exact zero pivot.
 """
 
 from __future__ import annotations
@@ -144,14 +144,6 @@ class SolveReport:
     inner_iterations: int = 0
     fallbacks: int = 0
 
-    def to_csv_row(self) -> str:
-        return (f"{self.method},{self.sample_id},{int(self.converged)},"
-                f"{self.iterations},{self.final_residual:.6e}")
-
-    @staticmethod
-    def csv_header() -> str:
-        return "method,sample_id,converged,iterations,final_residual"
-
 
 @dataclass
 class AssembledOperators:
@@ -177,27 +169,6 @@ def _saddle_residual(dofs: DofMap, data: np.ndarray, x: np.ndarray,
     residual[:dofs.n_velocity_dofs] -= load
     residual[:dofs.n_velocity_dofs][dofs.dirichlet_mask] = 0.0
     return residual
-
-
-def _free_rows(dofs: DofMap, rhs: np.ndarray) -> np.ndarray:
-    """Free rows (n_free, k) of a velocity-block or full-system rhs, one column per
-    load, in the elimination order ``pattern.free_order``.
-
-    The pressure rows of a velocity-block rhs are zero.
-    """
-    n, order, n_u = len(dofs.pattern.free), dofs.pattern.free_order, dofs.n_velocity_dofs
-    if rhs.ndim not in (1, 2):
-        raise ValueError(f"rhs must be a vector or a block of columns, got {rhs.shape}")
-    columns = rhs.reshape(len(rhs), -1)
-    if len(columns) == n:
-        return columns[order]
-    if len(columns) != n_u:
-        raise ValueError(f"rhs length {len(rhs)} matches neither the velocity "
-                         f"block ({n_u}) nor the full system ({n})")
-    velocity = order < n_u
-    b = np.zeros((len(order), columns.shape[1]))
-    b[velocity] = columns[order[velocity]]
-    return b
 
 
 def _full_rows(dofs: DofMap, solved: np.ndarray) -> np.ndarray:
@@ -236,21 +207,21 @@ class SaddleFactor:
                                       minlength=matrix.shape[0]).max())
 
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, list[str]]:
-        """Solve for a 1-D rhs, or for every column of a 2-D block at once.
+        """Solve for every column of a full-system block (n, k) at once.
 
-        ``rhs`` rows cover the velocity block only (pressure rows zero) or the
-        full system. Returns the solution, with full-system rows and the shape
-        of ``rhs`` otherwise, and one failure reason per column, "" for a
-        column that passed: non-finite values, or a residual that is not
-        finite or exceeds RESIDUAL_CHECK_FACTOR (||K|| ||x|| + ||b||). The
-        norms are max-norms (``norm`` is ||K||_inf), which square nothing, so
-        the check still certifies a load near the overflow range. Without an
-        LU every column is zero and fails with ``failure``.
+        Returns the full-system solution block and one failure reason per
+        column, "" for a column that passed: non-finite values, or a residual
+        that is not finite or exceeds RESIDUAL_CHECK_FACTOR (||K|| ||x|| + ||b||).
+        The norms are max-norms (``norm`` is ||K||_inf), which square nothing,
+        so the check still certifies a load near the overflow range. Without
+        an LU every column is zero and fails with ``failure``.
         """
-        b = _free_rows(self.dofs, rhs)
+        n = len(self.dofs.pattern.free)
+        if rhs.ndim != 2 or len(rhs) != n:
+            raise ValueError(f"rhs must be a full-system block ({n}, k), got {rhs.shape}")
         if self.lu is None:
-            return (np.zeros((len(self.dofs.pattern.free),) + rhs.shape[1:]),
-                    [self.failure] * b.shape[1])
+            return np.zeros_like(rhs, dtype=float), [self.failure] * rhs.shape[1]
+        b = rhs[self.dofs.pattern.free_order]
         solved = self.lu.solve(b)
         finite = np.isfinite(solved).all(axis=0)
         solved[:, ~finite] = 0.0
@@ -264,21 +235,22 @@ class SaddleFactor:
                     f"solve residual {r:.3e} exceeds {tol:.3e}; "
                     "system is numerically singular"
                     for ok, r, tol in zip(finite, residual, bound)]
-        solution = _full_rows(self.dofs, solved)
-        return solution.reshape((len(solution),) + rhs.shape[1:]), failures
+        return _full_rows(self.dofs, solved), failures
 
 
-def linear_saddle_solve(dofs: DofMap, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """One factorization and one solve; see ``SaddleFactor``.
+def linear_saddle_solve(dofs: DofMap, data: np.ndarray, load: np.ndarray) -> np.ndarray:
+    """One factorization and one solve for a velocity load (n_u,), pressure
+    rows zero; see ``SaddleFactor``.
 
-    A failed factorization, or a column that fails its checks, raises
+    A failed factorization, or a solve that fails its checks, raises
     SingularSystemError.
     """
-    solution, failures = SaddleFactor(dofs, data).solve(rhs)
-    failed = [f for f in failures if f]
-    if failed:
-        raise SingularSystemError(failed[0])
-    return solution
+    rhs = np.zeros((len(dofs.pattern.free), 1))
+    rhs[:dofs.n_velocity_dofs, 0] = load   # a load of another length raises ValueError
+    solution, (failure,) = SaddleFactor(dofs, data).solve(rhs)
+    if failure:
+        raise SingularSystemError(failure)
+    return solution[:, 0]
 
 
 def linearized_operator(ops: AssembledOperators, xi: FEField) -> SaddleFactor:
@@ -414,9 +386,10 @@ def _newton(ops: AssembledOperators, load: np.ndarray, x0: np.ndarray,
         if step is None:
             precond = None  # freed before the new factorization: one LU at a time
             factor = SaddleFactor(dofs, jacobian)
-            step, (failure,) = factor.solve(-residual)
+            step, (failure,) = factor.solve(-residual[:, None])
             if failure:
                 return report(False, r_norm, failure)
+            step = step[:, 0]
             if krylov:
                 precond, fallbacks = factor, fallbacks + 1
             del factor  # else held through the next step's factorization
@@ -470,7 +443,9 @@ def solve_stochastic_modified(ops: AssembledOperators, k_xi: SaddleFactor,
     per column. A failed factorization fails every report; a column that
     fails its checks fails only its own.
     """
-    x, failures = k_xi.solve(noise_loads)
+    rhs = np.zeros((len(ops.dofs.pattern.free), noise_loads.shape[1]))
+    rhs[:ops.dofs.n_velocity_dofs] = noise_loads
+    x, failures = k_xi.solve(rhs)
     r_norms = np.linalg.norm(_saddle_residual(ops.dofs, k_xi.data, x, noise_loads), axis=0)
     out = []
     for j, failure in enumerate(failures):

@@ -68,6 +68,8 @@ class McConfig:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError(f"repeated methods: {list(self.methods)}")
         if self.mesh_n < 1 or self.noise_n < 1:
             raise ValueError("mesh and noise resolutions must be >= 1")
         if self.mesh_n % self.noise_n != 0:
@@ -87,10 +89,9 @@ class McStats:
 
     config: McConfig
     mean_fields: dict[str, FEField]
-    eps_sh: float | None
-    eps_mh: float | None
-    eps_sh_rel: float | None
-    eps_mh_rel: float | None
+    # (absolute, relative) error of a splitting method's pairwise mean against
+    # the monolithic pairwise mean; a method without both means has no entry
+    errors: dict[str, tuple[float, float]]
     kappa_mean: float
     failed_counts: dict[str, int]   # a method converged on M minus these samples
     reports: list[SolveReport]
@@ -354,7 +355,7 @@ def run_experiment(cfg: McConfig, jobs: int = 1) -> McStats:
                         acc_r.add(fld_r)
 
     mean_fields = {m: mean for m, acc in per_method.items() if (mean := acc.mean()) is not None}
-    eps = {"split": (None, None), "modified": (None, None)}
+    eps = {}
     for m in pairs:
         acc_m, acc_r = pair_acc[m]
         mean_m, mean_r = acc_m.mean(), acc_r.mean()
@@ -364,10 +365,7 @@ def run_experiment(cfg: McConfig, jobs: int = 1) -> McStats:
     return McStats(
         config=cfg,
         mean_fields=mean_fields,
-        eps_sh=eps["split"][0],
-        eps_mh=eps["modified"][0],
-        eps_sh_rel=eps["split"][1],
-        eps_mh_rel=eps["modified"][1],
+        errors=eps,
         kappa_mean=float(kappas.mean()),
         failed_counts=failed,
         reports=reports,
@@ -410,12 +408,7 @@ def write_stats_csv(path: str, stats_rows: list[McStats]) -> None:
     for st in stats_rows:
         cfg = st.config
         for method in cfg.methods:
-            if method == "split":
-                e, r = st.eps_sh, st.eps_sh_rel
-            elif method == "modified":
-                e, r = st.eps_mh, st.eps_mh_rel
-            else:
-                e, r = None, None
+            e, r = st.errors.get(method, (None, None))
             etxt = "" if e is None else f"{e:.6e}"
             rtxt = "" if r is None else f"{r:.6e}"
             lines.append(f"{method},{cfg.sigma:g},{cfg.M},{etxt},{rtxt},"
@@ -425,7 +418,9 @@ def write_stats_csv(path: str, stats_rows: list[McStats]) -> None:
 
 def write_samples_csv(path: str, reports: list[SolveReport]) -> None:
     """One row per solve, in the order given."""
-    lines = [SolveReport.csv_header()] + [rep.to_csv_row() for rep in reports]
+    lines = ["method,sample_id,converged,iterations,final_residual"] + [
+        f"{rep.method},{rep.sample_id},{int(rep.converged)},{rep.iterations},"
+        f"{rep.final_residual:.6e}" for rep in reports]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -58,19 +58,21 @@ def test_criterion_1_splitting_equivalence():
 
 def test_criterion_2_modified_error_magnitude(sweep):
     stats16, elapsed = sweep[1.6]
-    in_window = 2e-4 <= stats16.eps_mh <= 5e-3
-    rel_window = 2e-4 <= stats16.eps_mh_rel <= 5e-3  # within factor 5 of 1e-3
+    eps_mh16, eps_mh16_rel = stats16.errors["modified"]
+    in_window = 2e-4 <= eps_mh16 <= 5e-3
+    rel_window = 2e-4 <= eps_mh16_rel <= 5e-3  # within factor 5 of 1e-3
     stats24, _ = sweep[2.4]  # the kappa ~= 0.51 operating point
-    kappa_pt = 2e-4 <= stats24.eps_mh <= 5e-3
+    eps_mh24 = stats24.errors["modified"][0]
+    kappa_pt = 2e-4 <= eps_mh24 <= 5e-3
     record("2 modified-error-magnitude",
            in_window and rel_window and kappa_pt and elapsed < 600.0,
-           f"eps_mh(sigma=1.6)={stats16.eps_mh:.3e} rel={stats16.eps_mh_rel:.3e} "
-           f"kappa={stats16.kappa_mean:.3f}; eps_mh(kappa~0.51)={stats24.eps_mh:.3e} "
+           f"eps_mh(sigma=1.6)={eps_mh16:.3e} rel={eps_mh16_rel:.3e} "
+           f"kappa={stats16.kappa_mean:.3f}; eps_mh(kappa~0.51)={eps_mh24:.3e} "
            f"kappa={stats24.kappa_mean:.3f}; {elapsed:.0f}s < 600s")
 
 
 def test_criterion_3_sigma_scaling_trend(sweep):
-    eps = {s: sweep[s][0].eps_mh for s in SWEEP_SIGMAS}
+    eps = {s: sweep[s][0].errors["modified"][0] for s in SWEEP_SIGMAS}
     monotone = all(eps[a] < eps[b] for a, b in zip(SWEEP_SIGMAS, SWEEP_SIGMAS[1:]))
     ratios = {(a, 2 * a): eps[2 * a] / eps[a]
               for a in SWEEP_SIGMAS if 2 * a in eps}
@@ -89,11 +91,12 @@ def test_criterion_4_robustness_at_sigma_8():
                  for m in cfg.methods}
     split_rate = converged["split"] / cfg.M
     accounted = all(converged[m] + stats.failed_counts[m] == cfg.M for m in cfg.methods)
-    floor_ok = stats.eps_sh is not None and stats.eps_sh <= 1e-10
+    eps_sh = stats.errors.get("split", (None, None))[0]
+    floor_ok = eps_sh is not None and eps_sh <= 1e-10
     record("4 robustness-sigma-8",
            split_rate >= 0.95 and floor_ok and accounted,
            f"split converged {converged['split']}/{cfg.M}, "
-           f"eps_sh={stats.eps_sh:.3e} <= 1e-10, "
+           f"eps_sh={eps_sh:.3e} <= 1e-10, "
            f"monolithic-from-zero failures={stats.failed_counts['monolithic']} recorded")
 
 

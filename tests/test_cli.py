@@ -123,6 +123,35 @@ def test_mc_paper_scale_defaults(tmp_path, capsys):
     assert 1e-4 <= float(values["eps_mh"]) <= 1e-2
 
 
+def test_mc_without_monolithic_prints_no_errors(tmp_path, capsys):
+    # no monolithic mean to compare with, so no eps keys and empty eps columns
+    assert run_cli("mc", "--mesh-n", "4", "--noise-n", "2", "--samples", "2,3",
+                   "--methods", "split,modified", "--seed", "2",
+                   "--out-dir", str(tmp_path)) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "sigma=1.5 M=2 kappa_mean=0.3168 failures_split=0 failures_modified=0\n"
+        "sigma=1.5 M=3 kappa_mean=0.3236 failures_split=0 failures_modified=0\n")
+    assert (tmp_path / "stats.csv").read_text() == (
+        "method,sigma,M,epsilon,epsilon_rel,kappa_mean,failures\n"
+        "split,1.5,2,,,3.167828e-01,0\n"
+        "modified,1.5,2,,,3.167828e-01,0\n"
+        "split,1.5,3,,,3.236156e-01,0\n"
+        "modified,1.5,3,,,3.236156e-01,0\n")
+
+
+def test_mc_prints_the_errors_of_stats_csv(tmp_path, capsys):
+    assert run_cli("mc", "--mesh-n", "4", "--noise-n", "2", "--samples", "2",
+                   "--seed", "2", "--out-dir", str(tmp_path)) == EXIT_OK
+    values = dict(part.split("=") for part in capsys.readouterr().out.split())
+    assert list(values) == ["sigma", "M", "kappa_mean", "eps_sh", "eps_sh_rel", "eps_mh",
+                            "eps_mh_rel", "failures_monolithic", "failures_split",
+                            "failures_modified"]
+    rows = {row.split(",")[0]: row.split(",")
+            for row in (tmp_path / "stats.csv").read_text().splitlines()[1:]}
+    for method, key in (("split", "eps_sh"), ("modified", "eps_mh")):
+        assert [values[key], values[f"{key}_rel"]] == rows[method][3:5]
+
+
 def test_config_file_merge_flags_win(tmp_path, capsys):
     cfg = {"sigma": 0.25, "mesh_n": 4, "samples": "2"}
     cfg_path = tmp_path / "cfg.json"
@@ -240,6 +269,9 @@ DETERMINISTIC = ["solve", "--method", "deterministic"]
      "--sigma and --sigma-sweep"),
     (["mc", "--samples", "1", "--sigma-sweep", "0.5"], {"sigma": 9.0},
      "--sigma and --sigma-sweep"),
+    (["mc", "--noise-n", "2", "--samples", "2", "--methods", "split,split,monolithic"],
+     None, "--methods"),
+    (["mc", "--samples", "2"], {"methods": "modified,split,modified"}, "--methods"),
 ])
 def test_hostile_input_is_one_line_usage_error(tmp_path, capsys, argv, config, named):
     out_dir = [] if argv[0] == "verify" else ["--out-dir", str(tmp_path)]

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from snsflow import assembly, manufactured as mf, solvers
+from snsflow import assembly, manufactured as mf, solvers, uq
 from snsflow.checks import DenseOracle, splitting_equivalence_max_defect, velocity_block
 from snsflow.mesh import build_dof_map, build_structured_mesh
 from snsflow.noise import sample_noise, substream_key
@@ -30,6 +30,13 @@ NU = 0.02
 def _setup(n, nu=NU):
     dofs = build_dof_map(build_structured_mesh(n))
     return dofs, assemble_operators(dofs, nu)
+
+
+def _full_block(dofs, velocity_block):
+    """The full-system block of a velocity block (n_u, k), pressure rows zero."""
+    rhs = np.zeros((len(dofs.pattern.free), velocity_block.shape[1]))
+    rhs[:dofs.n_velocity_dofs] = velocity_block
+    return rhs
 
 
 def _forcing_load(dofs, nu=NU):
@@ -94,13 +101,13 @@ def test_stokes_factorization_at_n1_is_singular():
     factor = solvers.SaddleFactor(dofs, ops.stokes)
     assert factor.lu is None and factor.failure.startswith("sparse factorization failed: ")
     # the kept failure fails every column of every solve, with zeros
-    rhs = np.ones((dofs.n_velocity_dofs, 3))
-    for load, k in ((rhs[:, 0], 1), (rhs, 3)):
+    rhs = _full_block(dofs, np.ones((dofs.n_velocity_dofs, 3)))
+    for load, k in ((rhs[:, :1], 1), (rhs, 3)):
         x, failures = factor.solve(load)
         assert failures == [factor.failure] * k
         assert x.shape == (len(dofs.pattern.free),) + load.shape[1:] and np.all(x == 0)
     with pytest.raises(SingularSystemError) as raised:
-        linear_saddle_solve(dofs, ops.stokes, rhs[:, 0])
+        linear_saddle_solve(dofs, ops.stokes, np.ones(dofs.n_velocity_dofs))
     assert str(raised.value) == factor.failure
 
 
@@ -398,7 +405,7 @@ def test_saddle_factor_solves_a_block_like_its_columns():
     dofs, ops = _setup(3)
     rhs = np.random.default_rng(2).standard_normal((dofs.n_velocity_dofs, 4))
     factor = solvers.SaddleFactor(dofs, ops.stokes)
-    block, failures = factor.solve(rhs)
+    block, failures = factor.solve(_full_block(dofs, rhs))
     assert failures == [""] * 4
     for j in range(4):
         x = linear_saddle_solve(dofs, ops.stokes, rhs[:, j].copy())
@@ -407,19 +414,20 @@ def test_saddle_factor_solves_a_block_like_its_columns():
         factor.solve(np.zeros((dofs.n_velocity_dofs, 2, 2)))
 
 
-def test_saddle_factor_pads_a_velocity_block_with_zero_pressure_rows():
+def test_saddle_factor_takes_only_a_full_system_block():
     dofs, ops = _setup(3)
-    rhs = np.random.default_rng(3).standard_normal((dofs.n_velocity_dofs, 3))
-    padded = np.vstack([rhs, np.zeros((dofs.n_pressure_dofs, 3))])
     factor = solvers.SaddleFactor(dofs, ops.stokes)
-    assert np.array_equal(factor.solve(rhs)[0], factor.solve(padded)[0])
+    for rhs in (np.zeros((dofs.n_velocity_dofs, 3)), np.zeros(len(dofs.pattern.free))):
+        with pytest.raises(ValueError):
+            factor.solve(rhs)
 
 
 def test_residual_check_fails_a_corrupt_solve_near_the_overflow_range():
     # at load scale 1e200 the squares of a 2-norm overflow; the max-norm
     # residual still tells a correct solve from one off by a factor 1.001
     dofs, ops = _setup(4)
-    load = 1e200 * np.random.default_rng(4).standard_normal((dofs.n_velocity_dofs, 1))
+    load = _full_block(
+        dofs, 1e200 * np.random.default_rng(4).standard_normal((dofs.n_velocity_dofs, 1)))
     factor = solvers.SaddleFactor(dofs, ops.stokes)
     assert factor.solve(load)[1] == [""]
 
@@ -616,11 +624,13 @@ def test_direct_solves_report_no_inner_iterations():
 def test_concurrent_solves_on_one_factor_match_serial():
     ops, xi, _ = _split_setup(1.6, n=6)
     factor = solvers.linearized_operator(ops, xi)
-    rhs = np.random.default_rng(5).standard_normal((ops.dofs.n_velocity_dofs, 32))
-    serial = [factor.solve(rhs[:, j].copy())[0] for j in range(32)]
+    rhs = _full_block(ops.dofs,
+                      np.random.default_rng(5).standard_normal((ops.dofs.n_velocity_dofs, 32)))
+    serial = [factor.solve(rhs[:, j:j + 1].copy())[0] for j in range(32)]
     with ThreadPoolExecutor(max_workers=8) as pool:
         for _ in range(5):
-            threaded = list(pool.map(lambda j: factor.solve(rhs[:, j].copy())[0], range(32)))
+            threaded = list(pool.map(lambda j: factor.solve(rhs[:, j:j + 1].copy())[0],
+                                     range(32)))
             assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
 
 
@@ -763,9 +773,11 @@ def test_field_addition_requires_shared_dof_map():
         FEField.zeros(dofs_a) + FEField.zeros(dofs_b)
 
 
-def test_solve_report_csv_row():
+def test_solve_report_csv_row(tmp_path):
     rep = SolveReport(True, 3, 1.25e-13, [1.0, 1e-6, 1.25e-13],
                       method="split", sample_id=7)
-    row = rep.to_csv_row()
-    assert row.startswith("split,7,1,3,")
-    assert SolveReport.csv_header().count(",") == row.count(",")
+    path = tmp_path / "samples.csv"
+    uq.write_samples_csv(str(path), [rep])
+    header, row = path.read_text().splitlines()
+    assert row == "split,7,1,3,1.250000e-13"
+    assert header.count(",") == row.count(",")
