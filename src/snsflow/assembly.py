@@ -8,7 +8,7 @@ is one stacked matrix product against them, scaled by the element area.
 Assembled operators are data vectors on the dof map's fixed saddle
 pattern (:class:`snsflow.mesh.SaddlePattern`): element blocks are summed into
 their pattern slots by ``np.bincount``, so operators add as plain arrays and
-``pattern.matrix(data)`` is the sparse matrix. Loads, among them the Newton
+``pattern.matrix(data)`` is the sparse matrix. Loads, among them the
 convection vector c(u, u, .), are summed over the same element-dof table.
 Velocity unknowns follow the component-blocked numbering of
 :mod:`snsflow.mesh`. A single assembly call is sequential, distinct calls may
@@ -212,23 +212,48 @@ def assemble_divergence(dofs: DofMap) -> np.ndarray:
                        minlength=pattern.nnz)
 
 
-def assemble_convection_linearized(dofs: DofMap,
-                                   w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _convection_blocks(dofs: DofMap, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Element blocks of both convection linearizations around w: the (T, 6, 6)
+    scalar block of N1, which acts on each component alike, and the
+    (T, 12, 12) block of N2."""
+    geom = dofs.geometry
+    T, nq = len(geom.area), len(geom.wq)
+    area = geom.area[:, None, None]
+    vals, grads = geom._values_and_gradients(dofs, w)
+    adv = _transport(vals, geom.grad.reshape(T, 6, nq, 2))          # (w . grad) phi_b
+    # stacked small products: one 2-D product of the same sizes crosses
+    # OpenBLAS's threading threshold, and the woken worker thread slowed the
+    # LU solves after it (n=24 one-column solves 1.2x slower on a 2-vCPU
+    # machine with OpenBLAS's default two threads)
+    c1 = area * (geom.wphi.T @ adv.transpose(0, 2, 1))
+    ne = (area * grads.reshape(T, 2, 2 * nq)) @ geom.wphiphi        # [t, i, (a, j, b)]
+    return c1, ne.reshape(T, 12, 12)
+
+
+def assemble_convection_linearized(dofs: DofMap, w: np.ndarray) -> np.ndarray:
+    """The Jacobian of the convection term at the velocity w, N1(w) + N2(w),
+    summed by one scatter (see ``convection_terms``).
+
+    N1(w) w = N2(w) w = c(w, w, .), so the convection vector at w is half of
+    this operator applied to w: the Newton solves take both the residual and
+    the Jacobian of an iterate from one call.
+    """
+    c1, blocks = _convection_blocks(dofs, w)
+    both = blocks.reshape(-1, 2, 6, 2, 6)
+    both[:, 0, :, 0] += c1
+    both[:, 1, :, 1] += c1
+    return _velocity_data(dofs, blocks)
+
+
+def convection_terms(dofs: DofMap, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Linearizations of the convective trilinear form around the velocity w.
 
     Returns (N1, N2) with v^T N1 u = c(w, u, v) (w transports u) and
     v^T N2 u = c(u, w, v) (u transports w), where
     c(a, b, v) = int (a . grad) b . v.
     """
-    geom = dofs.geometry
-    T, nq = len(geom.area), len(geom.wq)
-    area = geom.area[:, None, None]
-    vals, grads = geom._values_and_gradients(dofs, w)
-    adv = _transport(vals, geom.grad.reshape(T, 6, nq, 2))          # (w . grad) phi_b
-    c1 = geom.wphi.T @ adv.transpose(0, 2, 1)
-    ne = (area * grads.reshape(T, 2, 2 * nq)) @ geom.wphiphi        # [t, i, (a, j, b)]
-    return (_velocity_data(dofs, _both_components(area * c1)),
-            _velocity_data(dofs, ne.reshape(T, 12, 12)))
+    c1, blocks = _convection_blocks(dofs, w)
+    return _velocity_data(dofs, _both_components(c1)), _velocity_data(dofs, blocks)
 
 
 def assemble_convection_load(dofs: DofMap, u: np.ndarray) -> np.ndarray:

@@ -145,7 +145,7 @@ def trilinear_identity_defects(dofs: DofMap, w: np.ndarray,
     Both vanish exactly when w is pointwise divergence-free and zero on the
     boundary; the normalization uses L2 field norms.
     """
-    n1 = velocity_block(dofs, assembly.assemble_convection_linearized(dofs, w)[0])
+    n1 = velocity_block(dofs, assembly.convection_terms(dofs, w)[0])
     norm_w = max(manufactured.velocity_l2_norm(dofs, w), 1e-300)
     skew = annih = 0.0
     for _ in range(3):
@@ -168,7 +168,7 @@ def trilinear_value_defect(dofs: DofMap) -> float:
     u = manufactured.interpolate_velocity(dofs, lambda x, y: (x, 0.0 * y))
     v = u.copy()
     u2 = manufactured.interpolate_velocity(dofs, lambda x, y: (0.0 * x, y))
-    n1, n2 = assembly.assemble_convection_linearized(dofs, w)
+    n1, n2 = assembly.convection_terms(dofs, w)
     return max(abs(v @ (velocity_block(dofs, n1) @ u) - 0.25),
                abs(v @ (velocity_block(dofs, n2) @ u2) - 0.25))
 
@@ -280,7 +280,7 @@ def dense_oracle_max_mismatch(n: int = 2, nu: float = 0.02) -> float:
     saddle = dofs.pattern.matrix(assembly.assemble_divergence(dofs)).toarray()
     b = oracle.divergence()
     worst = max(worst, rel(saddle[n_u:, :n_u], b), rel(saddle[:n_u, n_u:], b.T))
-    n1, n2 = assembly.assemble_convection_linearized(dofs, w)
+    n1, n2 = assembly.convection_terms(dofs, w)
     o1, o2 = oracle.convection(w)
     worst = max(worst, rel(velocity_block(dofs, n1).toarray(), o1),
                 rel(velocity_block(dofs, n2).toarray(), o2),
@@ -324,8 +324,8 @@ def splitting_equivalence_max_defect(n: int = 8, sigma: float = 1.5,
     loads, _ = uq.noise_loads(cfg, ops, range(samples))
     k_xi = solvers.linearized_operator(ops, xi)
     worst = 0.0
-    for noise_load in loads.T:
-        eta, rep_s = solvers.solve_stochastic_full(ops, k_xi, noise_load)
+    for noise_load, start in zip(loads.T, uq.modified_starts(ops, k_xi, loads)):
+        eta, rep_s = solvers.solve_stochastic_full(ops, k_xi, noise_load, start)
         mono, rep_m = solvers.solve_monolithic(ops, load, noise_load,
                                                initial_guess=xi)
         if not (rep_s.converged and rep_m.converged):
@@ -341,16 +341,19 @@ def splitting_equivalence_max_defect(n: int = 8, sigma: float = 1.5,
 @contextmanager
 def _mutated_convection():
     """Flip the sign of the convection assembly, matrices and residual vector
-    alike (sensitivity demonstration)."""
+    alike (sensitivity demonstration): the solvers' sum N1 + N2, the checks'
+    N1 and N2 apart, and the convection vector."""
     linearized = assembly.assemble_convection_linearized
+    terms = assembly.convection_terms
     load = assembly.assemble_convection_load
-    assembly.assemble_convection_linearized = \
-        lambda *args, **kwargs: tuple(-n for n in linearized(*args, **kwargs))
+    assembly.assemble_convection_linearized = lambda *args, **kwargs: -linearized(*args, **kwargs)
+    assembly.convection_terms = lambda *args, **kwargs: tuple(-n for n in terms(*args, **kwargs))
     assembly.assemble_convection_load = lambda *args, **kwargs: -load(*args, **kwargs)
     try:
         yield
     finally:
         assembly.assemble_convection_linearized = linearized
+        assembly.convection_terms = terms
         assembly.assemble_convection_load = load
 
 

@@ -11,6 +11,7 @@ kernel reads.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +75,12 @@ class SaddlePattern:
     for a factorization in natural order. ``free_slots`` are the data indices
     of the entries in free rows and columns, in the CSC order of that
     permuted submatrix.
+
+    ``matrix`` and ``free_matrix`` copy a template matrix of the pattern and
+    give the copy its values. The copy shares the template's index arrays,
+    which are read-only, since one pattern serves concurrent solves; this
+    skips scipy's constructor, whose index checks read every index at every
+    call.
     """
 
     indptr: np.ndarray      # (n + 1,) int32
@@ -82,9 +89,9 @@ class SaddlePattern:
     div_slots: np.ndarray   # (2, T, 3, 12) intp
     free: np.ndarray        # (n,) bool
     free_order: np.ndarray  # (n_free,) intp unknowns, a permutation of flatnonzero(free)
-    free_indptr: np.ndarray   # (n_free + 1,) int32
-    free_indices: np.ndarray  # (nnz_free,) int32 free row indices
-    free_slots: np.ndarray    # (nnz_free,) intp
+    free_slots: np.ndarray  # (nnz_free,) intp
+    full_template: sp.csc_matrix = field(repr=False)
+    free_template: sp.csc_matrix = field(repr=False)
 
     @property
     def nnz(self) -> int:
@@ -92,14 +99,31 @@ class SaddlePattern:
 
     def matrix(self, data: np.ndarray) -> sp.csc_matrix:
         """The full saddle matrix whose values on this pattern are ``data``."""
-        n = len(self.free)
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=(n, n))
+        return _with_data(self.full_template, data)
 
     def free_matrix(self, data: np.ndarray) -> sp.csc_matrix:
         """The free rows and columns of ``matrix(data)``, both in ``free_order``."""
-        n = len(self.free_indptr) - 1
-        return sp.csc_matrix((data[self.free_slots], self.free_indices, self.free_indptr),
+        return _with_data(self.free_template, data[self.free_slots])
+
+
+def _csc_template(indptr: np.ndarray, indices: np.ndarray) -> sp.csc_matrix:
+    """A square CSC matrix on a sorted, duplicate-free pattern, with read-only
+    index arrays; its values are a zero-stride view, since every copy gets
+    its own."""
+    n = len(indptr) - 1
+    template = sp.csc_matrix((np.broadcast_to(0.0, indices.shape), indices, indptr),
                              shape=(n, n))
+    # true by construction; set, so that no copy checks or sorts the shared indices
+    template.has_canonical_format = True
+    template.indices.setflags(write=False)
+    template.indptr.setflags(write=False)
+    return template
+
+
+def _with_data(template: sp.csc_matrix, data: np.ndarray) -> sp.csc_matrix:
+    matrix = copy.copy(template)   # shallow: shares the index arrays
+    matrix.data = data
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -234,16 +258,20 @@ def _saddle_pattern(element_dofs: np.ndarray, free: np.ndarray,
     free_slots = np.flatnonzero(free[rows] & free[cols])
     free_rows, free_cols = position[rows[free_slots]], position[cols[free_slots]]
     csc = np.argsort(free_cols * n_free + free_rows)   # keys are distinct
+    indptr = np.searchsorted(unique, n * np.arange(n + 1)).astype(np.int32)
+    indices = rows.astype(np.int32)
     return SaddlePattern(
-        indptr=np.searchsorted(unique, n * np.arange(n + 1)).astype(np.int32),
-        indices=rows.astype(np.int32),
+        indptr=indptr,
+        indices=indices,
         v_slots=slots[:T * 144].reshape(T, 12, 12),
         div_slots=slots[T * 144:].reshape(2, T, 3, 12),
         free=free,
         free_order=free_order,
-        free_indptr=np.searchsorted(free_cols[csc], np.arange(n_free + 1)).astype(np.int32),
-        free_indices=free_rows[csc].astype(np.int32),
         free_slots=free_slots[csc],
+        full_template=_csc_template(indptr, indices),
+        free_template=_csc_template(
+            np.searchsorted(free_cols[csc], np.arange(n_free + 1)).astype(np.int32),
+            free_rows[csc].astype(np.int32)),
     )
 
 

@@ -5,7 +5,8 @@ Four solution paths share one sparse saddle-point solver:
   * deterministic: Newton on a(u,v) + c(u,u,v) + b(v,p) = (F,v), from a given
     start or the Stokes solution
   * stochastic correction (split): Newton on the correction equation with
-    coupling terms around a frozen deterministic field xi, zero start
+    coupling terms around a frozen deterministic field xi, started at the
+    modified correction
   * modified correction: the same equation with the quadratic self-term
     dropped, so linear with the one operator K(xi) = A + N1(xi) + N2(xi) for
     every sample: one factorization per experiment, one multi-RHS solve
@@ -24,10 +25,15 @@ LU, a later step still misses and factorizes, after about six times the
 GMRES iterations. The split solve starts from the shared factor of K(xi),
 from which its Jacobian J(eta) = K(xi) + N1(eta) + N2(eta) differs by terms
 of the size of eta; a sample's own fallback factor stays with that sample.
-A monolithic solve given K(xi) starts from xi, where its Jacobian is exactly
-K(xi), and at u = xi + eta its Jacobian is that same J(eta), so it takes the
-split rule; without K(xi) (a zero start, or a direct reference) every step
-is a direct factorization.
+A monolithic solve given K(xi) starts near xi, and at u = xi + eta its
+Jacobian is that same J(eta), so it takes the split rule; without K(xi) (a
+zero start, or a direct reference) every step is a direct factorization.
+
+Newton's first split step from a zero correction is the modified
+correction eta_mod = K(xi)^-1 noise load, solved inexactly, so
+``uq.solve_sample`` starts split at eta_mod and monolithic at xi + eta_mod
+(a predictor start: Deuflhard, Newton Methods for Nonlinear Problems,
+Springer 2004), never at the split answer monolithic is checked against.
 
 ``SaddleFactor`` is the one factored operator, read-only once built. K(xi)
 is one (``linearized_operator``), so the modified, split and monolithic
@@ -38,10 +44,11 @@ solvers here take K(xi) as given; ``uq.solve_sample`` decides when one is
 built.
 
 Every operator is a data vector on the dof map's fixed saddle pattern, so a
-Jacobian is an array sum such as ``stokes + n1 + n2``, a residual is one
-product of the linear saddle matrix with [u; p] (Newton subtracts the
-convection vector c(u,u,.) from the load), and a factorization takes the
-free rows and columns of that matrix.
+Jacobian is an array sum such as ``stokes + conv``, with conv = N1(u) +
+N2(u) from ``assembly.assemble_convection_linearized``, a residual is one
+product of a saddle matrix with [u; p] (Newton's is ``stokes + conv / 2``,
+since N1(u) u = N2(u) u = c(u,u,.)), and a factorization takes the free rows
+and columns of that matrix.
 
 Only the free unknowns (``pattern.free``, set once per dof map) are
 factorized: the Dirichlet velocity dofs are dropped, and so is pressure dof 0
@@ -64,9 +71,10 @@ exactly singular system (``--mesh-n 1``) into an exact zero pivot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import hypot
+from math import hypot, sqrt
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import assembly
@@ -192,11 +200,15 @@ class SaddleFactor:
     as zero and shift the pressure to zero gauge-weighted mean. A failed
     factorization is kept, not raised: ``lu`` is then None and ``failure``
     says why ("" otherwise), and every column of every solve fails with it.
+    A caller that already built the free matrix of ``data`` passes it as
+    ``matrix``.
     """
 
-    def __init__(self, dofs: DofMap, data: np.ndarray):
+    def __init__(self, dofs: DofMap, data: np.ndarray, matrix: sp.csc_matrix | None = None):
         self.dofs, self.data = dofs, data
-        self.matrix = matrix = dofs.pattern.free_matrix(data)   # rows and columns in free_order
+        if matrix is None:
+            matrix = dofs.pattern.free_matrix(data)
+        self.matrix = matrix   # rows and columns in free_order
         try:
             self.lu, self.failure = spla.splu(matrix, permc_spec="NATURAL"), ""
         except RuntimeError as exc:  # SuperLU signals exact singularity this way
@@ -260,14 +272,15 @@ def linearized_operator(ops: AssembledOperators, xi: FEField) -> SaddleFactor:
     operator of the modified one, and its LU is shared read-only by every
     sample.
     """
-    n1, n2 = assembly.assemble_convection_linearized(ops.dofs, xi.velocity)
-    return SaddleFactor(ops.dofs, ops.stokes + n1 + n2)
+    return SaddleFactor(ops.dofs, ops.stokes
+                        + assembly.assemble_convection_linearized(ops.dofs, xi.velocity))
 
 
-def _krylov_step(dofs: DofMap, jacobian: np.ndarray, rhs: np.ndarray,
+def _krylov_step(dofs: DofMap, matrix: sp.csc_matrix, rhs: np.ndarray,
                  precond: SaddleFactor, forcing: float) -> tuple[np.ndarray | None, int]:
     """Restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) on
-    J d = rhs to relative residual ``forcing``, left-preconditioned by ``precond``.
+    J d = rhs to relative residual ``forcing``, left-preconditioned by
+    ``precond``; ``matrix`` is the free matrix of J (``pattern.free_matrix``).
 
     Returns the full-system step, or None on a miss, and the GMRES iteration
     count. A cycle runs on z = LU^-1 r: classical Gram-Schmidt, run twice,
@@ -280,26 +293,26 @@ def _krylov_step(dofs: DofMap, jacobian: np.ndarray, rhs: np.ndarray,
     1, or 1/4 after a cycle that met its rotated target but not the true one,
     as in SciPy's gmres.
     """
-    matrix = dofs.pattern.free_matrix(jacobian)
     b = rhs[dofs.pattern.free_order]
-    b_norm = float(np.linalg.norm(b))
+    b_norm = sqrt(b @ b)   # the bits of np.linalg.norm for a real vector
     if b_norm == 0.0:
         return np.zeros_like(rhs), 0
     basis = np.empty((KRYLOV_BASIS + 1, len(b)))
     x, r, r_norm, its, safety = np.zeros_like(b), b, b_norm, 0, 1.0
     for cycle in range(1, KRYLOV_CYCLES + 1):
         z = precond.lu.solve(r)
-        z_norm = float(np.linalg.norm(z))
+        z_norm = sqrt(z @ z)
         target = z_norm * min(safety, forcing * b_norm / r_norm)
         basis[0] = z / z_norm
         g, columns, rotations = [z_norm], [], []
         for j in range(KRYLOV_BASIS):
             w = precond.lu.solve(matrix @ basis[j])
-            h = basis[:j + 1] @ w
-            w -= h @ basis[:j + 1]
-            again = basis[:j + 1] @ w
-            w -= again @ basis[:j + 1]
-            h_next = float(np.linalg.norm(w))
+            v = basis[:j + 1]
+            h = v @ w
+            w -= h @ v
+            again = v @ w
+            w -= again @ v
+            h_next = sqrt(w @ w)
             column = (h + again).tolist()
             for i, (c, s) in enumerate(rotations):
                 column[i], column[i + 1] = (c * column[i] + s * column[i + 1],
@@ -315,14 +328,14 @@ def _krylov_step(dofs: DofMap, jacobian: np.ndarray, rhs: np.ndarray,
             its += 1
             if abs(g[-1]) <= target or h_next == 0.0:
                 break
-            basis[j + 1] = w / h_next
+            np.divide(w, h_next, out=basis[j + 1])
         y = g[:-1]
         for i in reversed(range(len(y))):
             y[i] = (y[i] - sum(columns[k][i] * y[k] for k in range(i + 1, len(y)))
                     ) / columns[i][i]
         x = x + np.array(y) @ basis[:len(y)]
         r = b - matrix @ x
-        r_norm = float(np.linalg.norm(r))
+        r_norm = sqrt(r @ r)
         if r_norm <= forcing * b_norm:
             return _full_rows(dofs, x), its
         if h_next == 0.0 or not r_norm <= forcing ** (cycle / KRYLOV_CYCLES) * b_norm:
@@ -344,10 +357,11 @@ def _newton(ops: AssembledOperators, load: np.ndarray, x0: np.ndarray,
     step with no LU, or one GMRES misses, factorizes its Jacobian,
     counts a fallback and keeps that factor for the following steps. Without
     ``krylov`` every step is direct. ``precond`` only preconditions: the
-    residual and the Jacobian are those of ``linear``. The residual takes the
-    convection term c(u,u,.) as a vector, without a matrix; the Jacobian
-    ``linear + N1(u) + N2(u)`` is assembled from the current iterate only
-    when a step is taken. ``iterations`` counts the steps.
+    residual and the Jacobian are those of ``linear``. Each iterate u is
+    evaluated once, as C = N1(u) + N2(u): since N1(u) u = N2(u) u = c(u,u,.),
+    the residual is one product with ``linear + C / 2``, and a step, when one
+    is taken, solves with the Jacobian ``linear + C``, whose free matrix GMRES
+    and a fallback factorization share. ``iterations`` counts the steps.
     """
     dofs = ops.dofs
     n_u = dofs.n_velocity_dofs
@@ -364,9 +378,9 @@ def _newton(ops: AssembledOperators, load: np.ndarray, x0: np.ndarray,
                             inner_iterations=inner, fallbacks=fallbacks))
 
     for _ in range(NEWTON_MAX_ITER + 1):
-        conv = assembly.assemble_convection_load(dofs, x[:n_u])
-        residual = _saddle_residual(dofs, linear, x, load - conv)
-        r_norm = float(np.linalg.norm(residual))
+        conv = assembly.assemble_convection_linearized(dofs, x[:n_u])
+        residual = _saddle_residual(dofs, linear + 0.5 * conv, x, load)
+        r_norm = sqrt(residual @ residual)
         history.append(r_norm)
         if not np.isfinite(r_norm):
             return report(False, r_norm, "residual diverged")
@@ -375,17 +389,17 @@ def _newton(ops: AssembledOperators, load: np.ndarray, x0: np.ndarray,
             return report(True, r_norm)
         if solves >= NEWTON_MAX_ITER:
             break
-        n1, n2 = assembly.assemble_convection_linearized(dofs, x[:n_u])
-        jacobian = linear + n1 + n2
-        del n1, n2  # not held through the solve, where the peak memory is
+        jacobian = linear + conv
+        del conv  # not held through the solve, where the peak memory is
+        matrix = dofs.pattern.free_matrix(jacobian)
         step = None
         if precond is not None and precond.lu is not None:
             forcing = min(INNER_RTOL, max(r_norm / history[0], 0.5 * tol / r_norm))
-            step, its = _krylov_step(dofs, jacobian, -residual, precond, forcing)
+            step, its = _krylov_step(dofs, matrix, -residual, precond, forcing)
             inner += its
         if step is None:
             precond = None  # freed before the new factorization: one LU at a time
-            factor = SaddleFactor(dofs, jacobian)
+            factor = SaddleFactor(dofs, jacobian, matrix)
             step, (failure,) = factor.solve(-residual[:, None])
             if failure:
                 return report(False, r_norm, failure)
@@ -420,16 +434,21 @@ def solve_deterministic_ns(ops: AssembledOperators, f_load: np.ndarray,
 
 
 def solve_stochastic_full(ops: AssembledOperators, k_xi: SaddleFactor,
-                          noise_load: np.ndarray) -> tuple[FEField, SolveReport]:
+                          noise_load: np.ndarray,
+                          start: FEField | None = None) -> tuple[FEField, SolveReport]:
     """Nonlinear stochastic correction around the deterministic field xi.
 
     ``k_xi`` is the K(xi) of that xi: the linear part of the correction
-    equation, and its factor starts the Newton-Krylov solve from a zero
-    correction. A fallback's own factor preconditions this sample's later
-    steps and leaves ``k_xi`` untouched.
+    equation, and its factor starts the Newton-Krylov solve. The solve starts
+    from the correction ``start`` (``uq.solve_sample`` passes the modified
+    correction eta_mod, which the split one differs from at second order in
+    the noise), or from a zero correction without one. A fallback's own
+    factor preconditions this sample's later steps and leaves ``k_xi``
+    untouched.
     """
-    fld, report = _newton(ops, noise_load, FEField.zeros(ops.dofs).values, krylov=True,
-                          linear=k_xi.data, precond=k_xi)
+    start = FEField.zeros(ops.dofs) if start is None else start
+    fld, report = _newton(ops, noise_load, start.values, krylov=True, linear=k_xi.data,
+                          precond=k_xi)
     report.method = "split"
     return fld, report
 
@@ -467,10 +486,12 @@ def solve_monolithic(ops: AssembledOperators, f_load: np.ndarray,
     """Full per-sample solve from ``initial_guess``.
 
     Direct Newton, unless ``k_xi`` gives the shared K(xi) of the deterministic
-    field xi the solve starts from: its Jacobian at xi is exactly K(xi), and
-    at u = xi + eta it is J(eta) of the split correction, so the solve is then
-    Newton-Krylov starting from that factor, like the split one. Either way a
-    sample converges only on the residual of its own full equation.
+    field xi the solve starts near: at u = xi + eta its Jacobian is J(eta) of
+    the split correction, exactly K(xi) at xi itself, so the solve is then
+    Newton-Krylov starting from that factor, like the split one.
+    ``uq.solve_sample`` starts it at xi + eta_mod, the modified correction
+    added to xi, and never at the split answer it is checked against. Either
+    way a sample converges only on the residual of its own full equation.
     """
     fld, report = _newton(ops, f_load + noise_load, initial_guess.values,
                           krylov=k_xi is not None, precond=k_xi)

@@ -228,10 +228,27 @@ def _failed(method: str, failure: str) -> SolveReport:
     return SolveReport(False, 0, float("inf"), method=method, failure=failure)
 
 
+def modified_starts(ops: solvers.AssembledOperators, k_xi: solvers.SaddleFactor,
+                    noise_loads: np.ndarray) -> list[FEField | None]:
+    """The modified correction eta_mod of each column of ``noise_loads``, the
+    start of its split and monolithic solves, or None where that solve fails
+    its checks.
+
+    Each column is solved alone, so a sample's start has the same bits in
+    ``mc`` and in ``solve``, whatever block it came in.
+    """
+    starts = []
+    for load in noise_loads.T:
+        [(eta, rep)] = solvers.solve_stochastic_modified(ops, k_xi, load[:, None])
+        starts.append(eta if rep.converged else None)
+    return starts
+
+
 def solve_sample(method: str, ops: solvers.AssembledOperators, xi: FEField,
                  f_load: np.ndarray, noise_loads: np.ndarray, first: int,
                  cfg: McConfig, xi_report: SolveReport,
                  k_xi: solvers.SaddleFactor | None = None,
+                 starts: list[FEField | None] | None = None,
                  ) -> list[tuple[FEField, SolveReport]]:
     """Solve a block of noise samples with one method: the only route from a
     method and its loads to the solvers.
@@ -245,8 +262,14 @@ def solve_sample(method: str, ops: solvers.AssembledOperators, xi: FEField,
     M. Split and monolithic solve the columns one by one. The splitting
     methods return xi plus their correction. The methods that solve on K(xi) (``_uses_k_xi``) take
     ``k_xi``, built here when none is given; the others ignore it.
-    ``cfg.mono_init`` picks the monolithic start, xi or zero, and a
-    monolithic sample is accepted only on its own full residual. Every column
+
+    Split and monolithic on K(xi) start from each column's modified
+    correction eta_mod (``starts``, from ``modified_starts`` when none are
+    given): split at eta_mod and monolithic at xi + eta_mod, or, where
+    eta_mod failed its checks, from a zero correction and from xi. With
+    ``cfg.mono_init`` "zero", monolithic starts from zero instead and is
+    direct Newton, without K(xi). A monolithic sample is accepted only on its
+    own full residual. Every column
     fails, with its reason and xi as its field, when the splitting correction
     has no converged xi to be defined around (unsolved), or when the solve
     raises.
@@ -263,20 +286,25 @@ def solve_sample(method: str, ops: solvers.AssembledOperators, xi: FEField,
                 k_xi = None
             elif k_xi is None:
                 k_xi = solvers.linearized_operator(ops, xi)
+            if method != "modified" and k_xi is not None and starts is None:
+                starts = modified_starts(ops, k_xi, noise_loads)
             if method == "modified":
                 block = np.pad(noise_loads, ((0, 0), (0, max(CHUNK - len(columns), 0))))
                 out = [(xi + eta, rep) for eta, rep in
                        solvers.solve_stochastic_modified(ops, k_xi, block)[:len(columns)]]
             elif method == "split":
                 out = []
-                for load in columns:
-                    eta, rep = solvers.solve_stochastic_full(ops, k_xi, load)
+                for load, start in zip(columns, starts):
+                    eta, rep = solvers.solve_stochastic_full(ops, k_xi, load, start)
                     out.append((xi + eta, rep))
-            else:
-                start = xi if cfg.mono_init == "deterministic" else FEField.zeros(ops.dofs)
-                out = [solvers.solve_monolithic(ops, f_load, load, initial_guess=start,
-                                                k_xi=k_xi)
+            elif k_xi is None:   # from zero
+                out = [solvers.solve_monolithic(ops, f_load, load,
+                                                initial_guess=FEField.zeros(ops.dofs))
                        for load in columns]
+            else:
+                out = [solvers.solve_monolithic(ops, f_load, load, k_xi=k_xi,
+                                                initial_guess=xi if eta is None else xi + eta)
+                       for load, eta in zip(columns, starts)]
         except Exception as exc:  # one bad sample must not abort the others
             out = [(xi, _failed(method, f"{type(exc).__name__}: {exc}")) for _ in columns]
     for k, (_, rep) in enumerate(out, first):
@@ -296,11 +324,12 @@ def run_experiment(cfg: McConfig, jobs: int = 1) -> McStats:
     ``jobs > 1``. They share one K(xi) and its factorization, built first
     when a requested method uses it (``_uses_k_xi``); modified solves each
     chunk on it, and each split sample, and each monolithic one that starts
-    from xi, runs Newton-Krylov from that factor. The factor is held to the
-    end, so no factorization runs after it is freed (freed factor pages then
-    stayed resident and raised the peak memory). The reduction adds samples
-    in index order with compensated summation, so the means are bit-identical
-    across worker counts.
+    from xi, runs Newton-Krylov from that factor, started at the sample's
+    modified correction (one ``modified_starts`` column serves both). The
+    factor is held to the end, so no factorization runs after it is freed
+    (freed factor pages then stayed resident and raised the peak memory).
+    The reduction adds samples in index order with compensated summation,
+    so the means are bit-identical across worker counts.
     """
     dofs = build_dof_map(build_structured_mesh(cfg.mesh_n))
     ops, f_load, xi, xi_report = prepare(dofs, cfg.nu)
@@ -308,15 +337,19 @@ def run_experiment(cfg: McConfig, jobs: int = 1) -> McStats:
     k_xi = (solvers.linearized_operator(ops, xi)
             if any(_uses_k_xi(m, cfg.mono_init, xi_report) for m in cfg.methods) else None)
 
-    def solve(method: str, block: np.ndarray, first: int) -> list[tuple[FEField, SolveReport]]:
-        return solve_sample(method, ops, xi, f_load, block, first, cfg, xi_report, k_xi)
+    def solve(method: str, block: np.ndarray, first: int,
+              starts: list[FEField | None] | None = None) -> list[tuple[FEField, SolveReport]]:
+        return solve_sample(method, ops, xi, f_load, block, first, cfg, xi_report, k_xi, starts)
 
     newton_methods = [m for m in ("monolithic", "split") if m in cfg.methods]
+    # one eta_mod per sample serves both of its Newton solves
+    uses_starts = any(_uses_k_xi(m, cfg.mono_init, xi_report) for m in newton_methods)
     errors = np.geterr()   # pool threads start from numpy's default error state
 
     def solve_newton(column: np.ndarray, k: int) -> dict[str, tuple[FEField, SolveReport]]:
         with np.errstate(**errors):
-            return {m: solve(m, column, k)[0] for m in newton_methods}
+            starts = modified_starts(ops, k_xi, column) if uses_starts else None
+            return {m: solve(m, column, k, starts)[0] for m in newton_methods}
 
     # per-method means plus pairwise-converged means, added in sample order
     per_method = {m: _MeanAccumulator(dofs) for m in cfg.methods}

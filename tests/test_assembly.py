@@ -12,6 +12,7 @@ from snsflow.assembly import (
     assemble_load,
     assemble_noise_load,
     assemble_viscous,
+    convection_terms,
     p1_shape,
     p2_shape,
     triangle_rule_collapsed,
@@ -120,7 +121,7 @@ def test_divergence_theorem_for_tangential_field(dofs4):
 
 def test_convection_vanishes_for_zero_wind(dofs2):
     n1, n2 = (velocity_block(dofs2, op) for op in
-              assemble_convection_linearized(dofs2, np.zeros(dofs2.n_velocity_dofs)))
+              convection_terms(dofs2, np.zeros(dofs2.n_velocity_dofs)))
     assert n1.nnz == 0 or abs(n1).max() == 0
     assert n2.nnz == 0 or abs(n2).max() == 0
 
@@ -288,7 +289,7 @@ def test_element_tables_match_multi_operand_einsum(n):
     forcing = lambda x, y: exact_forcing(x, y, 0.02)  # noqa: E731
     want = _einsum_kernels(mesh, dofs, w, 0.02, forcing, (n, 1.3, zeta))
 
-    n1, n2 = assemble_convection_linearized(dofs, w)
+    n1, n2 = convection_terms(dofs, w)
     got = {
         "grad": dofs.geometry.grad.reshape(mesh.n_triangles, 6, -1, 2).transpose(0, 2, 1, 3),
         "viscous": assemble_viscous(dofs, 0.02),
@@ -308,9 +309,28 @@ def test_element_tables_match_multi_operand_einsum(n):
 @settings(max_examples=25, deadline=None)
 def test_convection_load_is_n1_times_u(dofs4, seed, scale):
     u = scale * np.random.default_rng(seed).standard_normal(dofs4.n_velocity_dofs)
-    want = velocity_block(dofs4, assemble_convection_linearized(dofs4, u)[0]) @ u
+    want = velocity_block(dofs4, convection_terms(dofs4, u)[0]) @ u
     got = assemble_convection_load(dofs4, u)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_one_scatter_jacobian_and_its_convection_vector_match_the_separate_terms(n):
+    # Newton evaluates an iterate once: N1 + N2 in one scatter, and
+    # c(u,u,.) as half of that operator applied to u
+    dofs = build_dof_map(build_structured_mesh(n))
+    u = np.random.default_rng(n).standard_normal(dofs.n_velocity_dofs)
+    conv = assemble_convection_linearized(dofs, u)
+    n1, n2 = convection_terms(dofs, u)
+
+    def rel(got, want):
+        return np.abs(got - want).max() / np.abs(want).max()
+
+    assert rel(conv, n1 + n2) <= 1e-13
+    derived = 0.5 * (velocity_block(dofs, conv) @ u)
+    for want in (assemble_convection_load(dofs, u), velocity_block(dofs, n1) @ u,
+                 velocity_block(dofs, n2) @ u):
+        assert rel(derived, want) <= 1e-13
 
 
 def test_load_and_closed_form_errors_read_the_tables_built_at_import(dofs4, monkeypatch):

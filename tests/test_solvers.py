@@ -122,8 +122,8 @@ def test_nested_dissection_order_fills_less_than_colamd():
 def test_free_dof_jacobian_matches_dense_oracle():
     dofs, ops = _setup(2)
     w = np.random.default_rng(5).standard_normal(dofs.n_velocity_dofs)
-    n1, n2 = assembly.assemble_convection_linearized(dofs, w)
-    got = solvers.SaddleFactor(dofs, ops.stokes + n1 + n2).matrix.toarray()
+    conv = assembly.assemble_convection_linearized(dofs, w)
+    got = solvers.SaddleFactor(dofs, ops.stokes + conv).matrix.toarray()
 
     oracle = DenseOracle(dofs)
     o1, o2 = oracle.convection(w)
@@ -497,7 +497,7 @@ def _stokes_preconditioned_step(monkeypatch):
     dofs, ops = _setup(6)
     load = _forcing_load(dofs)
     u = linear_saddle_solve(dofs, ops.stokes, load)[:dofs.n_velocity_dofs]
-    n1, n2 = assembly.assemble_convection_linearized(dofs, u)
+    conv = assembly.assemble_convection_linearized(dofs, u)
     rhs = np.concatenate([np.where(dofs.dirichlet_mask, 0.0, load),
                           np.zeros(dofs.n_pressure_dofs)])
     factors = _counting_splu(monkeypatch)
@@ -506,7 +506,7 @@ def _stokes_preconditioned_step(monkeypatch):
     real = type(dofs.pattern).free_matrix
     monkeypatch.setattr(type(dofs.pattern), "free_matrix",
                         lambda pattern, data: _CountingMatrix(real(pattern, data), matvecs))
-    return dofs, ops.stokes + n1 + n2, rhs, precond, factors, matvecs
+    return dofs, ops.stokes + conv, rhs, precond, factors, matvecs
 
 
 def _scipy_gmres(dofs, jacobian, rhs, precond, forcing):
@@ -525,7 +525,7 @@ def _scipy_gmres(dofs, jacobian, rhs, precond, forcing):
 def test_krylov_step_matches_scipy_gmres(monkeypatch):
     dofs, jacobian, rhs, precond, _, _ = _stokes_preconditioned_step(monkeypatch)
     d, info, scipy_its = _scipy_gmres(dofs, jacobian, rhs, precond, 1e-4)
-    x, its = solvers._krylov_step(dofs, jacobian, rhs, precond, 1e-4)
+    x, its = solvers._krylov_step(dofs, dofs.pattern.free_matrix(jacobian), rhs, precond, 1e-4)
     assert info == 0 and x is not None
     assert scipy_its > solvers.KRYLOV_BASIS and its == scipy_its   # both restarted once
     want = solvers._full_rows(dofs, d)
@@ -534,7 +534,7 @@ def test_krylov_step_matches_scipy_gmres(monkeypatch):
 
 def test_krylov_step_applies_the_preconditioner_once_per_iteration_and_cycle(monkeypatch):
     dofs, jacobian, rhs, precond, factors, matvecs = _stokes_preconditioned_step(monkeypatch)
-    x, its = solvers._krylov_step(dofs, jacobian, rhs, precond, 1e-4)
+    x, its = solvers._krylov_step(dofs, dofs.pattern.free_matrix(jacobian), rhs, precond, 1e-4)
     # one product per iteration, and one for the true residual closing each cycle
     cycles = len(matvecs) - its
     assert x is not None and cycles == solvers.KRYLOV_CYCLES
@@ -547,7 +547,7 @@ def test_krylov_step_abandons_a_step_its_first_cycle_shows_will_miss(monkeypatch
     _, info, _ = _scipy_gmres(dofs, jacobian, rhs, precond, 1e-10)
     assert info != 0
     matvecs.clear()
-    x, its = solvers._krylov_step(dofs, jacobian, rhs, precond, 1e-10)
+    x, its = solvers._krylov_step(dofs, dofs.pattern.free_matrix(jacobian), rhs, precond, 1e-10)
     # one cycle: its products plus the one for the true residual closing it
     assert x is None and 0 < its <= solvers.KRYLOV_BASIS and len(matvecs) == its + 1
 
@@ -713,12 +713,11 @@ def test_jacobian_matches_directional_finite_differences():
     free = ~dofs.dirichlet_mask
 
     def residual(vec):
-        n1, _ = assembly.assemble_convection_linearized(dofs, vec)
+        n1, _ = assembly.convection_terms(dofs, vec)
         r = velocity_block(dofs, ops.stokes + n1) @ vec
         return r[free]
 
-    n1, n2 = assembly.assemble_convection_linearized(dofs, u)
-    jac = velocity_block(dofs, ops.stokes + n1 + n2)
+    jac = velocity_block(dofs, ops.stokes + assembly.assemble_convection_linearized(dofs, u))
     eps = 1e-6
     for _ in range(10):
         d = rng.standard_normal(dofs.n_velocity_dofs)
@@ -729,30 +728,37 @@ def test_jacobian_matches_directional_finite_differences():
 
 
 def test_newton_assembles_jacobian_only_for_steps(monkeypatch):
+    # each iterate is evaluated once, as N1 + N2, for both its residual and
+    # its Jacobian; a step builds one free matrix, which a GMRES miss reuses
     dofs, ops = _setup(6)
-    counts = {"assemble_convection_linearized": 0, "assemble_convection_load": 0}
-    for name in counts:
-        real = getattr(assembly, name)
+    counts = {"assemble_convection_linearized": 0, "assemble_convection_load": 0,
+              "free_matrix": 0}
+    for owner, name in ((assembly, "assemble_convection_linearized"),
+                        (assembly, "assemble_convection_load"),
+                        (type(dofs.pattern), "free_matrix")):
+        real = getattr(owner, name)
 
         def counted(*args, _name=name, _real=real, **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(assembly, name, counted)
+        monkeypatch.setattr(owner, name, counted)
 
     xi, rep = solve_deterministic_ns(ops, _forcing_load(dofs))
     assert rep.converged and rep.iterations >= 3
     steps = rep.iterations - 1  # the Stokes start counts as one solve
-    assert counts == {"assemble_convection_linearized": steps,
-                      "assemble_convection_load": len(rep.residual_history)}
+    # one more free matrix: the Stokes start's
+    assert counts == {"assemble_convection_linearized": len(rep.residual_history),
+                      "assemble_convection_load": 0, "free_matrix": steps + 1}
 
-    counts.update(dict.fromkeys(counts, 0))
     k_xi = solvers.linearized_operator(ops, xi)
+    calls = _gmres_missing(monkeypatch, misses=1)
+    counts.update(dict.fromkeys(counts, 0))
     _, rep = solve_stochastic_full(ops, k_xi, _noise_load(ops, 1.6, 6))
-    assert rep.converged and rep.iterations >= 2
-    # one more linearization: the frozen coupling terms around xi
-    assert counts == {"assemble_convection_linearized": rep.iterations + 1,
-                      "assemble_convection_load": len(rep.residual_history)}
+    assert rep.converged and rep.iterations >= 2 and rep.fallbacks == 1 and len(calls) >= 2
+    # the missed step factorizes the free matrix its GMRES had
+    assert counts == {"assemble_convection_linearized": len(rep.residual_history),
+                      "assemble_convection_load": 0, "free_matrix": rep.iterations}
 
 
 def test_velocity_and_pressure_are_views_of_the_values():

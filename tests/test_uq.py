@@ -105,8 +105,10 @@ def test_two_sample_mean_against_direct_average():
     for k in range(2):
         zeta = noise_mod.sample_noise(cfg.noise_n, noise_mod.substream_key(cfg.base_seed, k))
         [nl] = assembly.assemble_noise_load(dofs, cfg.noise_n, amp, zeta[None]).T
-        fld, rep = solvers.solve_monolithic(ops, load, nl, initial_guess=xi, k_xi=k_xi)
-        assert rep.converged
+        # started at xi + eta_mod, as in the run
+        [(eta, mod)] = solvers.solve_stochastic_modified(ops, k_xi, nl[:, None])
+        fld, rep = solvers.solve_monolithic(ops, load, nl, initial_guess=xi + eta, k_xi=k_xi)
+        assert mod.converged and rep.converged
         acc += fld.velocity
     assert np.abs(stats.mean_fields["monolithic"].velocity - acc / 2).max() <= 1e-14
 
@@ -478,6 +480,49 @@ def test_monolithic_is_newton_krylov_only_from_the_deterministic_start():
         assert len(mono) == cfg.M and all(r.converged for r in mono)
         # a zero start is far from K(xi), so it stays direct Newton
         assert all((r.inner_iterations > 0) == krylov and r.fallbacks == 0 for r in mono)
+
+
+def test_the_modified_start_saves_newton_steps(monkeypatch):
+    # from zero (split) and from xi (monolithic) every sample of this run
+    # took 4 Newton steps, and none fell back to a factorization
+    cfg = McConfig(M=16, base_seed=1, sigma=1.6, mesh_n=12, noise_n=12)
+    counts: dict[str, int] = {}
+    _counting(monkeypatch, solvers, "solve_stochastic_modified", counts)
+    stats = run_experiment(cfg)
+    split, mono = ([r for r in stats.reports if r.method == m] for m in ("split", "monolithic"))
+    assert all(r.converged and r.fallbacks == 0 for r in split + mono)
+    assert [r.iterations for r in split] == [r.iterations for r in mono]
+    assert sum(r.iterations for r in split) / cfg.M <= 3.2
+    # one one-column start per sample serves both its solves; one more
+    # call solves the chunk's modified block
+    assert counts["solve_stochastic_modified"] == cfg.M + 1
+
+
+def test_a_failed_modified_start_falls_back_to_the_zero_and_xi_starts(monkeypatch):
+    cfg = small_config(M=1, sigma=1.6)
+    ops, f_load, xi, xi_report = uq.prepare(build_dof_map(build_structured_mesh(cfg.mesh_n)),
+                                            cfg.nu)
+    k_xi = solvers.linearized_operator(ops, xi)
+    loads, _ = uq.noise_loads(cfg, ops, [0])
+    real = k_xi.solve
+
+    def failing(rhs):
+        x, failures = real(rhs)
+        return x, ["solve residual 1.0e+00 exceeds 1.0e-10; system is numerically singular"
+                   ] * len(failures)
+
+    monkeypatch.setattr(k_xi, "solve", failing)   # only the shared factor's solves fail
+    assert uq.modified_starts(ops, k_xi, loads) == [None]
+    [(split, rep_s)] = uq.solve_sample("split", ops, xi, f_load, loads, 0, cfg, xi_report, k_xi)
+    [(mono, rep_m)] = uq.solve_sample("monolithic", ops, xi, f_load, loads, 0, cfg, xi_report,
+                                      k_xi)
+    eta, want_s = solvers.solve_stochastic_full(ops, k_xi, loads[:, 0])
+    want, want_m = solvers.solve_monolithic(ops, f_load, loads[:, 0], initial_guess=xi,
+                                            k_xi=k_xi)
+    assert rep_s.converged and rep_m.converged
+    assert np.array_equal(split.values, (xi + eta).values)
+    assert np.array_equal(mono.values, want.values)
+    assert (rep_s.iterations, rep_m.iterations) == (want_s.iterations, want_m.iterations)
 
 
 @pytest.mark.parametrize("methods, mono_init, max_iter, builds", [
