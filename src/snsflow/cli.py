@@ -2,10 +2,14 @@
 or noise amplitudes), and the verification battery.
 
 Flags may be combined with a JSON config file (``--config``); explicit flags
-win over file values, file values win over built-in defaults. All randomness
-flows from ``--seed`` (a fixed constant when omitted, never the wall clock),
-standard output is line-oriented ``key=value`` pairs, and every output file is
-written atomically.
+win over file values, file values win over built-in defaults. Each flag has one
+check, in its ``FLAGS`` row, for both routes: argparse runs it on every
+occurrence of the flag (so ``--mesh-n 0 --mesh-n 4`` is a usage error), and
+``_merge_config`` on every config value, even one that a flag overrides; a
+config message reads ``--config: <key>: `` and the flag's message. All
+randomness flows from ``--seed`` (a fixed constant when omitted, never the wall
+clock), standard output is line-oriented ``key=value`` pairs, and every output
+file is written atomically.
 """
 
 from __future__ import annotations
@@ -15,7 +19,9 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import dataclass
 from math import isfinite
+from typing import Callable
 
 import numpy as np
 
@@ -39,19 +45,75 @@ MAX_MESH_N = 128
 MAX_SAMPLES = 2 ** 60 - 1
 
 _MC = McConfig()
-DEFAULTS = {
-    "nu": _MC.nu,
-    "sigma": _MC.sigma,
-    "samples": str(_MC.M),
-    "mesh_n": _MC.mesh_n,
-    "noise_n": None,   # resolved to --mesh-n when not given
-    "seed": _MC.base_seed,
-    "jobs": 1,
-    "methods": ",".join(_MC.methods),
-    "out_dir": ".",
-    "init": _MC.mono_init,
-    "sample_index": 0,
-}
+ALL, SOLVING = ("solve", "mc", "verify"), ("solve", "mc")
+NUMBER, INTEGER, TEXT = (int, float), (int,), (str,)   # JSON types of a config value
+
+
+@dataclass(frozen=True, eq=False)
+class _Flag:
+    """A flag of ``commands`` and its one check, the flag's argparse ``type=``: it
+    parses the flag's text or a config value of a type in ``json``, tests it with
+    ``ok`` and returns it, or raises an ArgumentTypeError, whose reason argparse prints."""
+    name: str
+    commands: tuple
+    default: object
+    json: tuple
+    help: str
+    parse: Callable = str
+    ok: Callable = lambda value: True
+    must: str = ""
+
+    def __call__(self, value):
+        try:
+            parsed = self.parse(value)
+            if self.ok(parsed):
+                return parsed
+        except (ValueError, OverflowError):   # OverflowError: an int too large for a float
+            pass
+        raise argparse.ArgumentTypeError(f"{self.name} must {self.must}")
+
+
+def _amplitude(text) -> float:
+    return float(text) + 0.0   # -0.0 + 0.0 is 0.0, so -0 is written as sigma=0
+
+
+# the flags that a --config key may also set; a key is its flag's name with _ for -
+FLAGS = {flag.name[2:].replace("-", "_"): flag for flag in [
+    _Flag("--nu", ALL, _MC.nu, NUMBER, "kinematic viscosity",
+          float, lambda x: isfinite(x) and x > 0, "be positive and finite"),
+    _Flag("--sigma", ALL, _MC.sigma, NUMBER, "noise amplitude (per-cell standard deviation)",
+          _amplitude, lambda x: isfinite(x) and x >= 0, "be finite and non-negative"),
+    _Flag("--mesh-n", ALL, _MC.mesh_n, INTEGER, "FE grid resolution", int,
+          lambda n: 1 <= n <= MAX_MESH_N, f"be a positive integer of at most {MAX_MESH_N}"),
+    # a null config value, like the default None, takes --mesh-n
+    _Flag("--noise-n", ALL, None, (int, type(None)),
+          "noise cells per axis (must divide --mesh-n)", int, lambda n: n >= 1,
+          "be a positive integer"),
+    _Flag("--seed", SOLVING, _MC.base_seed, INTEGER, "base seed for all randomness",
+          int, lambda n: 0 <= n < 2 ** 64, "lie in [0, 2**64)"),
+    _Flag("--out-dir", SOLVING, ".", TEXT, "output directory"),
+    _Flag("--init", SOLVING, _MC.mono_init, TEXT,
+          "monolithic initial guess: deterministic or zero",
+          str, lambda s: s in uq.INITS, "be deterministic or zero"),
+    _Flag("--sample-index", ("solve",), 0, INTEGER, "noise substream index",
+          int, lambda n: 0 <= n < 2 ** 64, "lie in [0, 2**64)"),
+    _Flag("--jobs", ("mc",), 1, INTEGER, "concurrent samples", int, lambda n: n >= 1, "be >= 1"),
+    _Flag("--methods", ("mc",), _MC.methods, TEXT, f"comma list from {','.join(uq.METHODS)}",
+          lambda s: tuple(m.strip() for m in s.split(",") if m.strip()),
+          lambda ms: ms and set(ms) <= set(uq.METHODS) and len(set(ms)) == len(ms),
+          f"be a comma list of distinct methods from {','.join(uq.METHODS)}"),
+    _Flag("--samples", ("mc",), [_MC.M], (str, int),
+          "sample count or comma list, e.g. 50,100,200",
+          lambda s: [int(m) for m in str(s).split(",") if m],
+          lambda ms: ms and all(1 <= m <= MAX_SAMPLES for m in ms),
+          "be a comma list of positive integers of at most 2**60 - 1"),
+]}
+DEFAULTS = {key: flag.default for key, flag in FLAGS.items()}
+_SIGMA_SWEEP = _Flag("--sigma-sweep", ("mc",), None, (),
+                     "comma list of amplitudes; one run per value at fixed M",
+                     lambda s: [_amplitude(a) for a in s.split(",") if a],
+                     lambda xs: xs and all(isfinite(x) and x >= 0 for x in xs),
+                     "be a comma list of finite non-negative numbers")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,61 +122,37 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    """The flags of every command."""
-    p.add_argument("--config", help="JSON file with flag defaults")
-    p.add_argument("--nu", type=float, help="kinematic viscosity")
-    p.add_argument("--sigma", type=float,
-                   help="noise amplitude (per-cell standard deviation)")
-    p.add_argument("--mesh-n", dest="mesh_n", type=int, help="FE grid resolution")
-    p.add_argument("--noise-n", dest="noise_n", type=int,
-                   help="noise cells per axis (must divide --mesh-n)")
-
-
-def _add_solving(p: argparse.ArgumentParser) -> None:
-    """The flags of the commands that solve and write files, solve and mc."""
-    _add_common(p)
-    p.add_argument("--seed", type=int, help="base seed for all randomness")
-    p.add_argument("--out-dir", dest="out_dir", help="output directory")
-    p.add_argument("--init", choices=uq.INITS,
-                   help="monolithic initial guess")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="snsflow",
                      description="Steady stochastic flow solver and experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="one solve, one sample")
-    _add_solving(p_solve)
-    p_solve.add_argument("--method", required=True,
-                         choices=["deterministic", *uq.METHODS])
-    p_solve.add_argument("--sample-index", dest="sample_index", type=int,
-                         help="noise substream index")
-
-    p_mc = sub.add_parser("mc", help="Monte Carlo experiment over sample counts")
-    _add_solving(p_mc)
-    p_mc.add_argument("--jobs", type=int, help="concurrent samples")
-    p_mc.add_argument("--methods", help=f"comma list from {','.join(uq.METHODS)}")
-    p_mc.add_argument("--samples", help="sample count or comma list, e.g. 50,100,200")
-    p_mc.add_argument("--sigma-sweep", dest="sigma_sweep",
-                      help="comma list of amplitudes; one run per value at fixed M")
-
-    p_verify = sub.add_parser("verify", help="run the verification battery")
-    _add_common(p_verify)
-    p_verify.add_argument("--convergence", action="store_true",
-                          help="include the refinement study")
-    p_verify.add_argument("--mutate", choices=["convection-sign"],
-                          help="inject a deliberate defect (sensitivity demo)")
+    commands = {}
+    for command, text in (("solve", "one solve, one sample"),
+                          ("mc", "Monte Carlo experiment over sample counts"),
+                          ("verify", "run the verification battery")):
+        p = commands[command] = sub.add_parser(command, help=text)
+        p.add_argument("--config", help="JSON file with flag defaults")
+        for flag in [*FLAGS.values(), _SIGMA_SWEEP]:
+            if command in flag.commands:
+                p.add_argument(flag.name, type=flag, help=flag.help)
+    commands["solve"].add_argument("--method", required=True,
+                                   choices=["deterministic", *uq.METHODS])
+    commands["verify"].add_argument("--convergence", action="store_true",
+                                    help="include the refinement study")
+    commands["verify"].add_argument("--mutate", choices=["convection-sign"],
+                                    help="inject a deliberate defect (sensitivity demo)")
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """DEFAULTS, then the ``--config`` keys of the command's flags, then its
-    flags; ``given`` is the set of keys that the file or a flag set."""
-    merged = dict(DEFAULTS)
+    """The command's parsed arguments, with DEFAULTS for its flags' keys, then
+    the ``--config`` values of those keys, then the flags that were given.
+    Each config value passes its flag's check, even one that a flag overrides.
+    ``origin`` maps each key that the file or a flag set to the prefix of a
+    message about its value: ``--config: <key>: `` or nothing."""
+    merged = {**vars(args), **DEFAULTS}
     taken = set(DEFAULTS) & set(vars(args))
-    given = set()
+    origin = {}
     cfg_path = args.config
     if cfg_path:
         try:
@@ -129,92 +167,50 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if unknown:
             raise UsageError(f"--config: unknown keys for {args.command}: {sorted(unknown)}")
         for key, value in file_values.items():
-            if not _config_type_ok(key, value):
-                raise UsageError(f"--config: {key} has the wrong type ({value!r})")
-            if isinstance(DEFAULTS[key], float):
-                try:
-                    file_values[key] = float(value)
-                except OverflowError:
-                    raise UsageError(f"--config: {key} is too large for a float")
-        merged.update(file_values)
-        given.update(file_values)
+            flag, origin[key] = FLAGS[key], f"--config: {key}: "
+            try:
+                if type(value) not in flag.json:   # so neither a bool nor "4" is an int
+                    raise argparse.ArgumentTypeError(
+                        f"{flag.name} has the wrong type ({value!r})")
+                if value is not None:   # a null --noise-n keeps its default
+                    merged[key] = flag(value)
+            except argparse.ArgumentTypeError as exc:
+                raise UsageError(f"{origin[key]}{exc}")
     for key in taken:
         value = getattr(args, key)
         if value is not None:
             merged[key] = value
-            given.add(key)
-    merged["given"] = given
+            origin[key] = ""
+    merged["origin"] = origin
     return merged
-
-
-def _config_type_ok(key: str, value) -> bool:
-    """Config values take the type of their default; lists may be bare numbers."""
-    default = DEFAULTS[key]
-    if isinstance(value, bool):
-        return False
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    if default is None:
-        return value is None or isinstance(value, int)
-    if isinstance(default, int):
-        return isinstance(value, int)
-    return isinstance(value, str) or (key == "samples"
-                                      and isinstance(value, (int, float)))
 
 
 class UsageError(Exception):
     pass
 
 
-def _validate(merged: dict) -> dict:
-    out = dict(merged)
-    if not 1 <= out["mesh_n"] <= MAX_MESH_N:
-        raise UsageError(f"--mesh-n must be a positive integer of at most {MAX_MESH_N}")
-    if out["noise_n"] is None:
-        out["noise_n"] = out["mesh_n"]
-    if out["noise_n"] < 1:
-        raise UsageError("--noise-n must be a positive integer")
-    if out["mesh_n"] % out["noise_n"] != 0:
-        raise UsageError("--noise-n must divide --mesh-n (nested grids)")
-    if not (isfinite(out["nu"]) and out["nu"] > 0):
-        raise UsageError("--nu must be positive and finite")
+def _validate(v: dict) -> dict:
+    """The checks that join two values, and the one that must run under
+    ``main``'s ``np.errstate``; each value passed its flag's check before."""
+    origin = v["origin"]
+    if v["noise_n"] is None:
+        v["noise_n"] = v["mesh_n"]
+    if v["mesh_n"] % v["noise_n"] != 0:
+        raise UsageError(f"{origin.get('noise_n', '')}--noise-n must divide --mesh-n "
+                         "(nested grids)")
     # the body force's norm squares the pointwise force, so it overflows from
-    # about nu = 2e152; kappa and the diagnostics line divide by it
-    if not isfinite(manufactured.forcing_l2_norm(out["nu"])):
-        raise UsageError("--nu is too large: the norm of the body force overflows")
-    if not (isfinite(out["sigma"]) and out["sigma"] >= 0):
-        raise UsageError("--sigma must be finite and non-negative")
-    out["sigma"] = abs(out["sigma"])   # -0.0 passes >= 0; written as sigma=0
-    if out["jobs"] < 1:
-        raise UsageError("--jobs must be >= 1")
-    for key in ("seed", "sample_index"):
-        if not 0 <= out[key] < 2 ** 64:
-            raise UsageError(f"--{key.replace('_', '-')} must lie in [0, 2**64)")
-    try:
-        out["samples_list"] = [int(s) for s in str(out["samples"]).split(",") if s]
-    except ValueError:
-        raise UsageError("--samples must be an integer or comma list of integers")
-    if not out["samples_list"] or not all(1 <= m <= MAX_SAMPLES for m in out["samples_list"]):
-        raise UsageError("--samples must contain positive integers of at most 2**60 - 1")
-    if out["init"] not in uq.INITS:   # a --config value skips the parser's choices
-        raise UsageError("--init must be deterministic or zero")
-    methods = tuple(m.strip() for m in str(out["methods"]).split(",") if m.strip())
-    if set(methods) - set(uq.METHODS) or not methods:
-        raise UsageError(f"--methods must be a non-empty comma list from {','.join(uq.METHODS)}")
-    if len(set(methods)) != len(methods):
-        raise UsageError("--methods must not name a method twice")
-    out["methods_tuple"] = methods
-    return out
-
-
-def _amplitudes(text) -> list[float]:
-    try:
-        values = [float(s) for s in str(text).split(",") if s]
-    except ValueError:
-        values = []
-    if not values or not all(isfinite(s) and s >= 0 for s in values):
-        raise UsageError("--sigma-sweep must be a comma list of finite non-negative numbers")
-    return [abs(s) for s in values]   # -0.0 passes >= 0; written as sigma=0
+    # about nu = 2e152; kappa and the diagnostics line divide by it. Outside
+    # np.errstate, as in argparse's type= calls, it would print two warnings.
+    if not isfinite(manufactured.forcing_l2_norm(v["nu"])):
+        raise UsageError(f"{origin.get('nu', '')}--nu is too large: "
+                         "the norm of the body force overflows")
+    if v.get("sigma_sweep") is not None:
+        if "sigma" in origin:
+            raise UsageError(f"{origin['sigma']}--sigma and --sigma-sweep cannot be combined")
+        if len(v["samples"]) != 1:
+            raise UsageError(f"{origin.get('samples', '')}--samples must be a single count "
+                             "with --sigma-sweep")
+    return v
 
 
 def _mc_config(v: dict, m: int, sigma: float | None = None) -> McConfig:
@@ -225,7 +221,7 @@ def _mc_config(v: dict, m: int, sigma: float | None = None) -> McConfig:
         nu=v["nu"],
         mesh_n=v["mesh_n"],
         noise_n=v["noise_n"],
-        methods=v["methods_tuple"],
+        methods=v["methods"],
         mono_init=v["init"],
     )
 
@@ -283,14 +279,9 @@ def cmd_solve(v: dict) -> int:
 
 def cmd_mc(v: dict) -> int:
     if v["sigma_sweep"] is not None:
-        if "sigma" in v["given"]:
-            raise UsageError("--sigma and --sigma-sweep cannot be combined")
-        sweep_sigmas = _amplitudes(v["sigma_sweep"])
-        if len(v["samples_list"]) != 1:
-            raise UsageError("--samples must be a single count with --sigma-sweep")
-        runs = [_mc_config(v, v["samples_list"][0], sigma=s) for s in sweep_sigmas]
+        runs = [_mc_config(v, v["samples"][0], sigma=s) for s in v["sigma_sweep"]]
     else:
-        runs = [_mc_config(v, m) for m in v["samples_list"]]
+        runs = [_mc_config(v, m) for m in v["samples"]]
     out = v["out_dir"]
     _make_out_dir(out)
     all_stats = []
@@ -312,9 +303,9 @@ def cmd_mc(v: dict) -> int:
     return EXIT_NOT_CONVERGED if any_failures else EXIT_OK
 
 
-def cmd_verify(v: dict, include_convergence: bool, mutate: str | None) -> int:
-    results = checks.run_verification(include_convergence=include_convergence,
-                                      mutate=mutate)
+def cmd_verify(v: dict) -> int:
+    results = checks.run_verification(include_convergence=v["convergence"],
+                                      mutate=v["mutate"])
     for res in results:
         print(res.line())
     print(checks.diagnostics_line(_mc_config(v, 1)))
@@ -332,13 +323,7 @@ def main(argv: list[str] | None = None) -> int:
         # with a reason, or a usage check, instead of printing numpy warnings
         with np.errstate(all="ignore"):
             v = _validate(_merge_config(args))
-            if args.command == "solve":
-                v["method"] = args.method
-                return cmd_solve(v)
-            if args.command == "mc":
-                v["sigma_sweep"] = args.sigma_sweep
-                return cmd_mc(v)
-            return cmd_verify(v, args.convergence, args.mutate)
+            return {"solve": cmd_solve, "mc": cmd_mc, "verify": cmd_verify}[args.command](v)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

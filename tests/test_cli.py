@@ -272,6 +272,9 @@ DETERMINISTIC = ["solve", "--method", "deterministic"]
     (["mc", "--noise-n", "2", "--samples", "2", "--methods", "split,split,monolithic"],
      None, "--methods"),
     (["mc", "--samples", "2"], {"methods": "modified,split,modified"}, "--methods"),
+    (SOLVE, {"mesh_n": 0}, "--config: mesh_n"),
+    (["mc", "--samples", "1", "--init", "zero"], {"init": "abc"}, "--config: init"),
+    ([*DETERMINISTIC, "--mesh-n", "0", "--mesh-n", "4"], None, "--mesh-n"),
 ])
 def test_hostile_input_is_one_line_usage_error(tmp_path, capsys, argv, config, named):
     out_dir = [] if argv[0] == "verify" else ["--out-dir", str(tmp_path)]
@@ -558,3 +561,53 @@ def test_drawn_argv_exits_0_1_or_2_without_a_traceback(monkeypatch, call):
         assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: "), argv
     if code == EXIT_OK:
         assert not any("nan" in text.lower() for text in written), argv
+
+
+# -- parity test: a flag and its config key pass the same check -----------------
+
+NUMERIC_JSON = [value for value in HOSTILE_JSON if type(value) in (int, float)]
+
+
+class _Solving(Exception):
+    """Raised by the stubbed solves: the arguments passed every check."""
+
+
+def _solving(*args, **kwargs):
+    raise _Solving
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_a_flag_and_its_config_key_take_one_check(tmp_path, monkeypatch, capsys, command):
+    # each numeric hostile value goes once as a flag and once as a config value;
+    # the --mesh-n 2 of argv overrides a config mesh_n, whose value is checked still.
+    # FLAGS leaves out --out-dir: "-3" names a directory, but a config out_dir of
+    # -3 is not a JSON string, so the two routes differ there by design
+    monkeypatch.setattr(checks, "run_verification", lambda **kwargs: [])
+    monkeypatch.setattr(uq, "prepare", _solving)
+    monkeypatch.setattr(uq, "run_experiment", _solving)
+    argv = [command, "--mesh-n", "2"]
+    if command != "verify":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    if command == "solve":
+        argv += ["--method", "split"]
+    cfg_path = tmp_path / "cfg.json"
+
+    def outcome(*extra):
+        try:
+            code = main([*argv, *extra])
+        except _Solving:
+            code = "solving"
+        return code, capsys.readouterr().err
+
+    keys = [flag[2:].replace("-", "_") for flag in FLAGS[command]]
+    for key in [key for key in keys if key in cli.DEFAULTS]:
+        flag = "--" + key.replace("_", "-")
+        for value in NUMERIC_JSON:
+            code, err = outcome(f"{flag}={value}")
+            cfg_path.write_text(json.dumps({key: value}))
+            config_code, config_err = outcome("--config", str(cfg_path))
+            assert code == config_code, (key, value, err, config_err)
+            if code == EXIT_USAGE:
+                assert flag in err, (key, value, err)
+                assert config_err.startswith(f"error: --config: {key}: "), (key, value)
+                assert flag in config_err, (key, value, config_err)
