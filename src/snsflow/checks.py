@@ -298,11 +298,11 @@ def convergence_study(ns=(4, 8, 16), nu: float = 0.02) -> dict:
     """Deterministic solve against the closed-form solution under refinement."""
     vel_errors, prs_errors = [], []
     for n in ns:
-        _, _, fld, rep = uq.prepare(build_dof_map(build_structured_mesh(n)), nu)
-        if not rep.converged:
+        setup = uq.prepare(build_dof_map(build_structured_mesh(n)), nu)
+        if not setup.xi_report.converged:
             raise RuntimeError(f"deterministic solve failed to converge at n={n}")
-        vel_errors.append(manufactured.l2_error(fld, manufactured.exact_velocity))
-        prs_errors.append(manufactured.l2_error(fld, manufactured.exact_pressure_zero_mean,
+        vel_errors.append(manufactured.l2_error(setup.xi, manufactured.exact_velocity))
+        prs_errors.append(manufactured.l2_error(setup.xi, manufactured.exact_pressure_zero_mean,
                                                 part="pressure"))
     vel_orders = [math.log2(vel_errors[i] / vel_errors[i + 1])
                   for i in range(len(ns) - 1)]
@@ -318,20 +318,19 @@ def splitting_equivalence_max_defect(n: int = 8, sigma: float = 1.5,
                                      nu: float = 0.02) -> float:
     """Largest per-sample relative L2 gap between the monolithic solution and
     the sum of the splitting parts, over shared noise draws."""
-    dofs = build_dof_map(build_structured_mesh(n))
-    ops, load, xi, _ = uq.prepare(dofs, nu)
+    setup = uq.prepare(build_dof_map(build_structured_mesh(n)), nu, ("split",))
+    ops, xi = setup.ops, setup.xi
     cfg = uq.McConfig(M=samples, base_seed=seed, sigma=sigma, nu=nu, mesh_n=n, noise_n=n)
     loads, _ = uq.noise_loads(cfg, ops, range(samples))
-    k_xi = solvers.linearized_operator(ops, xi)
     worst = 0.0
-    for noise_load, start in zip(loads.T, uq.modified_starts(ops, k_xi, loads)):
-        eta, rep_s = solvers.solve_stochastic_full(ops, k_xi, noise_load, start)
-        mono, rep_m = solvers.solve_monolithic(ops, load, noise_load,
+    for noise_load, start in zip(loads.T, uq.modified_starts(setup, loads)):
+        eta, rep_s = solvers.solve_stochastic_full(ops, setup.k_xi, noise_load, start)
+        mono, rep_m = solvers.solve_monolithic(ops, setup.f_load, noise_load,
                                                initial_guess=xi)
         if not (rep_s.converged and rep_m.converged):
             return float("inf")
         gap = manufactured.l2_error(mono, xi + eta)
-        worst = max(worst, gap / manufactured.velocity_l2_norm(dofs, mono.velocity))
+        worst = max(worst, gap / manufactured.velocity_l2_norm(ops.dofs, mono.velocity))
     return worst
 
 

@@ -92,7 +92,7 @@ FLAGS = {flag.name[2:].replace("-", "_"): flag for flag in [
     _Flag("--seed", SOLVING, _MC.base_seed, INTEGER, "base seed for all randomness",
           int, lambda n: 0 <= n < 2 ** 64, "lie in [0, 2**64)"),
     _Flag("--out-dir", SOLVING, ".", TEXT, "output directory"),
-    _Flag("--init", SOLVING, _MC.mono_init, TEXT,
+    _Flag("--init", SOLVING, "deterministic", TEXT,
           "monolithic initial guess: deterministic or zero",
           str, lambda s: s in uq.INITS, "be deterministic or zero"),
     _Flag("--sample-index", ("solve",), 0, INTEGER, "noise substream index",
@@ -222,7 +222,6 @@ def _mc_config(v: dict, m: int, sigma: float | None = None) -> McConfig:
         mesh_n=v["mesh_n"],
         noise_n=v["noise_n"],
         methods=v["methods"],
-        mono_init=v["init"],
     )
 
 
@@ -256,15 +255,14 @@ def cmd_solve(v: dict) -> int:
     method = v["method"]
     out = v["out_dir"]
     _make_out_dir(out)
-    dofs = build_dof_map(build_structured_mesh(cfg.mesh_n))
-    ops, f_load, xi, xi_report = uq.prepare(dofs, cfg.nu)
-    reports = [xi_report]
+    setup = uq.prepare(build_dof_map(build_structured_mesh(v["mesh_n"])), v["nu"], (method,),
+                       v["init"])
+    reports = [setup.xi_report]
     if method == "deterministic":
-        fld = xi
+        fld = setup.xi
     else:
-        loads, _ = uq.noise_loads(cfg, ops, [v["sample_index"]])
-        [(fld, rep)] = uq.solve_sample(method, ops, xi, f_load, loads, v["sample_index"],
-                                       cfg, xi_report)
+        loads, _ = uq.noise_loads(cfg, setup.ops, [v["sample_index"]])
+        [(fld, rep)] = uq.solve_sample(setup, [method], loads, v["sample_index"])[method]
         reports.append(rep)
 
     with _out_dir_errors(out):
@@ -284,22 +282,25 @@ def cmd_mc(v: dict) -> int:
         runs = [_mc_config(v, m) for m in v["samples"]]
     out = v["out_dir"]
     _make_out_dir(out)
+    # xi and K(xi) depend on neither M nor sigma, so every run shares one set-up
+    setup = uq.prepare(build_dof_map(build_structured_mesh(v["mesh_n"])), v["nu"],
+                       v["methods"], v["init"])
     all_stats = []
     any_failures = False
     for cfg in runs:
-        st = uq.run_experiment(cfg, jobs=v["jobs"])
+        st = uq.run_experiment(setup, cfg, jobs=v["jobs"])
         all_stats.append(st)
         _print_stats(st)
         any_failures = any_failures or any(st.failed_counts[m] for m in cfg.methods)
     last = all_stats[-1]
+    xi, setup = setup.xi, None   # free K(xi): held through the writes, it raised the peak RSS
     with _out_dir_errors(out):
         uq.write_stats_csv(os.path.join(out, "stats.csv"), all_stats)
         uq.write_samples_csv(os.path.join(out, "samples.csv"),
                              [rep for st in all_stats for rep in st.reports])
         for method, fld in last.mean_fields.items():
             uq.write_field_csv(os.path.join(out, f"field_{method}.csv"), fld)
-        uq.write_field_csv(os.path.join(out, "field_deterministic.csv"),
-                           last.deterministic_field)
+        uq.write_field_csv(os.path.join(out, "field_deterministic.csv"), xi)
     return EXIT_NOT_CONVERGED if any_failures else EXIT_OK
 
 

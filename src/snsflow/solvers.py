@@ -40,8 +40,8 @@ is one (``linearized_operator``), so the modified, split and monolithic
 solves of one experiment share one assembly and one factorization. A failed
 factorization is a value that fails every solve on it; only
 ``linear_saddle_solve``, the Stokes start, raises SingularSystemError. The
-solvers here take K(xi) as given; ``uq.solve_sample`` decides when one is
-built.
+solvers here take K(xi) as given; ``uq.prepare`` builds it once per command
+when a requested method solves on it.
 
 Every operator is a data vector on the dof map's fixed saddle pattern, so a
 Jacobian is an array sum such as ``stokes + conv``, with conv = N1(u) +

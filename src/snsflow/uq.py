@@ -1,16 +1,17 @@
 """Monte Carlo orchestration, error statistics, and smallness diagnostics.
 
-An experiment is one data flow: ``prepare`` assembles the operators and the
-body load and solves the deterministic problem once; ``noise_loads`` turns
-(seed, sample index) into noise loads, sample k drawn from its own substream
-of a counter-based generator; ``solve_sample`` solves a block of those loads
-with one method, the one route to the solvers; ``run_experiment`` streams the
-samples in fixed chunks of ``CHUNK``, whatever M and the worker count: it
-draws a chunk's loads, calls ``solve_sample`` on them for every requested
-method, reduces each sample in sample order with compensated summation and
-drops the chunk, so peak memory stays flat in M and accumulated means are
-bit-identical across worker counts. ``snsflow solve`` takes the same steps
-for one sample.
+An experiment is one data flow: ``prepare`` builds a command's one ``Setup``
+(operators, body load, the deterministic solution xi, and K(xi) when a
+requested method solves on it); ``noise_loads`` turns (seed, sample index)
+into noise loads, sample k drawn from its own substream of a counter-based
+generator; ``solve_sample`` solves a block of those loads with the given
+methods on the set-up, the one route to the solvers; ``run_experiment``
+streams the samples in fixed chunks of ``CHUNK``, whatever M and the worker
+count: it draws a chunk's loads, calls ``solve_sample`` on them, reduces each
+sample in sample order with compensated summation and drops the chunk, so
+peak memory stays flat in M and accumulated means are bit-identical across
+worker counts. ``snsflow solve`` takes the same steps for one sample, and
+every count and amplitude of one ``snsflow mc`` shares its set-up.
 
 The amplitude convention: ``sigma`` is the per-cell standard deviation of the
 piecewise-constant noise forcing, i.e. realizations are sampled with the
@@ -58,7 +59,6 @@ class McConfig:
     mesh_n: int = 12
     noise_n: int = 12
     methods: tuple[str, ...] = METHODS
-    mono_init: str = "deterministic"   # or "zero" for the stress regime
 
     def __post_init__(self):
         if self.M < 1:
@@ -79,8 +79,6 @@ class McConfig:
         if not (isfinite(self.sigma) and isfinite(self.nu)
                 and self.sigma >= 0 and self.nu > 0):
             raise ValueError("need finite sigma >= 0 and nu > 0")
-        if self.mono_init not in INITS:
-            raise ValueError(f"unknown monolithic initial guess {self.mono_init!r}")
 
 
 @dataclass
@@ -95,7 +93,19 @@ class McStats:
     kappa_mean: float
     failed_counts: dict[str, int]   # a method converged on M minus these samples
     reports: list[SolveReport]
-    deterministic_field: FEField
+
+
+@dataclass(frozen=True)
+class Setup:
+    """All that a command's runs and samples share, built once by ``prepare`` and
+    read-only after; ``k_xi`` is None when no method it was prepared for uses it."""
+
+    ops: solvers.AssembledOperators
+    f_load: np.ndarray
+    xi: FEField
+    xi_report: SolveReport
+    mono_init: str
+    k_xi: solvers.SaddleFactor | None
 
 
 class _MeanAccumulator:
@@ -126,9 +136,10 @@ def _noise_amplitude(cfg: McConfig) -> float:
     return cfg.sigma * np.sqrt(1.0 / cfg.noise_n ** 2)
 
 
-def prepare(dofs: DofMap, nu: float
-            ) -> tuple[solvers.AssembledOperators, np.ndarray, FEField, SolveReport]:
-    """Operators, body load and deterministic solution xi with its report.
+def prepare(dofs: DofMap, nu: float, methods: tuple[str, ...] = (),
+            mono_init: str = "deterministic") -> Setup:
+    """Operators, body load, deterministic solution xi with its report, and
+    K(xi) when one of ``methods`` solves on it, from monolithic start ``mono_init``.
 
     The solve is grid-sequenced. When the resolution n is even and n/2 is at
     least COARSEST_SEQUENCED_N, the n/2 problem is prepared first, by this
@@ -139,17 +150,21 @@ def prepare(dofs: DofMap, nu: float
     solve from its start fails, the solve starts from the Stokes solution,
     so a failure is reported as it would be without sequencing. Below
     n/2 = 8 the coarse solve costs more than the fine work it saves:
-    sequencing n=12 from n=6 took 1.09x the time of the Stokes start.
+    sequencing n=12 from n=6 took 1.09x the time of the Stokes start. A
+    coarse level is prepared for no method, so it factorizes no K(xi).
     """
+    if mono_init not in INITS:
+        raise ValueError(f"unknown monolithic initial guess {mono_init!r}")
     start = _coarse_start(dofs, nu)
     ops = solvers.assemble_operators(dofs, nu)
     f_load = assembly.assemble_load(dofs, lambda x, y: manufactured.exact_forcing(x, y, nu))
     if start is not None:
         xi, xi_report = solvers.solve_deterministic_ns(ops, f_load, initial_guess=start)
-        if xi_report.converged:
-            return ops, f_load, xi, xi_report
-    xi, xi_report = solvers.solve_deterministic_ns(ops, f_load)
-    return ops, f_load, xi, xi_report
+    if start is None or not xi_report.converged:
+        xi, xi_report = solvers.solve_deterministic_ns(ops, f_load)
+    k_xi = (solvers.linearized_operator(ops, xi)
+            if any(_uses_k_xi(m, mono_init, xi_report) for m in methods) else None)
+    return Setup(ops, f_load, xi, xi_report, mono_init, k_xi)
 
 
 def _coarse_start(dofs: DofMap, nu: float) -> FEField | None:
@@ -159,10 +174,10 @@ def _coarse_start(dofs: DofMap, nu: float) -> FEField | None:
     if n % 2 or n // 2 < COARSEST_SEQUENCED_N:
         return None
     try:
-        _, _, coarse, report = prepare(build_dof_map(build_structured_mesh(n // 2)), nu)
+        coarse = prepare(build_dof_map(build_structured_mesh(n // 2)), nu)
     except solvers.SingularSystemError:
         return None
-    return prolongate(coarse, dofs) if report.converged else None
+    return prolongate(coarse.xi, dofs) if coarse.xi_report.converged else None
 
 
 def prolongate(coarse: FEField, dofs: DofMap) -> FEField:
@@ -218,18 +233,17 @@ def _uses_k_xi(method: str, mono_init: str, xi_report: SolveReport) -> bool:
     """Whether ``method`` solves on K(xi): the splittings do around a converged
     xi, and a monolithic solve does when it starts from xi, converged or not
     (from zero its first Jacobian is far from K(xi), so it stays direct
-    Newton)."""
+    Newton). The deterministic solve is xi itself and needs none."""
     if method == "monolithic":
         return mono_init == "deterministic"
-    return xi_report.converged
+    return method != "deterministic" and xi_report.converged
 
 
 def _failed(method: str, failure: str) -> SolveReport:
     return SolveReport(False, 0, float("inf"), method=method, failure=failure)
 
 
-def modified_starts(ops: solvers.AssembledOperators, k_xi: solvers.SaddleFactor,
-                    noise_loads: np.ndarray) -> list[FEField | None]:
+def modified_starts(setup: Setup, noise_loads: np.ndarray) -> list[FEField | None]:
     """The modified correction eta_mod of each column of ``noise_loads``, the
     start of its split and monolithic solves, or None where that solve fails
     its checks.
@@ -239,81 +253,78 @@ def modified_starts(ops: solvers.AssembledOperators, k_xi: solvers.SaddleFactor,
     """
     starts = []
     for load in noise_loads.T:
-        [(eta, rep)] = solvers.solve_stochastic_modified(ops, k_xi, load[:, None])
+        [(eta, rep)] = solvers.solve_stochastic_modified(setup.ops, setup.k_xi, load[:, None])
         starts.append(eta if rep.converged else None)
     return starts
 
 
-def solve_sample(method: str, ops: solvers.AssembledOperators, xi: FEField,
-                 f_load: np.ndarray, noise_loads: np.ndarray, first: int,
-                 cfg: McConfig, xi_report: SolveReport,
-                 k_xi: solvers.SaddleFactor | None = None,
-                 starts: list[FEField | None] | None = None,
-                 ) -> list[tuple[FEField, SolveReport]]:
-    """Solve a block of noise samples with one method: the only route from a
-    method and its loads to the solvers.
+def solve_sample(setup: Setup, methods, noise_loads: np.ndarray, first: int
+                 ) -> dict[str, list[tuple[FEField, SolveReport]]]:
+    """Solve a block of noise samples with each of ``methods`` on ``setup``:
+    the only route from a method and its loads to the solvers.
 
     ``noise_loads`` (n_u, k) holds the loads of samples first, ..., first+k-1.
-    Returns one (full field, report) pair per column, the report stamped with
-    its sample id. Modified solves the whole block at once, at the width of a
-    full chunk: a narrower block (a run's last chunk, or one sample) is
-    padded with zero loads, because the multi-column solve may round a
-    column differently at another width, so a sample's bits would depend on
-    M. Split and monolithic solve the columns one by one. The splitting
-    methods return xi plus their correction. The methods that solve on K(xi) (``_uses_k_xi``) take
-    ``k_xi``, built here when none is given; the others ignore it.
+    Returns, per method, one (full field, report) pair per column, the report
+    stamped with its sample id. Modified solves the whole block at once, at
+    the width of a full chunk: a narrower block (a run's last chunk, or one
+    sample) is padded with zero loads, because the multi-column solve may
+    round a column differently at another width, so a sample's bits would
+    depend on M. Split and monolithic solve the columns one by one. The
+    splitting methods return xi plus their correction. The methods that
+    solve on K(xi) (``_uses_k_xi``) take ``setup.k_xi``.
 
     Split and monolithic on K(xi) start from each column's modified
-    correction eta_mod (``starts``, from ``modified_starts`` when none are
-    given): split at eta_mod and monolithic at xi + eta_mod, or, where
-    eta_mod failed its checks, from a zero correction and from xi. With
-    ``cfg.mono_init`` "zero", monolithic starts from zero instead and is
-    direct Newton, without K(xi). A monolithic sample is accepted only on its
-    own full residual. Every column
-    fails, with its reason and xi as its field, when the splitting correction
-    has no converged xi to be defined around (unsolved), or when the solve
-    raises.
+    correction eta_mod, solved by ``modified_starts`` for the first of them
+    (and for the next, if that raised): split at eta_mod and monolithic at
+    xi + eta_mod, or, where eta_mod failed its checks, from a zero correction
+    and from xi. With ``setup.mono_init`` "zero", monolithic starts from zero
+    instead and is direct Newton, without K(xi). A monolithic sample is
+    accepted only on its own full residual. Every column of a method fails,
+    with its reason and xi as its field, when the splitting correction has no
+    converged xi to be defined around (unsolved), or when the method's solve,
+    or the start it needs, raises.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    columns = noise_loads.T
-    if method != "monolithic" and not xi_report.converged:
-        failure = f"deterministic solve failed: {xi_report.failure}"
-        out = [(xi, _failed(method, failure)) for _ in columns]
-    else:
+    if not set(methods) <= set(METHODS):
+        raise ValueError(f"unknown methods in {list(methods)}")
+    ops, f_load, xi, k_xi = setup.ops, setup.f_load, setup.xi, setup.k_xi
+    columns, out, starts = noise_loads.T, {}, None
+    for method in methods:
+        uses = _uses_k_xi(method, setup.mono_init, setup.xi_report)
+        if method != "monolithic" and not setup.xi_report.converged:
+            failure = f"deterministic solve failed: {setup.xi_report.failure}"
+            out[method] = [(xi, _failed(method, failure)) for _ in columns]
+            continue
         try:
-            if not _uses_k_xi(method, cfg.mono_init, xi_report):
-                k_xi = None
-            elif k_xi is None:
-                k_xi = solvers.linearized_operator(ops, xi)
-            if method != "modified" and k_xi is not None and starts is None:
-                starts = modified_starts(ops, k_xi, noise_loads)
+            if method != "modified" and uses and starts is None:
+                starts = modified_starts(setup, noise_loads)
             if method == "modified":
                 block = np.pad(noise_loads, ((0, 0), (0, max(CHUNK - len(columns), 0))))
-                out = [(xi + eta, rep) for eta, rep in
-                       solvers.solve_stochastic_modified(ops, k_xi, block)[:len(columns)]]
+                out[method] = [(xi + eta, rep) for eta, rep in
+                               solvers.solve_stochastic_modified(ops, k_xi, block)[:len(columns)]]
             elif method == "split":
-                out = []
+                out[method] = []
                 for load, start in zip(columns, starts):
                     eta, rep = solvers.solve_stochastic_full(ops, k_xi, load, start)
-                    out.append((xi + eta, rep))
-            elif k_xi is None:   # from zero
-                out = [solvers.solve_monolithic(ops, f_load, load,
-                                                initial_guess=FEField.zeros(ops.dofs))
-                       for load in columns]
+                    out[method].append((xi + eta, rep))
+            elif not uses:   # monolithic from zero
+                out[method] = [solvers.solve_monolithic(ops, f_load, load,
+                                                        initial_guess=FEField.zeros(ops.dofs))
+                               for load in columns]
             else:
-                out = [solvers.solve_monolithic(ops, f_load, load, k_xi=k_xi,
-                                                initial_guess=xi if eta is None else xi + eta)
-                       for load, eta in zip(columns, starts)]
+                out[method] = [solvers.solve_monolithic(
+                    ops, f_load, load, k_xi=k_xi, initial_guess=xi if eta is None else xi + eta)
+                    for load, eta in zip(columns, starts)]
         except Exception as exc:  # one bad sample must not abort the others
-            out = [(xi, _failed(method, f"{type(exc).__name__}: {exc}")) for _ in columns]
-    for k, (_, rep) in enumerate(out, first):
-        rep.sample_id = k
+            out[method] = [(xi, _failed(method, f"{type(exc).__name__}: {exc}")) for _ in columns]
+    for results in out.values():
+        for k, (_, rep) in enumerate(results, first):
+            rep.sample_id = k
     return out
 
 
-def run_experiment(cfg: McConfig, jobs: int = 1) -> McStats:
-    """Run all requested methods over M shared noise draws and reduce.
+def run_experiment(setup: Setup, cfg: McConfig, jobs: int = 1) -> McStats:
+    """Run all requested methods over M shared noise draws and reduce, on the
+    ``setup`` that ``prepare`` built for cfg's mesh, nu and methods.
 
     Samples stream through in chunks of ``CHUNK``, whatever M and ``jobs``:
     each chunk's loads are drawn and assembled in one ``noise_loads`` call,
@@ -321,35 +332,23 @@ def run_experiment(cfg: McConfig, jobs: int = 1) -> McStats:
     grow with M. Every method reaches the solvers through ``solve_sample``:
     modified with the chunk's block of loads, monolithic and split with one
     column per task, concurrently on at most min(jobs, CHUNK) threads when
-    ``jobs > 1``. They share one K(xi) and its factorization, built first
-    when a requested method uses it (``_uses_k_xi``); modified solves each
-    chunk on it, and each split sample, and each monolithic one that starts
-    from xi, runs Newton-Krylov from that factor, started at the sample's
-    modified correction (one ``modified_starts`` column serves both). The
-    factor is held to the end, so no factorization runs after it is freed
-    (freed factor pages then stayed resident and raised the peak memory).
-    The reduction adds samples in index order with compensated summation,
-    so the means are bit-identical across worker counts.
+    ``jobs > 1``. They share the set-up's one K(xi) and its factorization;
+    modified solves each chunk on it, and each split sample, and each
+    monolithic one that starts from xi, runs Newton-Krylov from that factor,
+    started at the sample's modified correction (one ``modified_starts``
+    column serves both). The reduction adds samples in index order with
+    compensated summation, so the means are bit-identical across worker
+    counts.
     """
-    dofs = build_dof_map(build_structured_mesh(cfg.mesh_n))
-    ops, f_load, xi, xi_report = prepare(dofs, cfg.nu)
+    dofs = setup.ops.dofs
     forcing_norm = manufactured.forcing_l2_norm(cfg.nu)
-    k_xi = (solvers.linearized_operator(ops, xi)
-            if any(_uses_k_xi(m, cfg.mono_init, xi_report) for m in cfg.methods) else None)
-
-    def solve(method: str, block: np.ndarray, first: int,
-              starts: list[FEField | None] | None = None) -> list[tuple[FEField, SolveReport]]:
-        return solve_sample(method, ops, xi, f_load, block, first, cfg, xi_report, k_xi, starts)
-
-    newton_methods = [m for m in ("monolithic", "split") if m in cfg.methods]
-    # one eta_mod per sample serves both of its Newton solves
-    uses_starts = any(_uses_k_xi(m, cfg.mono_init, xi_report) for m in newton_methods)
+    block_methods = [m for m in cfg.methods if m == "modified"]
+    newton_methods = [m for m in cfg.methods if m != "modified"]
     errors = np.geterr()   # pool threads start from numpy's default error state
 
     def solve_newton(column: np.ndarray, k: int) -> dict[str, tuple[FEField, SolveReport]]:
         with np.errstate(**errors):
-            starts = modified_starts(ops, k_xi, column) if uses_starts else None
-            return {m: solve(m, column, k, starts)[0] for m in newton_methods}
+            return {m: out for m, [out] in solve_sample(setup, newton_methods, column, k).items()}
 
     # per-method means plus pairwise-converged means, added in sample order
     per_method = {m: _MeanAccumulator(dofs) for m in cfg.methods}
@@ -357,21 +356,20 @@ def run_experiment(cfg: McConfig, jobs: int = 1) -> McStats:
     pairs = [m for m in ("split", "modified")
              if m in cfg.methods and "monolithic" in cfg.methods]
     pair_acc = {m: (_MeanAccumulator(dofs), _MeanAccumulator(dofs)) for m in pairs}
-    reports: list[SolveReport] = [xi_report]
+    reports: list[SolveReport] = [setup.xi_report]
     kappas = np.empty(cfg.M)
     # the pool never holds more tasks than one chunk, so more threads would idle
     with (ThreadPoolExecutor(max_workers=min(jobs, CHUNK)) if jobs > 1
           else nullcontext()) as pool:
         for first in range(0, cfg.M, CHUNK):
             chunk = range(first, min(first + CHUNK, cfg.M))
-            loads, norms = noise_loads(cfg, ops, chunk)
+            loads, norms = noise_loads(cfg, setup.ops, chunk)
             kappas[first:chunk.stop] = norms / forcing_norm
-            modified = solve("modified", loads, first) if "modified" in cfg.methods else None
+            block = solve_sample(setup, block_methods, loads, first)
             columns = [loads[:, j:j + 1] for j in range(len(chunk))]
             results = (pool.map if pool else map)(solve_newton, columns, chunk)
             for j, res in enumerate(results):
-                if modified is not None:
-                    res["modified"] = modified[j]
+                res.update((m, out[j]) for m, out in block.items())
                 for method in cfg.methods:
                     fld, rep = res[method]
                     reports.append(rep)
@@ -402,7 +400,6 @@ def run_experiment(cfg: McConfig, jobs: int = 1) -> McStats:
         kappa_mean=float(kappas.mean()),
         failed_counts=failed,
         reports=reports,
-        deterministic_field=xi,
     )
 
 

@@ -26,6 +26,16 @@ SWEEP_SIGMAS = (0.8, 1.6, 2.4, 3.2, 4.0)
 _lines = []
 
 
+def _setup(cfg, mono_init="deterministic"):
+    """The set-up that ``snsflow mc`` builds for ``cfg``."""
+    return uq.prepare(build_dof_map(build_structured_mesh(cfg.mesh_n)), cfg.nu, cfg.methods,
+                      mono_init)
+
+
+def _run(cfg, jobs=1, mono_init="deterministic"):
+    return run_experiment(_setup(cfg, mono_init), cfg, jobs)
+
+
 def record(name: str, passed: bool, detail: str) -> None:
     line = f"ACCEPTANCE {name}: {'PASS' if passed else 'FAIL'} ({detail})"
     _lines.append(line)
@@ -42,7 +52,7 @@ def sweep():
                        mesh_n=12, noise_n=12,
                        methods=("monolithic", "split", "modified"))
         t0 = time.perf_counter()
-        out[sigma] = (run_experiment(cfg), time.perf_counter() - t0)
+        out[sigma] = (_run(cfg), time.perf_counter() - t0)
     return out
 
 
@@ -84,9 +94,8 @@ def test_criterion_3_sigma_scaling_trend(sweep):
 
 def test_criterion_4_robustness_at_sigma_8():
     cfg = McConfig(M=50, base_seed=BASE_SEED + 1, sigma=8.0, nu=0.02,
-                   mesh_n=12, noise_n=12, methods=("monolithic", "split"),
-                   mono_init="zero")
-    stats = run_experiment(cfg)  # must survive non-convergences
+                   mesh_n=12, noise_n=12, methods=("monolithic", "split"))
+    stats = _run(cfg, mono_init="zero")  # must survive non-convergences
     converged = {m: sum(r.converged for r in stats.reports if r.method == m)
                  for m in cfg.methods}
     split_rate = converged["split"] / cfg.M
@@ -155,15 +164,15 @@ def test_criterion_8_deterministic_mean_closeness():
     for sigma in (0.4, 0.8, 1.6):
         cfg = McConfig(M=1000, base_seed=BASE_SEED, sigma=sigma, nu=0.02,
                        mesh_n=8, noise_n=8, methods=("monolithic",))
-        stats = run_experiment(cfg)
-        closeness.append(mf.l2_error(stats.deterministic_field,
-                                     stats.mean_fields["monolithic"]))
+        setup = _setup(cfg)
+        stats = run_experiment(setup, cfg)
+        closeness.append(mf.l2_error(setup.xi, stats.mean_fields["monolithic"]))
     monotone = closeness[0] < closeness[1] < closeness[2]
 
     cfg = McConfig(M=100, base_seed=BASE_SEED, sigma=1.5, nu=0.02,
                    mesh_n=12, noise_n=12, methods=("monolithic",))
-    stats = run_experiment(cfg)
-    xi = stats.deterministic_field
+    setup = _setup(cfg)
+    stats, xi = run_experiment(setup, cfg), setup.xi
     ratio = (mf.l2_error(xi, stats.mean_fields["monolithic"])
              / mf.velocity_l2_norm(xi.dofs, xi.velocity))
     record("8 mean-closeness",
@@ -176,8 +185,8 @@ def test_criterion_9_determinism_across_jobs():
     cfg = McConfig(M=16, base_seed=BASE_SEED, sigma=1.5, nu=0.02,
                    mesh_n=8, noise_n=8,
                    methods=("monolithic", "split", "modified"))
-    a = run_experiment(cfg, jobs=1)
-    b = run_experiment(cfg, jobs=8)
+    a = _run(cfg, jobs=1)
+    b = _run(cfg, jobs=8)
     worst = 0.0
     for method in cfg.methods:
         worst = max(worst, float(np.abs(a.mean_fields[method].velocity

@@ -319,7 +319,7 @@ def test_running_out_of_memory_is_one_line_usage_error(tmp_path, monkeypatch, ca
     def exhausted(n):
         raise MemoryError("Unable to allocate 74.5 GiB for an array")
 
-    monkeypatch.setattr(uq, "build_structured_mesh", exhausted)
+    monkeypatch.setattr(cli, "build_structured_mesh", exhausted)
     assert run_cli("mc", "--samples", "1", "--mesh-n", "2",
                    "--out-dir", str(tmp_path)) == EXIT_USAGE
     err = capsys.readouterr().err
@@ -407,9 +407,10 @@ def test_exception_in_a_solve_is_a_failed_report(tmp_path, monkeypatch, capsys):
 
     real_solve, results = uq.solve_sample, []
 
-    def recorded(*args, **kwargs):
-        results.extend(real_solve(*args, **kwargs))
-        return results
+    def recorded(setup, methods, loads, first):
+        out = real_solve(setup, methods, loads, first)
+        results.extend(out["split"])
+        return out
 
     monkeypatch.setattr(solvers, "solve_stochastic_full", broken)
     monkeypatch.setattr(uq, "solve_sample", recorded)
@@ -421,6 +422,93 @@ def test_exception_in_a_solve_is_a_failed_report(tmp_path, monkeypatch, capsys):
     assert not rep.converged and rep.failure == "FloatingPointError: boom"
     rows = (tmp_path / "samples.csv").read_text().splitlines()
     assert rows[-1] == "split,2,0,0,inf"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_start_solve_that_raises_fails_its_samples_and_the_run_goes_on(tmp_path, monkeypatch,
+                                                                        capsys, jobs):
+    # the modified start of split and monolithic is solved inside
+    # solve_sample's exception rule, so its error fails both methods' rows
+    def broken(*args, **kwargs):
+        raise FloatingPointError("boom")
+
+    real_solve, reports = uq.solve_sample, []
+
+    def recorded(setup, methods, loads, first):
+        out = real_solve(setup, methods, loads, first)
+        reports.extend(rep for results in out.values() for _, rep in results)
+        return out
+
+    monkeypatch.setattr(solvers, "solve_stochastic_modified", broken)
+    monkeypatch.setattr(uq, "solve_sample", recorded)
+    assert run_cli("solve", "--method", "split", "--mesh-n", "4",
+                   "--out-dir", str(tmp_path / "solve")) == EXIT_NOT_CONVERGED
+    assert (tmp_path / "solve" / "samples.csv").read_text().splitlines()[-1] == "split,0,0,0,inf"
+    assert run_cli("mc", "--mesh-n", "4", "--samples", "2", "--methods", "monolithic,split",
+                   "--jobs", jobs, "--out-dir", str(tmp_path / "mc")) == EXIT_NOT_CONVERGED
+    assert capsys.readouterr().err == ""
+    rows = (tmp_path / "mc" / "samples.csv").read_text().splitlines()[2:]
+    assert rows == [f"{m},{k},0,0,inf" for k in range(2) for m in ("monolithic", "split")]
+    assert len(reports) == 5 and all(r.failure == "FloatingPointError: boom" for r in reports)
+
+
+@pytest.mark.parametrize("argv, setups, factors", [
+    (["mc", "--samples", "3,2"], 1, 1),
+    (["mc", "--samples", "2", "--sigma-sweep", "0.5,1"], 1, 1),
+    (["solve", "--method", "deterministic"], 1, 0),
+    (["mc", "--samples", "2", "--methods", "monolithic", "--init", "zero"], 1, 0),
+])
+def test_a_command_builds_one_set_up_and_k_xi_only_for_a_method_on_it(tmp_path, monkeypatch,
+                                                                      argv, setups, factors):
+    # n=16 is grid-sequenced from n=8: the coarse level is prepared too, and
+    # factorizes no K(xi)
+    levels, made = [], []
+    real_prepare, real_k_xi = uq.prepare, solvers.linearized_operator
+
+    def prepare(dofs, *args):
+        levels.append(dofs.mesh.n)
+        return real_prepare(dofs, *args)
+
+    def k_xi(ops, xi):
+        made.append(ops.dofs.mesh.n)
+        return real_k_xi(ops, xi)
+
+    monkeypatch.setattr(uq, "prepare", prepare)
+    monkeypatch.setattr(solvers, "linearized_operator", k_xi)
+    code = run_cli(*argv, "--mesh-n", "16", "--noise-n", "8", "--out-dir", str(tmp_path))
+    assert code == EXIT_OK
+    assert levels.count(16) == setups and levels.count(8) == setups
+    assert made == [16] * factors
+
+
+def _mc_outputs(tmp_path, name, *argv):
+    out = tmp_path / name
+    assert run_cli("mc", "--mesh-n", "4", "--noise-n", "2", "--seed", "5", *argv,
+                   "--out-dir", str(out)) == EXIT_OK
+    return {p.name: p.read_text().splitlines() for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("joined, alone", [
+    (["--samples", "3,2,3"], [["--samples", "3"], ["--samples", "2"], ["--samples", "3"]]),
+    (["--samples", "3", "--sigma-sweep", "0.5,1"],
+     [["--samples", "3", "--sigma", "0.5"], ["--samples", "3", "--sigma", "1"]]),
+])
+def test_a_multi_run_command_equals_its_single_runs(tmp_path, capsys, joined, alone):
+    # every run of one mc command shares its set-up; none may leave state in
+    # it that changes the next run
+    got = _mc_outputs(tmp_path, "joined", *joined)
+    stdout = capsys.readouterr().out.splitlines()
+    singles = []
+    for j, argv in enumerate(alone):
+        singles.append(_mc_outputs(tmp_path, f"alone{j}", *argv))
+        singles[-1]["stdout"] = capsys.readouterr().out.splitlines()
+    assert stdout == [line for single in singles for line in single["stdout"]]
+    for name in ("stats.csv", "samples.csv"):
+        assert got[name] == [singles[0][name][0]] + [
+            row for single in singles for row in single[name][1:]]
+    # the fields are those of the last run
+    assert {name: rows for name, rows in got.items() if name.startswith("field_")} == {
+        name: rows for name, rows in singles[-1].items() if name.startswith("field_")}
 
 
 @pytest.mark.parametrize("negative_zero", [["--sigma", "-0.0"], ["--sigma-sweep=-0"]])

@@ -28,6 +28,16 @@ def small_config(**kw):
     return McConfig(**base)
 
 
+def _setup(cfg, mono_init="deterministic"):
+    """The set-up that ``snsflow mc`` builds for ``cfg``."""
+    return uq.prepare(build_dof_map(build_structured_mesh(cfg.mesh_n)), cfg.nu, cfg.methods,
+                      mono_init)
+
+
+def _run(cfg, jobs=1, mono_init="deterministic"):
+    return run_experiment(_setup(cfg, mono_init), cfg, jobs)
+
+
 @pytest.mark.parametrize("nu, sigma", [(float("inf"), 1.0), (0.02, float("inf")),
                                        (0.02, float("nan"))])
 def test_non_finite_physics_rejected(nu, sigma):
@@ -50,14 +60,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         small_config(mesh_n=4, noise_n=3)
     with pytest.raises(ValueError):
-        small_config(mono_init="stokes")
+        uq.prepare(build_dof_map(build_structured_mesh(2)), 0.02, mono_init="stokes")
     with pytest.raises(ValueError):
         small_config(sigma=-1.0)
 
 
 def test_zero_amplitude_collapses_to_deterministic():
-    stats = run_experiment(small_config(M=1, sigma=0.0))
-    xi = stats.deterministic_field
+    cfg = small_config(M=1, sigma=0.0)
+    setup = _setup(cfg)
+    stats, xi = run_experiment(setup, cfg), setup.xi
     assert stats.errors["split"][0] == 0.0 and stats.errors["modified"][0] == 0.0
     for method in uq.METHODS:
         mean = stats.mean_fields[method]
@@ -92,7 +103,7 @@ def test_error_statistics_zero_reference_is_nan_sentinel():
 
 def test_two_sample_mean_against_direct_average():
     cfg = small_config(M=2, methods=("monolithic",))
-    stats = run_experiment(cfg)
+    stats = _run(cfg)
     # recompute by running the two samples by hand through the same solvers
     from snsflow import assembly, noise as noise_mod, solvers
     dofs = build_dof_map(build_structured_mesh(cfg.mesh_n))
@@ -115,9 +126,8 @@ def test_two_sample_mean_against_direct_average():
 
 def test_exclusion_accounting_under_forced_failures(monkeypatch):
     monkeypatch.setattr(solvers, "NEWTON_MAX_ITER", 2)
-    cfg = small_config(M=4, sigma=40.0, mono_init="zero",
-                       methods=("monolithic", "split"))
-    stats = run_experiment(cfg)
+    cfg = small_config(M=4, sigma=40.0, methods=("monolithic", "split"))
+    stats = _run(cfg, mono_init="zero")
     for method in cfg.methods:
         assert _converged(stats, method) + stats.failed_counts[method] == cfg.M
     assert stats.failed_counts["monolithic"] == cfg.M  # 2 iterations cannot reach 1e-12
@@ -141,13 +151,13 @@ CHUNKED_M = 2 * uq.CHUNK + 3
 
 def test_reproducibility_and_jobs_independence():
     cfg = small_config(M=CHUNKED_M)
-    _assert_same_results(run_experiment(cfg, jobs=1), run_experiment(cfg, jobs=4))
+    _assert_same_results(_run(cfg, jobs=1), _run(cfg, jobs=4))
 
 
 def test_noise_loads_are_drawn_one_chunk_at_a_time(monkeypatch):
     cfg = small_config(M=CHUNKED_M, methods=("modified",))
     dofs = build_dof_map(build_structured_mesh(cfg.mesh_n))
-    ops, _, _, _ = uq.prepare(dofs, cfg.nu)
+    ops = uq.prepare(dofs, cfg.nu).ops
     _, norms = uq.noise_loads(cfg, ops, range(cfg.M))
     real = uq.noise_loads
     asked = []
@@ -157,7 +167,7 @@ def test_noise_loads_are_drawn_one_chunk_at_a_time(monkeypatch):
         return real(cfg, ops, samples)
 
     monkeypatch.setattr(uq, "noise_loads", spy)
-    stats = run_experiment(cfg)
+    stats = _run(cfg)
     assert max(len(ks) for ks in asked) <= uq.CHUNK
     assert [k for ks in asked for k in ks] == list(range(cfg.M))
     assert stats.kappa_mean == float(np.mean(norms / mf.forcing_l2_norm(cfg.nu)))
@@ -169,18 +179,18 @@ def test_a_third_chunk_sample_matches_its_own_solve(monkeypatch):
     real = uq.solve_sample
     seen = {}
 
-    def spy(method, ops, xi, f_load, loads, first, *args):
-        out = real(method, ops, xi, f_load, loads, first, *args)
+    def spy(setup, methods, loads, first):
+        out = real(setup, methods, loads, first)
         if first <= k < first + loads.shape[1]:
-            seen[method] = out[k - first], (ops, xi, f_load, args)
+            seen.update({m: (results[k - first], setup) for m, results in out.items()})
         return out
 
     monkeypatch.setattr(uq, "solve_sample", spy)
-    run_experiment(cfg)
+    _run(cfg)
     assert set(seen) == set(uq.METHODS)
-    for method, ((fld, rep), (ops, xi, f_load, args)) in seen.items():
-        column, _ = uq.noise_loads(cfg, ops, [k])
-        [(own, own_rep)] = real(method, ops, xi, f_load, column, k, *args)
+    for method, ((fld, rep), setup) in seen.items():
+        column, _ = uq.noise_loads(cfg, setup.ops, [k])
+        [(own, own_rep)] = real(setup, [method], column, k)[method]
         assert rep.converged and own_rep.sample_id == rep.sample_id == k
         got, want = (np.concatenate([f.velocity, f.pressure]) for f in (fld, own))
         assert np.array_equal(got, want)
@@ -192,16 +202,16 @@ def test_a_modified_sample_does_not_depend_on_the_width_of_its_chunk(monkeypatch
     # chunk at M=64; unpadded, the two block widths round it differently
     k, real, seen = 49, uq.solve_sample, {}
     for samples in (50, 64):
-        def spy(method, ops, xi, f_load, loads, first, *args):
-            out = real(method, ops, xi, f_load, loads, first, *args)
-            if first <= k < first + loads.shape[1]:
-                seen[samples] = out[k - first]
+        def spy(setup, methods, loads, first):
+            out = real(setup, methods, loads, first)
+            if "modified" in out and first <= k < first + loads.shape[1]:
+                seen[samples] = out["modified"][k - first]
             return out
 
         with monkeypatch.context() as patch:
             patch.setattr(uq, "solve_sample", spy)
-            run_experiment(small_config(M=samples, base_seed=1, sigma=1.6, mesh_n=12,
-                                        noise_n=12, methods=("modified",)))
+            _run(small_config(M=samples, base_seed=1, sigma=1.6, mesh_n=12,
+                              noise_n=12, methods=("modified",)))
     (fld_50, rep_50), (fld_64, rep_64) = seen[50], seen[64]
     assert rep_50.converged and _csv_row(rep_50) == _csv_row(rep_64)
     assert np.array_equal(fld_50.velocity, fld_64.velocity)
@@ -213,7 +223,7 @@ def test_modified_peak_memory_is_flat_in_the_sample_count():
     for samples in (uq.CHUNK, 6 * uq.CHUNK):
         tracemalloc.start()
         try:
-            run_experiment(small_config(M=samples, mesh_n=8, methods=("modified",)))
+            _run(small_config(M=samples, mesh_n=8, methods=("modified",)))
             peaks[samples] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -223,7 +233,7 @@ def test_modified_peak_memory_is_flat_in_the_sample_count():
 
 def test_pool_threads_are_bounded_by_the_chunk(monkeypatch):
     cfg = small_config(M=uq.CHUNK + 3)
-    serial = run_experiment(cfg, jobs=1)
+    serial = _run(cfg, jobs=1)
     sizes = []
 
     class InlineExecutor:   # records the pool size and runs each task in place
@@ -240,13 +250,14 @@ def test_pool_threads_are_bounded_by_the_chunk(monkeypatch):
             return [fn(*args) for args in zip(*iterables)]
 
     monkeypatch.setattr(uq, "ThreadPoolExecutor", InlineExecutor)
-    _assert_same_results(serial, run_experiment(cfg, jobs=10 ** 6))
+    _assert_same_results(serial, _run(cfg, jobs=10 ** 6))
     assert sizes == [uq.CHUNK]
 
 
 def test_a_run_builds_one_element_geometry_per_dof_map(monkeypatch):
     # every kernel reads DofMap.geometry; n=24 is grid-sequenced through
-    # n=12, so the run builds two dof maps and two degree-5 geometries
+    # n=12, so the set-up builds two dof maps and two degree-5 geometries,
+    # and the run on it builds none
     built, init = [], assembly.ElementGeometry.__init__
 
     def counted(self, mesh, *args):
@@ -254,9 +265,13 @@ def test_a_run_builds_one_element_geometry_per_dof_map(monkeypatch):
         init(self, mesh, *args)
 
     monkeypatch.setattr(assembly.ElementGeometry, "__init__", counted)
-    stats = run_experiment(McConfig(M=2, mesh_n=24, noise_n=12, sigma=1.6))
+    cfg = McConfig(M=2, mesh_n=24, noise_n=12, sigma=1.6)
+    setup = _setup(cfg)
+    assert sorted(built) == [12, 24]
+    stats = run_experiment(setup, cfg)
     assert sorted(built) == [12, 24]
     dofs = stats.mean_fields["monolithic"].dofs
+    assert dofs is setup.ops.dofs
     assert dofs.geometry.rule.degree == 5 and dofs.mesh.n == 24
 
 
@@ -278,17 +293,17 @@ def test_noise_loads_match_per_draw_assembly():
 
 def test_reduction_follows_sample_order_not_arrival_order(monkeypatch):
     cfg = small_config(M=4)
-    serial = run_experiment(cfg, jobs=1)
+    serial = _run(cfg, jobs=1)
     dofs = build_dof_map(build_structured_mesh(cfg.mesh_n))
-    ops, _, _, _ = uq.prepare(dofs, cfg.nu)
+    ops = uq.prepare(dofs, cfg.nu).ops
     loads, _ = uq.noise_loads(cfg, ops, range(cfg.M))
     real_solve = uq.solve_sample
     done = [threading.Event() for _ in range(cfg.M)]
     arrival = []
 
-    def reversed_finish(method, ops, xi, f_load, noise_load, *args):
-        result = real_solve(method, ops, xi, f_load, noise_load, *args)
-        if method == "split":  # a sample's last Newton solve
+    def reversed_finish(setup, methods, noise_load, first):
+        result = real_solve(setup, methods, noise_load, first)
+        if "split" in methods:  # a sample's Newton solves
             k = next(j for j in range(cfg.M) if np.array_equal(loads[:, j:j + 1], noise_load))
             if k + 1 < cfg.M:
                 assert done[k + 1].wait(timeout=60)
@@ -297,7 +312,7 @@ def test_reduction_follows_sample_order_not_arrival_order(monkeypatch):
         return result
 
     monkeypatch.setattr(uq, "solve_sample", reversed_finish)
-    threaded = run_experiment(cfg, jobs=4)
+    threaded = _run(cfg, jobs=4)
     assert arrival == [3, 2, 1, 0]
     assert [(r.method, r.sample_id) for r in threaded.reports] == \
         [(r.method, r.sample_id) for r in serial.reports]
@@ -313,7 +328,7 @@ def test_reduction_follows_sample_order_not_arrival_order(monkeypatch):
 
 def test_kappa_definition_per_sample():
     cfg = small_config(M=3, methods=("modified",))
-    stats = run_experiment(cfg)
+    stats = _run(cfg)
     from snsflow import noise as noise_mod
     amp = cfg.sigma * np.sqrt(1.0 / cfg.noise_n ** 2)
     expected = [noise_mod.noise_l2_norm(
@@ -324,7 +339,7 @@ def test_kappa_definition_per_sample():
 
 def test_reports_cover_every_sample_and_method():
     cfg = small_config(M=3)
-    stats = run_experiment(cfg)
+    stats = _run(cfg)
     rows = [r for r in stats.reports if r.sample_id >= 0]
     assert len(rows) == 3 * len(cfg.methods)
     assert {r.method for r in rows} == set(cfg.methods)
@@ -371,7 +386,7 @@ def test_diagnostics_zero_forcing_passes_both():
 
 def test_csv_writers(tmp_path):
     cfg = small_config(M=2)
-    stats = run_experiment(cfg)
+    stats = _run(cfg)
     stats_path = tmp_path / "stats.csv"
     uq.write_stats_csv(str(stats_path), [stats])
     lines = stats_path.read_text().strip().splitlines()
@@ -410,7 +425,7 @@ def test_modified_factorizes_once_per_experiment(monkeypatch):
     per_m = {}
     for samples in (1, 8):
         counts.clear()
-        stats = run_experiment(small_config(M=samples, methods=("modified",)))
+        stats = _run(small_config(M=samples, methods=("modified",)))
         assert _converged(stats, "modified") == samples
         per_m[samples] = dict(counts)
     assert per_m[1] == per_m[8]
@@ -431,7 +446,7 @@ def test_residual_failure_in_one_column_fails_only_that_sample(monkeypatch):
             return x
 
     monkeypatch.setattr(spla, "splu", lambda m, *a, **kw: CorruptThirdColumn(real_splu(m)))
-    stats = run_experiment(small_config(M=4, methods=("modified",)))
+    stats = _run(small_config(M=4, methods=("modified",)))
     by_sample = {r.sample_id: r for r in stats.reports if r.method == "modified"}
     assert stats.failed_counts["modified"] == 1
     assert not by_sample[2].converged and "residual" in by_sample[2].failure
@@ -449,7 +464,7 @@ def test_exception_in_one_sample_is_a_failed_report(monkeypatch):
         return real_full(*args, **kwargs)
 
     monkeypatch.setattr(solvers, "solve_stochastic_full", flaky)
-    stats = run_experiment(small_config(M=3, methods=("monolithic", "split")))
+    stats = _run(small_config(M=3, methods=("monolithic", "split")))
     split = {r.sample_id: r for r in stats.reports if r.method == "split"}
     assert not split[1].converged and "boom" in split[1].failure
     assert split[0].converged and split[2].converged
@@ -463,7 +478,7 @@ def test_split_adds_no_factorization_per_sample(monkeypatch):
     per_m = {}
     for samples in (1, 8):
         counts.clear()
-        stats = run_experiment(small_config(M=samples, sigma=1.6))
+        stats = _run(small_config(M=samples, sigma=1.6))
         assert {m: _converged(stats, m) for m in uq.METHODS} == \
             {m: samples for m in uq.METHODS}
         newton = [r for r in stats.reports if r.method in ("monolithic", "split")]
@@ -475,8 +490,8 @@ def test_split_adds_no_factorization_per_sample(monkeypatch):
 
 def test_monolithic_is_newton_krylov_only_from_the_deterministic_start():
     for start, krylov in (("deterministic", True), ("zero", False)):
-        cfg = small_config(M=2, sigma=1.6, mono_init=start, methods=("monolithic",))
-        mono = [r for r in run_experiment(cfg).reports if r.method == "monolithic"]
+        cfg = small_config(M=2, sigma=1.6, methods=("monolithic",))
+        mono = [r for r in _run(cfg, mono_init=start).reports if r.method == "monolithic"]
         assert len(mono) == cfg.M and all(r.converged for r in mono)
         # a zero start is far from K(xi), so it stays direct Newton
         assert all((r.inner_iterations > 0) == krylov and r.fallbacks == 0 for r in mono)
@@ -488,7 +503,7 @@ def test_the_modified_start_saves_newton_steps(monkeypatch):
     cfg = McConfig(M=16, base_seed=1, sigma=1.6, mesh_n=12, noise_n=12)
     counts: dict[str, int] = {}
     _counting(monkeypatch, solvers, "solve_stochastic_modified", counts)
-    stats = run_experiment(cfg)
+    stats = _run(cfg)
     split, mono = ([r for r in stats.reports if r.method == m] for m in ("split", "monolithic"))
     assert all(r.converged and r.fallbacks == 0 for r in split + mono)
     assert [r.iterations for r in split] == [r.iterations for r in mono]
@@ -500,9 +515,8 @@ def test_the_modified_start_saves_newton_steps(monkeypatch):
 
 def test_a_failed_modified_start_falls_back_to_the_zero_and_xi_starts(monkeypatch):
     cfg = small_config(M=1, sigma=1.6)
-    ops, f_load, xi, xi_report = uq.prepare(build_dof_map(build_structured_mesh(cfg.mesh_n)),
-                                            cfg.nu)
-    k_xi = solvers.linearized_operator(ops, xi)
+    setup = _setup(cfg)
+    ops, f_load, xi, k_xi = setup.ops, setup.f_load, setup.xi, setup.k_xi
     loads, _ = uq.noise_loads(cfg, ops, [0])
     real = k_xi.solve
 
@@ -512,10 +526,9 @@ def test_a_failed_modified_start_falls_back_to_the_zero_and_xi_starts(monkeypatc
                    ] * len(failures)
 
     monkeypatch.setattr(k_xi, "solve", failing)   # only the shared factor's solves fail
-    assert uq.modified_starts(ops, k_xi, loads) == [None]
-    [(split, rep_s)] = uq.solve_sample("split", ops, xi, f_load, loads, 0, cfg, xi_report, k_xi)
-    [(mono, rep_m)] = uq.solve_sample("monolithic", ops, xi, f_load, loads, 0, cfg, xi_report,
-                                      k_xi)
+    assert uq.modified_starts(setup, loads) == [None]
+    [(split, rep_s)] = uq.solve_sample(setup, ["split"], loads, 0)["split"]
+    [(mono, rep_m)] = uq.solve_sample(setup, ["monolithic"], loads, 0)["monolithic"]
     eta, want_s = solvers.solve_stochastic_full(ops, k_xi, loads[:, 0])
     want, want_m = solvers.solve_monolithic(ops, f_load, loads[:, 0], initial_guess=xi,
                                             k_xi=k_xi)
@@ -543,7 +556,7 @@ def test_k_xi_is_built_only_for_methods_that_use_it(monkeypatch, methods, mono_i
 
     monkeypatch.setattr(solvers, "linearized_operator", recorded)
     monkeypatch.setattr(solvers, "NEWTON_MAX_ITER", max_iter)
-    run_experiment(small_config(M=2, methods=methods, mono_init=mono_init))
+    _run(small_config(M=2, methods=methods), mono_init=mono_init)
     assert len(made) == builds
 
 
@@ -552,7 +565,7 @@ def test_failed_deterministic_solve_fails_every_splitting_sample_unsolved(monkey
     _counting(monkeypatch, spla, "splu", counts)
     monkeypatch.setattr(solvers, "NEWTON_MAX_ITER", 2)
     cfg = small_config(M=3)
-    stats = run_experiment(cfg)
+    stats = _run(cfg)
     xi_report = stats.reports[0]
     assert xi_report.method == "deterministic" and not xi_report.converged
     assert stats.failed_counts["split"] == stats.failed_counts["modified"] == cfg.M
@@ -570,7 +583,7 @@ def test_failed_deterministic_solve_fails_every_splitting_sample_unsolved(monkey
 @pytest.mark.parametrize("nu, sigma", [(1e300, 1.0), (1e-300, 1.0), (0.02, 1e300)])
 def test_extreme_physics_fails_the_samples_with_a_reason(nu, sigma):
     with np.errstate(all="ignore"):
-        stats = run_experiment(small_config(M=2, nu=nu, sigma=sigma))
+        stats = _run(small_config(M=2, nu=nu, sigma=sigma))
     samples = [r for r in stats.reports if r.method != "deterministic"]
     assert len(samples) == 2 * len(uq.METHODS)
     assert all(not r.converged and r.failure for r in samples)
@@ -663,7 +676,8 @@ def _unknowns(fld):
 @pytest.mark.parametrize("n", [16, 24])
 def test_sequenced_solve_matches_the_stokes_start(n):
     dofs, (want, want_report) = _stokes_start(n)
-    _, _, xi, report = uq.prepare(dofs, 0.02)
+    prepared = uq.prepare(dofs, 0.02)
+    xi, report = prepared.xi, prepared.xi_report
     assert report.converged and want_report.converged
     # the coarse start leaves out the Stokes solve and two Newton steps
     assert report.iterations == want_report.iterations - 2
@@ -689,7 +703,7 @@ def _fail_deterministic_solve(monkeypatch, when):
 
 
 def _assert_stokes_start(dofs, prepared):
-    _, _, xi, report = prepared
+    xi, report = prepared.xi, prepared.xi_report
     _, (want, want_report) = _stokes_start(dofs.mesh.n)
     assert report.converged and report.iterations == want_report.iterations
     assert np.array_equal(_unknowns(xi), _unknowns(want))
