@@ -322,14 +322,14 @@ def splitting_equivalence_max_defect(n: int = 8, sigma: float = 1.5,
     ops, xi = setup.ops, setup.xi
     cfg = uq.McConfig(M=samples, base_seed=seed, sigma=sigma, nu=nu, mesh_n=n, noise_n=n)
     loads, _ = uq.noise_loads(cfg, ops, range(samples))
+    splits = uq.solve_sample(setup, ["split"], loads, 0)["split"]
     worst = 0.0
-    for noise_load, start in zip(loads.T, uq.modified_starts(setup, loads)):
-        eta, rep_s = solvers.solve_stochastic_full(ops, setup.k_xi, noise_load, start)
+    for noise_load, (split, rep_s) in zip(loads.T, splits):
         mono, rep_m = solvers.solve_monolithic(ops, setup.f_load, noise_load,
                                                initial_guess=xi)
         if not (rep_s.converged and rep_m.converged):
             return float("inf")
-        gap = manufactured.l2_error(mono, xi + eta)
+        gap = manufactured.l2_error(mono, split)
         worst = max(worst, gap / manufactured.velocity_l2_norm(ops.dofs, mono.velocity))
     return worst
 

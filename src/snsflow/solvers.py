@@ -34,6 +34,8 @@ correction eta_mod = K(xi)^-1 noise load, solved inexactly, so
 ``uq.solve_sample`` starts split at eta_mod and monolithic at xi + eta_mod
 (a predictor start: Deuflhard, Newton Methods for Nonlinear Problems,
 Springer 2004), never at the split answer monolithic is checked against.
+One modified solve of a block of loads gives both the modified answers and
+these starts.
 
 ``SaddleFactor`` is the one factored operator, read-only once built. K(xi)
 is one (``linearized_operator``), so the modified, split and monolithic
@@ -440,11 +442,11 @@ def solve_stochastic_full(ops: AssembledOperators, k_xi: SaddleFactor,
 
     ``k_xi`` is the K(xi) of that xi: the linear part of the correction
     equation, and its factor starts the Newton-Krylov solve. The solve starts
-    from the correction ``start`` (``uq.solve_sample`` passes the modified
-    correction eta_mod, which the split one differs from at second order in
-    the noise), or from a zero correction without one. A fallback's own
-    factor preconditions this sample's later steps and leaves ``k_xi``
-    untouched.
+    from the correction ``start`` (``uq.solve_sample`` passes the sample's
+    column of its modified block, eta_mod, which the split correction differs
+    from at second order in the noise), or from a zero correction without
+    one. A fallback's own factor preconditions this sample's later steps and
+    leaves ``k_xi`` untouched.
     """
     start = FEField.zeros(ops.dofs) if start is None else start
     fld, report = _newton(ops, noise_load, start.values, krylov=True, linear=k_xi.data,

@@ -5,12 +5,13 @@ An experiment is one data flow: ``prepare`` builds a command's one ``Setup``
 requested method solves on it); ``noise_loads`` turns (seed, sample index)
 into noise loads, sample k drawn from its own substream of a counter-based
 generator; ``solve_sample`` solves a block of those loads with the given
-methods on the set-up, the one route to the solvers; ``run_experiment``
-streams the samples in fixed chunks of ``CHUNK``, whatever M and the worker
-count: it draws a chunk's loads, calls ``solve_sample`` on them, reduces each
-sample in sample order with compensated summation and drops the chunk, so
-peak memory stays flat in M and accumulated means are bit-identical across
-worker counts. ``snsflow solve`` takes the same steps for one sample, and
+methods on the set-up, the one route to the solvers, and one modified solve
+of the block serves the modified method and the Newton starts;
+``run_experiment`` streams the samples in fixed chunks of ``CHUNK``,
+whatever M and the worker count: it draws a chunk's loads, calls
+``solve_sample`` on them once, reduces each sample in sample order with
+compensated summation and drops the chunk, so peak memory stays flat in M
+and accumulated means are bit-identical across worker counts. ``snsflow solve`` takes the same steps for one sample, and
 every count and amplitude of one ``snsflow mc`` shares its set-up.
 
 The amplitude convention: ``sigma`` is the per-cell standard deviation of the
@@ -243,79 +244,79 @@ def _failed(method: str, failure: str) -> SolveReport:
     return SolveReport(False, 0, float("inf"), method=method, failure=failure)
 
 
-def modified_starts(setup: Setup, noise_loads: np.ndarray) -> list[FEField | None]:
-    """The modified correction eta_mod of each column of ``noise_loads``, the
-    start of its split and monolithic solves, or None where that solve fails
-    its checks.
-
-    Each column is solved alone, so a sample's start has the same bits in
-    ``mc`` and in ``solve``, whatever block it came in.
-    """
-    starts = []
-    for load in noise_loads.T:
-        [(eta, rep)] = solvers.solve_stochastic_modified(setup.ops, setup.k_xi, load[:, None])
-        starts.append(eta if rep.converged else None)
-    return starts
-
-
-def solve_sample(setup: Setup, methods, noise_loads: np.ndarray, first: int
+def solve_sample(setup: Setup, methods, noise_loads: np.ndarray, first: int, map=map
                  ) -> dict[str, list[tuple[FEField, SolveReport]]]:
     """Solve a block of noise samples with each of ``methods`` on ``setup``:
     the only route from a method and its loads to the solvers.
 
     ``noise_loads`` (n_u, k) holds the loads of samples first, ..., first+k-1.
     Returns, per method, one (full field, report) pair per column, the report
-    stamped with its sample id. Modified solves the whole block at once, at
-    the width of a full chunk: a narrower block (a run's last chunk, or one
-    sample) is padded with zero loads, because the multi-column solve may
+    stamped with its sample id; the splitting methods return xi plus their
+    correction. When a method solves on K(xi) (``_uses_k_xi``), the block's
+    modified correction eta_mod is solved once on ``setup.k_xi``, padded with
+    zero loads to a full chunk's width, because the multi-column solve may
     round a column differently at another width, so a sample's bits would
-    depend on M. Split and monolithic solve the columns one by one. The
-    splitting methods return xi plus their correction. The methods that
-    solve on K(xi) (``_uses_k_xi``) take ``setup.k_xi``.
+    depend on M. That solve is the modified result, and it starts split at
+    eta_mod and monolithic at xi + eta_mod (at zero and at xi where eta_mod
+    failed its checks); with ``setup.mono_init`` "zero", monolithic is direct
+    Newton from zero. Split and monolithic then solve one column per task
+    through ``map``, under the caller's numpy error state. A monolithic
+    sample is accepted only on its own full residual.
 
-    Split and monolithic on K(xi) start from each column's modified
-    correction eta_mod, solved by ``modified_starts`` for the first of them
-    (and for the next, if that raised): split at eta_mod and monolithic at
-    xi + eta_mod, or, where eta_mod failed its checks, from a zero correction
-    and from xi. With ``setup.mono_init`` "zero", monolithic starts from zero
-    instead and is direct Newton, without K(xi). A monolithic sample is
-    accepted only on its own full residual. Every column of a method fails,
-    with its reason and xi as its field, when the splitting correction has no
-    converged xi to be defined around (unsolved), or when the method's solve,
-    or the start it needs, raises.
+    Every column of a method fails, with its reason and xi as its field, when
+    the splitting correction has no converged xi to be defined around
+    (unsolved), or when the block solve the method needs raises; a Newton
+    solve that raises fails only its own sample.
     """
     if not set(methods) <= set(METHODS):
         raise ValueError(f"unknown methods in {list(methods)}")
     ops, f_load, xi, k_xi = setup.ops, setup.f_load, setup.xi, setup.k_xi
-    columns, out, starts = noise_loads.T, {}, None
-    for method in methods:
-        uses = _uses_k_xi(method, setup.mono_init, setup.xi_report)
-        if method != "monolithic" and not setup.xi_report.converged:
-            failure = f"deterministic solve failed: {setup.xi_report.failure}"
-            out[method] = [(xi, _failed(method, failure)) for _ in columns]
-            continue
+    columns = noise_loads.T
+    uses = {m: _uses_k_xi(m, setup.mono_init, setup.xi_report) for m in methods}
+    out, failures, starts = {}, {}, [None] * len(columns)
+    if not setup.xi_report.converged:
+        failures.update((m, f"deterministic solve failed: {setup.xi_report.failure}")
+                        for m in methods if m != "monolithic")
+    if any(uses.values()):
         try:
-            if method != "modified" and uses and starts is None:
-                starts = modified_starts(setup, noise_loads)
-            if method == "modified":
-                block = np.pad(noise_loads, ((0, 0), (0, max(CHUNK - len(columns), 0))))
-                out[method] = [(xi + eta, rep) for eta, rep in
-                               solvers.solve_stochastic_modified(ops, k_xi, block)[:len(columns)]]
-            elif method == "split":
-                out[method] = []
-                for load, start in zip(columns, starts):
-                    eta, rep = solvers.solve_stochastic_full(ops, k_xi, load, start)
-                    out[method].append((xi + eta, rep))
-            elif not uses:   # monolithic from zero
-                out[method] = [solvers.solve_monolithic(ops, f_load, load,
-                                                        initial_guess=FEField.zeros(ops.dofs))
-                               for load in columns]
-            else:
-                out[method] = [solvers.solve_monolithic(
-                    ops, f_load, load, k_xi=k_xi, initial_guess=xi if eta is None else xi + eta)
-                    for load, eta in zip(columns, starts)]
-        except Exception as exc:  # one bad sample must not abort the others
-            out[method] = [(xi, _failed(method, f"{type(exc).__name__}: {exc}")) for _ in columns]
+            padded = np.pad(noise_loads, ((0, 0), (0, max(CHUNK - len(columns), 0))))
+            block = solvers.solve_stochastic_modified(ops, k_xi, padded)[:len(columns)]
+        except Exception as exc:  # fails each method that needs the block, not the others
+            failures.update((m, f"{type(exc).__name__}: {exc}") for m in methods if uses[m])
+        else:
+            if "modified" in methods:
+                out["modified"] = [(xi + eta, rep) for eta, rep in block]
+            # copied out, so the padded block is not held through the Newton solves
+            starts = [FEField(eta.values.copy(), ops.dofs) if rep.converged else None
+                      for eta, rep in block]
+            del padded, block
+    for method, failure in failures.items():
+        out[method] = [(xi, _failed(method, failure)) for _ in columns]
+    newton = [m for m in methods if m != "modified" and m not in failures]
+    errors = np.geterr()   # pool threads start from numpy's default error state
+
+    def solve_column(load: np.ndarray, eta: FEField | None) -> list[tuple[FEField, SolveReport]]:
+        results = []
+        with np.errstate(**errors):
+            for method in newton:
+                try:
+                    if method == "split":
+                        eta_s, rep = solvers.solve_stochastic_full(ops, k_xi, load, eta)
+                        results.append((xi + eta_s, rep))
+                    elif uses[method]:
+                        results.append(solvers.solve_monolithic(
+                            ops, f_load, load, k_xi=k_xi,
+                            initial_guess=xi if eta is None else xi + eta))
+                    else:   # monolithic from zero
+                        results.append(solvers.solve_monolithic(
+                            ops, f_load, load, initial_guess=FEField.zeros(ops.dofs)))
+                except Exception as exc:  # one bad sample must not abort the others
+                    results.append((xi, _failed(method, f"{type(exc).__name__}: {exc}")))
+        return results
+
+    if newton:
+        solved = list(map(solve_column, columns, starts))
+        out.update((m, [column[i] for column in solved]) for i, m in enumerate(newton))
     for results in out.values():
         for k, (_, rep) in enumerate(results, first):
             rep.sample_id = k
@@ -328,28 +329,18 @@ def run_experiment(setup: Setup, cfg: McConfig, jobs: int = 1) -> McStats:
 
     Samples stream through in chunks of ``CHUNK``, whatever M and ``jobs``:
     each chunk's loads are drawn and assembled in one ``noise_loads`` call,
-    solved, reduced in sample order and dropped, so peak memory does not
-    grow with M. Every method reaches the solvers through ``solve_sample``:
-    modified with the chunk's block of loads, monolithic and split with one
-    column per task, concurrently on at most min(jobs, CHUNK) threads when
-    ``jobs > 1``. They share the set-up's one K(xi) and its factorization;
-    modified solves each chunk on it, and each split sample, and each
-    monolithic one that starts from xi, runs Newton-Krylov from that factor,
-    started at the sample's modified correction (one ``modified_starts``
-    column serves both). The reduction adds samples in index order with
-    compensated summation, so the means are bit-identical across worker
-    counts.
+    solved in one ``solve_sample`` call, reduced in sample order and dropped,
+    so peak memory does not grow with M. The methods share the set-up's one
+    K(xi) and its factorization: ``solve_sample`` solves the chunk's modified
+    block on it once, and each split sample, and each monolithic one that
+    starts from xi, runs Newton-Krylov from that factor, started at its
+    column of the block, one column per task, concurrently on at most
+    min(jobs, CHUNK) threads when ``jobs > 1``. The reduction adds samples in
+    index order with compensated summation, so the means are bit-identical
+    across worker counts.
     """
     dofs = setup.ops.dofs
     forcing_norm = manufactured.forcing_l2_norm(cfg.nu)
-    block_methods = [m for m in cfg.methods if m == "modified"]
-    newton_methods = [m for m in cfg.methods if m != "modified"]
-    errors = np.geterr()   # pool threads start from numpy's default error state
-
-    def solve_newton(column: np.ndarray, k: int) -> dict[str, tuple[FEField, SolveReport]]:
-        with np.errstate(**errors):
-            return {m: out for m, [out] in solve_sample(setup, newton_methods, column, k).items()}
-
     # per-method means plus pairwise-converged means, added in sample order
     per_method = {m: _MeanAccumulator(dofs) for m in cfg.methods}
     failed = {m: 0 for m in cfg.methods}
@@ -365,21 +356,19 @@ def run_experiment(setup: Setup, cfg: McConfig, jobs: int = 1) -> McStats:
             chunk = range(first, min(first + CHUNK, cfg.M))
             loads, norms = noise_loads(cfg, setup.ops, chunk)
             kappas[first:chunk.stop] = norms / forcing_norm
-            block = solve_sample(setup, block_methods, loads, first)
-            columns = [loads[:, j:j + 1] for j in range(len(chunk))]
-            results = (pool.map if pool else map)(solve_newton, columns, chunk)
-            for j, res in enumerate(results):
-                res.update((m, out[j]) for m, out in block.items())
+            out = solve_sample(setup, cfg.methods, loads, first,
+                               map=pool.map if pool else map)
+            for j in range(len(chunk)):
                 for method in cfg.methods:
-                    fld, rep = res[method]
+                    fld, rep = out[method][j]
                     reports.append(rep)
                     if rep.converged:
                         per_method[method].add(fld)
                     else:
                         failed[method] += 1
                 for m in pairs:
-                    fld_m, rep_m = res[m]
-                    fld_r, rep_r = res["monolithic"]
+                    fld_m, rep_m = out[m][j]
+                    fld_r, rep_r = out["monolithic"][j]
                     if rep_m.converged and rep_r.converged:
                         acc_m, acc_r = pair_acc[m]
                         acc_m.add(fld_m)

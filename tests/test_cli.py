@@ -407,8 +407,8 @@ def test_exception_in_a_solve_is_a_failed_report(tmp_path, monkeypatch, capsys):
 
     real_solve, results = uq.solve_sample, []
 
-    def recorded(setup, methods, loads, first):
-        out = real_solve(setup, methods, loads, first)
+    def recorded(setup, methods, loads, first, map=map):
+        out = real_solve(setup, methods, loads, first, map=map)
         results.extend(out["split"])
         return out
 
@@ -427,15 +427,19 @@ def test_exception_in_a_solve_is_a_failed_report(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_a_start_solve_that_raises_fails_its_samples_and_the_run_goes_on(tmp_path, monkeypatch,
                                                                         capsys, jobs):
-    # the modified start of split and monolithic is solved inside
-    # solve_sample's exception rule, so its error fails both methods' rows
+    # the chunk's modified block starts split and monolithic, so its error
+    # fails both methods' rows; it is solved once per chunk, not again for
+    # the next method or sample
+    calls = []
+
     def broken(*args, **kwargs):
+        calls.append(args)
         raise FloatingPointError("boom")
 
     real_solve, reports = uq.solve_sample, []
 
-    def recorded(setup, methods, loads, first):
-        out = real_solve(setup, methods, loads, first)
+    def recorded(setup, methods, loads, first, map=map):
+        out = real_solve(setup, methods, loads, first, map=map)
         reports.extend(rep for results in out.values() for _, rep in results)
         return out
 
@@ -444,12 +448,14 @@ def test_a_start_solve_that_raises_fails_its_samples_and_the_run_goes_on(tmp_pat
     assert run_cli("solve", "--method", "split", "--mesh-n", "4",
                    "--out-dir", str(tmp_path / "solve")) == EXIT_NOT_CONVERGED
     assert (tmp_path / "solve" / "samples.csv").read_text().splitlines()[-1] == "split,0,0,0,inf"
+    calls.clear()
     assert run_cli("mc", "--mesh-n", "4", "--samples", "2", "--methods", "monolithic,split",
                    "--jobs", jobs, "--out-dir", str(tmp_path / "mc")) == EXIT_NOT_CONVERGED
     assert capsys.readouterr().err == ""
     rows = (tmp_path / "mc" / "samples.csv").read_text().splitlines()[2:]
     assert rows == [f"{m},{k},0,0,inf" for k in range(2) for m in ("monolithic", "split")]
     assert len(reports) == 5 and all(r.failure == "FloatingPointError: boom" for r in reports)
+    assert len(calls) == 1   # the run's one chunk
 
 
 @pytest.mark.parametrize("argv, setups, factors", [

@@ -173,14 +173,17 @@ def test_noise_loads_are_drawn_one_chunk_at_a_time(monkeypatch):
     assert stats.kappa_mean == float(np.mean(norms / mf.forcing_l2_norm(cfg.nu)))
 
 
-def test_a_third_chunk_sample_matches_its_own_solve(monkeypatch):
-    cfg = small_config(M=CHUNKED_M)
-    k = 2 * uq.CHUNK + 1
+# n=4: a sample of the third of three chunks; n=12: the last sample of a
+# short last chunk, whose Newton starts come from a padded modified block
+@pytest.mark.parametrize("mesh_n, samples, k", [(4, CHUNKED_M, 2 * uq.CHUNK + 1),
+                                                (12, uq.CHUNK + 3, uq.CHUNK + 2)])
+def test_a_third_chunk_sample_matches_its_own_solve(monkeypatch, mesh_n, samples, k):
+    cfg = small_config(M=samples, mesh_n=mesh_n)
     real = uq.solve_sample
     seen = {}
 
-    def spy(setup, methods, loads, first):
-        out = real(setup, methods, loads, first)
+    def spy(setup, methods, loads, first, map=map):
+        out = real(setup, methods, loads, first, map=map)
         if first <= k < first + loads.shape[1]:
             seen.update({m: (results[k - first], setup) for m, results in out.items()})
         return out
@@ -202,8 +205,8 @@ def test_a_modified_sample_does_not_depend_on_the_width_of_its_chunk(monkeypatch
     # chunk at M=64; unpadded, the two block widths round it differently
     k, real, seen = 49, uq.solve_sample, {}
     for samples in (50, 64):
-        def spy(setup, methods, loads, first):
-            out = real(setup, methods, loads, first)
+        def spy(setup, methods, loads, first, map=map):
+            out = real(setup, methods, loads, first, map=map)
             if "modified" in out and first <= k < first + loads.shape[1]:
                 seen[samples] = out["modified"][k - first]
             return out
@@ -297,21 +300,22 @@ def test_reduction_follows_sample_order_not_arrival_order(monkeypatch):
     dofs = build_dof_map(build_structured_mesh(cfg.mesh_n))
     ops = uq.prepare(dofs, cfg.nu).ops
     loads, _ = uq.noise_loads(cfg, ops, range(cfg.M))
-    real_solve = uq.solve_sample
+    real_solve = solvers.solve_stochastic_full
     done = [threading.Event() for _ in range(cfg.M)]
     arrival = []
 
-    def reversed_finish(setup, methods, noise_load, first):
-        result = real_solve(setup, methods, noise_load, first)
-        if "split" in methods:  # a sample's Newton solves
-            k = next(j for j in range(cfg.M) if np.array_equal(loads[:, j:j + 1], noise_load))
-            if k + 1 < cfg.M:
-                assert done[k + 1].wait(timeout=60)
-            arrival.append(k)
-            done[k].set()
+    def reversed_finish(ops, k_xi, noise_load, start=None):
+        # the last Newton solve of a sample's task, which solve_sample runs
+        # one column per task on the pool
+        result = real_solve(ops, k_xi, noise_load, start)
+        k = next(j for j in range(cfg.M) if np.array_equal(loads[:, j], noise_load))
+        if k + 1 < cfg.M:
+            assert done[k + 1].wait(timeout=60)
+        arrival.append(k)
+        done[k].set()
         return result
 
-    monkeypatch.setattr(uq, "solve_sample", reversed_finish)
+    monkeypatch.setattr(solvers, "solve_stochastic_full", reversed_finish)
     threaded = _run(cfg, jobs=4)
     assert arrival == [3, 2, 1, 0]
     assert [(r.method, r.sample_id) for r in threaded.reports] == \
@@ -508,9 +512,9 @@ def test_the_modified_start_saves_newton_steps(monkeypatch):
     assert all(r.converged and r.fallbacks == 0 for r in split + mono)
     assert [r.iterations for r in split] == [r.iterations for r in mono]
     assert sum(r.iterations for r in split) / cfg.M <= 3.2
-    # one one-column start per sample serves both its solves; one more
-    # call solves the chunk's modified block
-    assert counts["solve_stochastic_modified"] == cfg.M + 1
+    # one modified block per chunk serves the modified samples and both
+    # Newton starts of each sample
+    assert counts["solve_stochastic_modified"] == len(range(0, cfg.M, uq.CHUNK))
 
 
 def test_a_failed_modified_start_falls_back_to_the_zero_and_xi_starts(monkeypatch):
@@ -526,7 +530,8 @@ def test_a_failed_modified_start_falls_back_to_the_zero_and_xi_starts(monkeypatc
                    ] * len(failures)
 
     monkeypatch.setattr(k_xi, "solve", failing)   # only the shared factor's solves fail
-    assert uq.modified_starts(setup, loads) == [None]
+    [(_, rep_mod)] = uq.solve_sample(setup, ["modified"], loads, 0)["modified"]
+    assert not rep_mod.converged
     [(split, rep_s)] = uq.solve_sample(setup, ["split"], loads, 0)["split"]
     [(mono, rep_m)] = uq.solve_sample(setup, ["monolithic"], loads, 0)["monolithic"]
     eta, want_s = solvers.solve_stochastic_full(ops, k_xi, loads[:, 0])
