@@ -47,25 +47,43 @@ def _ddb(s):
     return -6.0 + 12.0 * s
 
 
-def exact_velocity(x, y):
-    """Velocity components (u1, u2); accepts scalars or arrays."""
-    return 256.0 * _a(x) * _b(y), -256.0 * _b(x) * _a(y)
+class _Factors(dict):
+    """The per-axis factors at points (x, y), each evaluated once, when first
+    read: ``f[_a, 0]`` is _a(x) and ``f[_db, 1]`` is _db(y)."""
+
+    def __init__(self, x, y):
+        super().__init__()
+        self.points = (x, y)
+
+    def __missing__(self, key):
+        factor, axis = key
+        value = self[key] = factor(self.points[axis])
+        return value
 
 
-def exact_velocity_gradient(x, y):
+def exact_velocity(x, y, f=None):
+    """Velocity components (u1, u2); accepts scalars or arrays. ``f``, a
+    ``_Factors`` table of these (x, y), lets several calls share factors."""
+    f = _Factors(x, y) if f is None else f
+    return 256.0 * f[_a, 0] * f[_b, 1], -256.0 * f[_b, 0] * f[_a, 1]
+
+
+def exact_velocity_gradient(x, y, f=None):
     """Entries (u1_x, u1_y, u2_x, u2_y)."""
+    f = _Factors(x, y) if f is None else f
     return (
-        256.0 * _da(x) * _b(y),
-        256.0 * _a(x) * _db(y),
-        -256.0 * _db(x) * _a(y),
-        -256.0 * _b(x) * _da(y),
+        256.0 * f[_da, 0] * f[_b, 1],
+        256.0 * f[_a, 0] * f[_db, 1],
+        -256.0 * f[_db, 0] * f[_a, 1],
+        -256.0 * f[_b, 0] * f[_da, 1],
     )
 
 
-def exact_velocity_laplacian(x, y):
+def exact_velocity_laplacian(x, y, f=None):
+    f = _Factors(x, y) if f is None else f
     return (
-        256.0 * (_dda(x) * _b(y) + _a(x) * _ddb(y)),
-        -256.0 * (_ddb(x) * _a(y) + _b(x) * _dda(y)),
+        256.0 * (f[_dda, 0] * f[_b, 1] + f[_a, 0] * f[_ddb, 1]),
+        -256.0 * (f[_ddb, 0] * f[_a, 1] + f[_b, 0] * f[_dda, 1]),
     )
 
 
@@ -89,14 +107,30 @@ def exact_pressure_gradient(x, y):
     )
 
 
+# points per block of the body force: the factors and terms of one block stay in
+# cache, where those of a whole mesh's quadrature points would not
+FORCING_BLOCK = 4096
+
+
 def exact_forcing(x, y, nu: float):
-    """Body force F = -nu lap(u) + (u . grad) u + grad(p)."""
-    u1, u2 = exact_velocity(x, y)
-    u1x, u1y, u2x, u2y = exact_velocity_gradient(x, y)
-    lap1, lap2 = exact_velocity_laplacian(x, y)
-    px, py = exact_pressure_gradient(x, y)
-    return (-nu * lap1 + u1 * u1x + u2 * u1y + px,
-            -nu * lap2 + u1 * u2x + u2 * u2y + py)
+    """Body force F = -nu lap(u) + (u . grad) u + grad(p).
+
+    Runs over blocks of FORCING_BLOCK points, and evaluates each per-axis
+    factor of a block once.
+    """
+    x, y = np.broadcast_arrays(x, y)
+    points = np.stack([x.ravel(), y.ravel()])
+    force = np.empty(points.shape)
+    for s in range(0, points.shape[1], FORCING_BLOCK):
+        bx, by = points[:, s:s + FORCING_BLOCK]
+        f = _Factors(bx, by)
+        u1, u2 = exact_velocity(bx, by, f)
+        u1x, u1y, u2x, u2y = exact_velocity_gradient(bx, by, f)
+        lap1, lap2 = exact_velocity_laplacian(bx, by, f)
+        px, py = exact_pressure_gradient(bx, by)
+        force[0, s:s + FORCING_BLOCK] = -nu * lap1 + u1 * u1x + u2 * u1y + px
+        force[1, s:s + FORCING_BLOCK] = -nu * lap2 + u1 * u2x + u2 * u2y + py
+    return force[0].reshape(x.shape), force[1].reshape(x.shape)
 
 
 @cache

@@ -7,6 +7,14 @@ Each dof map also fixes the sparsity pattern of the saddle matrix that every
 assembled operator is a data vector on, the nested-dissection order in which
 its free unknowns are eliminated, and the quadrature geometry every assembly
 kernel reads.
+
+The pattern is built from the scalar P2 node adjacency, in time linear in
+its size: each node's neighbours sit in the 5 x 5 window of P2-lattice points
+around it, so one scatter over the triangles' node pairs and a sort of each
+short window give every neighbour list, and index arithmetic on those lists
+gives the rest. Nothing sorts or uniques the pattern's (row, col) keys as a
+whole: the other sorts are of each list's free rows, one short row at a
+time, and of the free unknowns into their elimination order.
 """
 
 from __future__ import annotations
@@ -68,13 +76,18 @@ class SaddlePattern:
     is the data index of entry (element_dofs[t, i], element_dofs[t, j]);
     ``div_slots[0, t, a, j]`` that of B's entry (element_dofs[t, 12 + a],
     element_dofs[t, j]) and ``div_slots[1, t, a, j]`` that of its transpose.
+    The rows of velocity column (c, m) are the u_x rows of node m's sorted
+    neighbour list, then its u_y rows, then B's rows: the pressure of the
+    list's vertex prefix. Pressure column v holds the velocity rows of vertex
+    v's list. So every slot is a column start plus a place in a list.
     ``free`` drops the Dirichlet velocity dofs and pins pressure dof 0.
     ``free_order`` lists the free unknowns in a nested-dissection elimination
     order (see ``_nested_dissection``): free unknown ``free_order[k]`` is row
     and column k of the free matrix, so ``free_matrix`` is already permuted
     for a factorization in natural order. ``free_slots`` are the data indices
     of the entries in free rows and columns, in the CSC order of that
-    permuted submatrix.
+    permuted submatrix: each list's free rows sorted by their place in
+    ``free_order`` (``_free_pattern``).
 
     ``matrix`` and ``free_matrix`` copy a template matrix of the pattern and
     give the copy its values. The copy shares the template's index arrays,
@@ -228,51 +241,138 @@ def build_dof_map(mesh: TriMesh) -> DofMap:
         element_dofs=element_dofs,
         dirichlet_mask=dirichlet_mask,
         pressure_gauge=gauge,
-        pattern=_saddle_pattern(element_dofs, free, lattice),
+        pattern=_saddle_pattern(element_dofs, V, free, lattice),
         node_coords=node_coords,
         geometry=ElementGeometry(mesh),
     )
 
 
-def _saddle_pattern(element_dofs: np.ndarray, free: np.ndarray,
+def _saddle_pattern(element_dofs: np.ndarray, n_vertices: int, free: np.ndarray,
                     lattice: np.ndarray) -> SaddlePattern:
-    """Number the distinct (row, col) pairs of all element blocks in CSC order.
+    """Number the (row, col) pairs of all element blocks in CSC order.
 
-    ``lattice`` holds the integer P2-lattice point of each unknown; it fixes
-    the elimination order of the free unknowns.
+    ``lattice`` holds the integer P2-lattice point of each unknown; it places
+    each node's neighbours and fixes the elimination order of the free
+    unknowns. Column counts follow from the list lengths, the row indices
+    from the lists, and the slot of an element entry from its column start,
+    its row component's block and its place in the list (``_neighbours``).
     """
     n, T = len(free), len(element_dofs)
-    vel, prs = element_dofs[:, :12], element_dofs[:, 12:]
-    keys = [vel[:, None, :] * n + vel[:, :, None],   # V: (row u_i, col u_j)
-            vel[:, None, :] * n + prs[:, :, None],   # B: (row p_a, col u_j)
-            prs[:, :, None] * n + vel[:, None, :]]   # B^T: (row u_j, col p_a)
-    unique, slots = np.unique(np.concatenate([k.ravel() for k in keys]),
-                              return_inverse=True)
-    slots = slots.astype(np.intp, copy=False)
-    rows, cols = unique % n, unique // n
+    nn = (n - n_vertices) // 2
+    near, degree, local = _neighbours(element_dofs[:, :6], lattice[:nn])
+    # the rows of node m's velocity columns: u_x and u_y of its neighbours, then
+    # the pressure of its neighbouring vertices, the prefix of its list
+    rows = np.empty((nn, 3, near.shape[1]), dtype=np.int32)
+    np.add(near[:, None, :], np.array([0, nn, 2 * nn])[:, None], out=rows)
+    listed, vertex = near < nn, near < n_vertices
+    stored = np.stack([listed, listed, vertex], axis=1)
+    velocity_rows = rows[stored]
+    velocity_count = 2 * degree + np.count_nonzero(vertex, axis=1)
+    counts = np.concatenate([velocity_count, velocity_count, 2 * degree[:n_vertices]])
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    indices = np.concatenate([velocity_rows, velocity_rows,   # pressure column v: B^T, v's velocity rows
+                              rows[:n_vertices, :2][stored[:n_vertices, :2]]])
+
+    node_degree = np.tile(degree[element_dofs[:, :6]], 2)[:, None, :]
+    v_slots = np.empty((T, 12, 12), dtype=np.intp)
+    np.add(np.tile(local, 2), indptr[element_dofs[:, :12]][:, None, :], out=v_slots[:, :6])
+    np.add(v_slots[:, :6], node_degree, out=v_slots[:, 6:])
+    div_slots = np.empty((2, T, 3, 12), dtype=np.intp)
+    np.add(v_slots[:, :3], 2 * node_degree, out=div_slots[0])
+    vertices = element_dofs[:, 12:]
+    np.add(v_slots[:, :, :3].transpose(0, 2, 1),
+           (indptr[vertices] - indptr[vertices - 2 * nn])[:, :, None], out=div_slots[1])
+
     free_order = np.flatnonzero(free)
     free_order = free_order[_nested_dissection(lattice[free_order])]
-    n_free = len(free_order)
-    position = np.full(n, -1)
-    position[free_order] = np.arange(n_free)
-    free_slots = np.flatnonzero(free[rows] & free[cols])
-    free_rows, free_cols = position[rows[free_slots]], position[cols[free_slots]]
-    csc = np.argsort(free_cols * n_free + free_rows)   # keys are distinct
-    indptr = np.searchsorted(unique, n * np.arange(n + 1)).astype(np.int32)
-    indices = rows.astype(np.int32)
+    free_indptr, free_rows, free_slots = _free_pattern(near, degree, n_vertices, indptr,
+                                                       free_order)
+    indptr = indptr.astype(np.int32)
     return SaddlePattern(
         indptr=indptr,
         indices=indices,
-        v_slots=slots[:T * 144].reshape(T, 12, 12),
-        div_slots=slots[T * 144:].reshape(2, T, 3, 12),
+        v_slots=v_slots,
+        div_slots=div_slots,
         free=free,
         free_order=free_order,
-        free_slots=free_slots[csc],
+        free_slots=free_slots,
         full_template=_csc_template(indptr, indices),
-        free_template=_csc_template(
-            np.searchsorted(free_cols[csc], np.arange(n_free + 1)).astype(np.int32),
-            free_rows[csc].astype(np.int32)),
+        free_template=_csc_template(free_indptr, free_rows),
     )
+
+
+def _neighbours(tri_nodes: np.ndarray,
+                points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each P2 node's neighbour list, and each element node pair's place in it.
+
+    A triangle's nodes lie within two lattice steps of each other, so the
+    neighbours of node m (m among them) sit in the 5 x 5 window of lattice
+    points around ``points[m]``. One scatter over the triangles' 36 node pairs
+    fills every window, and sorting a window by node number gives the node's
+    list. Returns the lists, (nodes, width) padded with the node count, their
+    lengths, and ``local[t, i, j]``, the place of triangle t's node i in node
+    j's list.
+    """
+    nn = len(points)
+    corner = (5 * points[:, 0] + points[:, 1])[tri_nodes]
+    cell = corner[:, :, None] - corner[:, None, :] + 12   # the cell of node i around node j
+    at = cell + 32 * tri_nodes[:, None, :]
+    cell += 32 * tri_nodes[:, :, None]
+    window = np.full((nn, 32), 32 * nn + 31)
+    window.ravel()[at] = cell           # node i's number and cell, in node j's window
+    window.sort(axis=1)
+    degree = np.count_nonzero(window < 32 * nn, axis=1)
+    window = window[:, :degree.max()]
+    cells = window & 31
+    cells += np.arange(0, 32 * nn, 32)[:, None]
+    rank = np.empty(32 * nn, dtype=np.int32)
+    rank[cells] = np.arange(window.shape[1])
+    return window >> 5, degree, rank[at]
+
+
+def _free_pattern(near: np.ndarray, degree: np.ndarray, n_vertices: int, indptr: np.ndarray,
+                  free_order: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSC pattern of the free rows and columns, both in ``free_order``.
+
+    Column k is unknown free_order[k]. Its entries are the free rows of its
+    column of the full pattern, ordered by the rows' places in
+    ``free_order``. The two velocity columns of a node share one row list,
+    and the pressure column of a vertex has another. Each list is a short
+    row of keys place << shift | offset (the entry's offset in its full
+    column), sorted in place, so a key gives both a free row and a data
+    index. Returns the indptr, the row indices and the data index of each
+    entry.
+    """
+    nn, width = near.shape
+    n_free = len(free_order)
+    span = int(np.diff(indptr).max())   # the longest column
+    shift = (span - 1).bit_length()
+    fixed = n_free << shift   # above the key of every free row
+    # position[c, m]: the key of unknown c * nn + m, of u_x, u_y or p at node m
+    position = np.full((3, nn + 1), fixed,   # every key is below fixed + 3 * width
+                       dtype=np.int32 if fixed + 3 * width <= 2 ** 31 else np.intp)
+    position.ravel()[free_order + free_order // nn] = np.arange(n_free) << shift
+    keys = np.empty((nn + n_vertices, 3, width), dtype=position.dtype)
+    for component in range(3):
+        keys[:nn, component] = position[component][near]
+    keys[:nn] += np.arange(width)
+    keys[:nn, 1:] += degree[:, None, None]
+    keys[:nn, 2] += degree[:, None]
+    keys[nn:, :2] = keys[:n_vertices, :2]   # a vertex's pressure column: its velocity rows
+    keys[nn:, 2] = fixed
+    keys = keys.reshape(len(keys), -1)
+    keys.sort(axis=1)
+    keys = np.take(keys[:, :span],
+                   np.where(free_order < 2 * nn, free_order % nn, free_order - nn), axis=0)
+    listed = keys < fixed
+    column_counts = np.count_nonzero(listed, axis=1)
+    entries = keys[listed]
+    del keys, listed
+    free_rows = (entries >> shift).astype(np.int32, copy=False)
+    entries &= (1 << shift) - 1
+    free_slots = np.repeat(indptr[free_order], column_counts)
+    free_slots += entries
+    return np.concatenate([[0], np.cumsum(column_counts)]).astype(np.int32), free_rows, free_slots
 
 
 def _nested_dissection(points: np.ndarray) -> np.ndarray:
@@ -291,35 +391,44 @@ def _nested_dissection(points: np.ndarray) -> np.ndarray:
     counts = np.zeros(size + 1, dtype=np.intp)
     counts[1:, 1:] = np.bincount(points[:, 0] * size[1] + points[:, 1],
                                  minlength=size[0] * size[1]).reshape(size)
-    counts = counts.cumsum(axis=0).cumsum(axis=1)
-    rank = np.empty(size, dtype=np.intp)   # post-order number of each point's leaf or separator
-    pieces = 0
+    count = counts.cumsum(axis=0).cumsum(axis=1).tolist()
+    # cut[lo][hi]: the vertex line strictly inside [lo, hi] nearest its middle, or -1
+    lo, hi = np.ogrid[:size.max(), :size.max()]
+    first, last = lo + 2 - lo % 2, hi - 2 + hi % 2
+    cut = np.where(first <= last, np.clip(2 * np.round((lo + hi) / 4).astype(np.intp), first, last),
+                   -1).tolist()
+    pieces = []   # x0, x1, y0, y1 of each leaf and separator, in post-order
 
-    def number(lo: list[int], hi: list[int]) -> None:
-        nonlocal pieces
-        rank[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1] = pieces
-        pieces += 1
+    def dissect(x0: int, x1: int, y0: int, y1: int) -> None:
+        below, above = count[x0], count[x1 + 1]
+        if above[y1 + 1] - below[y1 + 1] - above[y0] + below[y0] > DISSECTION_LEAF:
+            x, y = cut[x0][x1], cut[y0][y1]
+            if y >= 0 and (x < 0 or y1 - y0 > x1 - x0):
+                dissect(x0, x1, y0, y - 1)
+                dissect(x0, x1, y + 1, y1)
+                pieces.extend((x0, x1, y, y))
+                return
+            if x >= 0:
+                dissect(x0, x - 1, y0, y1)
+                dissect(x + 1, x1, y0, y1)
+                pieces.extend((x, x, y0, y1))
+                return
+        pieces.extend((x0, x1, y0, y1))
 
-    def moved(corner: list[int], axis: int, value: int) -> list[int]:
-        corner = corner.copy()
-        corner[axis] = value
-        return corner
-
-    def dissect(lo: list[int], hi: list[int]) -> None:
-        inside = (counts[hi[0] + 1, hi[1] + 1] - counts[lo[0], hi[1] + 1]
-                  - counts[hi[0] + 1, lo[1]] + counts[lo[0], lo[1]])
-        if inside > DISSECTION_LEAF:
-            longer = int(hi[1] - lo[1] > hi[0] - lo[0])
-            for axis in (longer, 1 - longer):
-                first, last = lo[axis] + 2 - lo[axis] % 2, hi[axis] - 2 + hi[axis] % 2
-                if first <= last:   # a vertex line lies strictly inside
-                    cut = min(max(2 * round((lo[axis] + hi[axis]) / 4), first), last)
-                    dissect(lo, moved(hi, axis, cut - 1))
-                    dissect(moved(lo, axis, cut + 1), hi)
-                    number(moved(lo, axis, cut), moved(hi, axis, cut))
-                    return
-        number(lo, hi)
-
-    dissect([0, 0], [int(size[0]) - 1, int(size[1]) - 1])
+    dissect(0, int(size[0]) - 1, 0, int(size[1]) - 1)
+    x0, x1, y0, y1 = np.array(pieces).reshape(-1, 4).T
+    rows = x1 + 1 - x0
+    piece = np.repeat(np.arange(len(rows)), rows)
+    width = (y1 + 1 - y0)[piece]
+    rank = np.empty(size[0] * size[1], dtype=np.intp)   # each lattice point's piece
+    rank[_runs(_runs(x0, rows) * size[1] + y0[piece], width)] = np.repeat(piece, width)
     # ties keep the given order; distinct keys make any sort stable
-    return np.argsort(rank[points[:, 0], points[:, 1]] * len(points) + np.arange(len(points)))
+    return np.argsort(rank[points[:, 0] * size[1] + points[:, 1]] * len(points)
+                      + np.arange(len(points)))
+
+
+def _runs(first: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The integer ranges [first, first + length), one after another."""
+    runs = np.repeat(first - np.cumsum(length) + length, length)
+    runs += np.arange(len(runs))
+    return runs

@@ -260,8 +260,9 @@ def solve_sample(setup: Setup, methods, noise_loads: np.ndarray, first: int, map
     eta_mod and monolithic at xi + eta_mod (at zero and at xi where eta_mod
     failed its checks); with ``setup.mono_init`` "zero", monolithic is direct
     Newton from zero. Split and monolithic then solve one column per task
-    through ``map``, under the caller's numpy error state. A monolithic
-    sample is accepted only on its own full residual.
+    through ``map``, under the caller's numpy error state; a task takes its
+    column's start out of the chunk's list, so no start outlives its column.
+    A monolithic sample is accepted only on its own full residual.
 
     Every column of a method fails, with its reason and xi as its field, when
     the splitting correction has no converged xi to be defined around
@@ -295,7 +296,8 @@ def solve_sample(setup: Setup, methods, noise_loads: np.ndarray, first: int, map
     newton = [m for m in methods if m != "modified" and m not in failures]
     errors = np.geterr()   # pool threads start from numpy's default error state
 
-    def solve_column(load: np.ndarray, eta: FEField | None) -> list[tuple[FEField, SolveReport]]:
+    def solve_column(k: int) -> list[tuple[FEField, SolveReport]]:
+        load, eta, starts[k] = columns[k], starts[k], None   # the list holds no start once read
         results = []
         with np.errstate(**errors):
             for method in newton:
@@ -315,7 +317,7 @@ def solve_sample(setup: Setup, methods, noise_loads: np.ndarray, first: int, map
         return results
 
     if newton:
-        solved = list(map(solve_column, columns, starts))
+        solved = list(map(solve_column, range(len(columns))))
         out.update((m, [column[i] for column in solved]) for i, m in enumerate(newton))
     for results in out.values():
         for k, (_, rep) in enumerate(results, first):

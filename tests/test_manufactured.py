@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from snsflow import assembly
 from snsflow import manufactured as mf
 from snsflow.mesh import build_dof_map, build_structured_mesh
 from snsflow.solvers import FEField
@@ -66,6 +67,32 @@ def test_pressure_gradient_matches_finite_differences():
     px, py = mf.exact_pressure_gradient(x, y)
     assert px == pytest.approx((mf.exact_pressure(x + h, y) - mf.exact_pressure(x - h, y)) / (2 * h), abs=1e-6)
     assert py == pytest.approx((mf.exact_pressure(x, y + h) - mf.exact_pressure(x, y - h)) / (2 * h), abs=1e-6)
+
+
+def test_body_force_is_bit_identical_to_the_composition_of_its_parts():
+    # exact_forcing evaluates each per-axis factor once; every helper keeps the
+    # operand order of its closed form, so the body force keeps its bits
+    _, q, _ = assembly.affine_maps(build_structured_mesh(24), assembly.ELEVATED_RULE.points)
+    x, y = q[:, :, 0], q[:, :, 1]
+    a, b, da, db, dda, ddb = ((f(x), f(y)) for f in (mf._a, mf._b, mf._da, mf._db, mf._dda, mf._ddb))
+    parts = {
+        mf.exact_velocity: (256.0 * a[0] * b[1], -256.0 * b[0] * a[1]),
+        mf.exact_velocity_gradient: (256.0 * da[0] * b[1], 256.0 * a[0] * db[1],
+                                     -256.0 * db[0] * a[1], -256.0 * b[0] * da[1]),
+        mf.exact_velocity_laplacian: (256.0 * (dda[0] * b[1] + a[0] * ddb[1]),
+                                      -256.0 * (ddb[0] * a[1] + b[0] * dda[1])),
+    }
+    for helper, want in parts.items():
+        for got, expected in zip(helper(x, y), want, strict=True):
+            assert np.array_equal(got, expected), helper.__name__
+    u1, u2 = mf.exact_velocity(x, y)
+    u1x, u1y, u2x, u2y = mf.exact_velocity_gradient(x, y)
+    lap1, lap2 = mf.exact_velocity_laplacian(x, y)
+    px, py = mf.exact_pressure_gradient(x, y)
+    for nu in (0.02, 1.0):
+        f1, f2 = mf.exact_forcing(x, y, nu)
+        assert np.array_equal(f1, -nu * lap1 + u1 * u1x + u2 * u1y + px)
+        assert np.array_equal(f2, -nu * lap2 + u1 * u2x + u2 * u2y + py)
 
 
 def test_forcing_affine_in_viscosity():

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from snsflow import mesh as mesh_module
 from snsflow.checks import audit_mesh
-from snsflow.mesh import build_dof_map, build_structured_mesh
+from snsflow.mesh import DISSECTION_LEAF, build_dof_map, build_structured_mesh
 
 
 def test_smallest_mesh_counts_and_euler():
@@ -206,3 +209,111 @@ def test_mesh_arrays_match_loop_construction(n):
         got = getattr(mesh, name)
         assert got.dtype == want.dtype, name
         np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+def _oracle_saddle_pattern(element_dofs, free, lattice):
+    """The saddle pattern as it was built before the construction from the node
+    adjacency: a np.unique over every element block's (row, col) keys, and an
+    argsort of the free keys."""
+    n, T = len(free), len(element_dofs)
+    vel, prs = element_dofs[:, :12], element_dofs[:, 12:]
+    keys = [vel[:, None, :] * n + vel[:, :, None],   # V: (row u_i, col u_j)
+            vel[:, None, :] * n + prs[:, :, None],   # B: (row p_a, col u_j)
+            prs[:, :, None] * n + vel[:, None, :]]   # B^T: (row u_j, col p_a)
+    unique, slots = np.unique(np.concatenate([k.ravel() for k in keys]),
+                              return_inverse=True)
+    slots = slots.astype(np.intp, copy=False)
+    rows, cols = unique % n, unique // n
+    free_order = np.flatnonzero(free)
+    free_order = free_order[_oracle_nested_dissection(lattice[free_order])]
+    n_free = len(free_order)
+    position = np.full(n, -1)
+    position[free_order] = np.arange(n_free)
+    free_slots = np.flatnonzero(free[rows] & free[cols])
+    free_rows, free_cols = position[rows[free_slots]], position[cols[free_slots]]
+    csc = np.argsort(free_cols * n_free + free_rows)   # keys are distinct
+    indptr = np.searchsorted(unique, n * np.arange(n + 1)).astype(np.int32)
+    indices = rows.astype(np.int32)
+    return mesh_module.SaddlePattern(
+        indptr=indptr,
+        indices=indices,
+        v_slots=slots[:T * 144].reshape(T, 12, 12),
+        div_slots=slots[T * 144:].reshape(2, T, 3, 12),
+        free=free,
+        free_order=free_order,
+        free_slots=free_slots[csc],
+        full_template=mesh_module._csc_template(indptr, indices),
+        free_template=mesh_module._csc_template(
+            np.searchsorted(free_cols[csc], np.arange(n_free + 1)).astype(np.int32),
+            free_rows[csc].astype(np.int32)),
+    )
+
+
+def _oracle_nested_dissection(points):
+    """The nested-dissection order as it was computed before: one Python call
+    per box, each numbering its box or separator on a lattice of ranks."""
+    size = points.max(axis=0) + 1
+    counts = np.zeros(size + 1, dtype=np.intp)
+    counts[1:, 1:] = np.bincount(points[:, 0] * size[1] + points[:, 1],
+                                 minlength=size[0] * size[1]).reshape(size)
+    counts = counts.cumsum(axis=0).cumsum(axis=1)
+    rank = np.empty(size, dtype=np.intp)
+    pieces = 0
+
+    def number(lo, hi):
+        nonlocal pieces
+        rank[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1] = pieces
+        pieces += 1
+
+    def moved(corner, axis, value):
+        corner = corner.copy()
+        corner[axis] = value
+        return corner
+
+    def dissect(lo, hi):
+        inside = (counts[hi[0] + 1, hi[1] + 1] - counts[lo[0], hi[1] + 1]
+                  - counts[hi[0] + 1, lo[1]] + counts[lo[0], lo[1]])
+        if inside > DISSECTION_LEAF:
+            longer = int(hi[1] - lo[1] > hi[0] - lo[0])
+            for axis in (longer, 1 - longer):
+                first, last = lo[axis] + 2 - lo[axis] % 2, hi[axis] - 2 + hi[axis] % 2
+                if first <= last:
+                    cut = min(max(2 * round((lo[axis] + hi[axis]) / 4), first), last)
+                    dissect(lo, moved(hi, axis, cut - 1))
+                    dissect(moved(lo, axis, cut + 1), hi)
+                    number(moved(lo, axis, cut), moved(hi, axis, cut))
+                    return
+        number(lo, hi)
+
+    dissect([0, 0], [int(size[0]) - 1, int(size[1]) - 1])
+    return np.argsort(rank[points[:, 0], points[:, 1]] * len(points) + np.arange(len(points)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 24, 48])
+def test_saddle_pattern_equals_the_sorted_key_construction(n):
+    mesh = build_structured_mesh(n)
+    dofs = build_dof_map(mesh)
+    lattice = np.rint(np.vstack([dofs.node_coords, dofs.node_coords, mesh.vertices])
+                      * (2 * n)).astype(np.intp)
+    want = _oracle_saddle_pattern(dofs.element_dofs, dofs.pattern.free, lattice)
+    got = dofs.pattern
+    for name in ("indptr", "indices", "v_slots", "div_slots", "free", "free_order", "free_slots"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    for template in ("full_template", "free_template"):
+        for name in ("indptr", "indices"):
+            g, w = getattr(getattr(got, template), name), getattr(getattr(want, template), name)
+            assert g.dtype == w.dtype, (template, name)
+            np.testing.assert_array_equal(g, w, err_msg=f"{template}.{name}")
+
+
+def test_dof_map_build_peaks_below_twice_what_it_keeps():
+    mesh = build_structured_mesh(48)
+    tracemalloc.start()
+    try:
+        dofs = build_dof_map(mesh)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dofs.pattern.nnz > 0
+    assert peak <= 2 * kept, (peak, kept)

@@ -1,5 +1,6 @@
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -499,6 +500,24 @@ def test_monolithic_is_newton_krylov_only_from_the_deterministic_start():
         assert len(mono) == cfg.M and all(r.converged for r in mono)
         # a zero start is far from K(xi), so it stays direct Newton
         assert all((r.inner_iterations > 0) == krylov and r.fallbacks == 0 for r in mono)
+
+
+def test_a_newton_start_is_released_once_its_column_has_read_it(monkeypatch):
+    # solve_sample copies a chunk's Newton starts out of its modified block;
+    # each column's task drops its own, so none outlives its column
+    cfg = small_config(M=5)
+    real_solve = solvers.solve_stochastic_full
+    starts, alive = [], []
+
+    def spy(ops, k_xi, noise_load, start=None):
+        alive.append([ref() is not None for ref in starts])
+        starts.append(weakref.ref(start))
+        return real_solve(ops, k_xi, noise_load, start)
+
+    monkeypatch.setattr(solvers, "solve_stochastic_full", spy)
+    stats = _run(cfg, jobs=1)
+    assert _converged(stats, "split") == cfg.M
+    assert alive == [[False] * k for k in range(cfg.M)]
 
 
 def test_the_modified_start_saves_newton_steps(monkeypatch):
