@@ -8,8 +8,9 @@ is one stacked matrix product against them, scaled by the element area.
 Assembled operators are data vectors on the dof map's fixed saddle
 pattern (:class:`snsflow.mesh.SaddlePattern`): element blocks are summed into
 their pattern slots by ``np.bincount``, so operators add as plain arrays and
-``pattern.matrix(data)`` is the sparse matrix. Loads, among them the
-convection vector c(u, u, .), are summed over the same element-dof table.
+``pattern.matrix(data)`` is the sparse matrix. Loads are summed over the
+same element-dof table; the convection vector c(u, u, .) is no load of its
+own, but half the Jacobian N1(u) + N2(u) applied to u.
 Velocity unknowns follow the component-blocked numbering of
 :mod:`snsflow.mesh`. A single assembly call is sequential, distinct calls may
 run concurrently.
@@ -150,12 +151,6 @@ class ElementGeometry:
         self.wphiphi = (self.wphi[:, None, :, None, None] * np.eye(2)[:, None, :, None]
                         * self.phi2[:, None, None, None, :]).reshape(2 * nq, 72)
 
-    def _values_and_gradients(self, dofs: DofMap,
-                              u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(T, 2, nq) values u_i and (T, 2, nq, 2) gradients du_i/dx_j at the points."""
-        coef = u[dofs.element_dofs[:, :12]].reshape(len(self.area), 2, 6)
-        return coef @ self.phi2.T, (coef @ self.grad).reshape(len(coef), 2, -1, 2)
-
 
 def _velocity_data(dofs: DofMap, blocks: np.ndarray) -> np.ndarray:
     """Sum (T, 12, 12) velocity element blocks into data on the saddle pattern."""
@@ -169,11 +164,6 @@ def _both_components(block: np.ndarray) -> np.ndarray:
     out = np.zeros((len(block), 12, 12))
     out[:, :6, :6] = out[:, 6:, 6:] = block
     return out
-
-
-def _transport(wind: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """(wind . grad) f at the points: wind (T, 2, nq), grad (T, k, nq, 2) -> (T, k, nq)."""
-    return grad[..., 0] * wind[:, None, 0] + grad[..., 1] * wind[:, None, 1]
 
 
 def _velocity_load(dofs: DofMap, blocks: np.ndarray) -> np.ndarray:
@@ -219,14 +209,16 @@ def _convection_blocks(dofs: DofMap, w: np.ndarray) -> tuple[np.ndarray, np.ndar
     geom = dofs.geometry
     T, nq = len(geom.area), len(geom.wq)
     area = geom.area[:, None, None]
-    vals, grads = geom._values_and_gradients(dofs, w)
-    adv = _transport(vals, geom.grad.reshape(T, 6, nq, 2))          # (w . grad) phi_b
+    coef = w[dofs.element_dofs[:, :12]].reshape(T, 2, 6)           # one gather of w
+    vals = coef @ geom.phi2.T                                       # w_i at the points
+    grad = geom.grad.reshape(T, 6, nq, 2)
+    adv = grad[..., 0] * vals[:, None, 0] + grad[..., 1] * vals[:, None, 1]  # (w . grad) phi_b
     # stacked small products: one 2-D product of the same sizes crosses
     # OpenBLAS's threading threshold, and the woken worker thread slowed the
     # LU solves after it (n=24 one-column solves 1.2x slower on a 2-vCPU
     # machine with OpenBLAS's default two threads)
     c1 = area * (geom.wphi.T @ adv.transpose(0, 2, 1))
-    ne = (area * grads.reshape(T, 2, 2 * nq)) @ geom.wphiphi        # [t, i, (a, j, b)]
+    ne = (area * (coef @ geom.grad)) @ geom.wphiphi                 # [t, i, (a, j, b)]
     return c1, ne.reshape(T, 12, 12)
 
 
@@ -254,14 +246,6 @@ def convection_terms(dofs: DofMap, w: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """
     c1, blocks = _convection_blocks(dofs, w)
     return _velocity_data(dofs, _both_components(c1)), _velocity_data(dofs, blocks)
-
-
-def assemble_convection_load(dofs: DofMap, u: np.ndarray) -> np.ndarray:
-    """Convection vector c(u, u, .) = N1(u) u, assembled without the matrix."""
-    geom = dofs.geometry
-    vals, grads = geom._values_and_gradients(dofs, u)
-    conv = _transport(vals, grads)                                   # (u . grad) u_i
-    return _velocity_load(dofs, geom.area[:, None, None] * (conv @ geom.wphi))
 
 
 def assemble_load(dofs: DofMap,

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from snsflow import assembly
 from snsflow.assembly import (
     assemble_convection_linearized,
-    assemble_convection_load,
     assemble_divergence,
     assemble_load,
     assemble_noise_load,
@@ -145,6 +144,14 @@ def test_trilinear_value_pins_sign(dofs4):
 
 def test_all_operators_match_dense_oracle():
     assert dense_oracle_max_mismatch(n=2, nu=0.02) <= 1e-10
+
+
+def test_dense_oracle_checks_the_jacobian_the_solvers_run(monkeypatch):
+    # N2 alone in place of N1 + N2: convection_terms still matches the
+    # oracle, so only the comparison of the production Jacobian catches it
+    monkeypatch.setattr(assembly, "assemble_convection_linearized",
+                        lambda dofs, w: convection_terms(dofs, w)[1])
+    assert dense_oracle_max_mismatch(n=2, nu=0.02) > 1e-10
 
 
 def test_load_of_zero_forcing(dofs2):
@@ -308,9 +315,10 @@ def test_element_tables_match_multi_operand_einsum(n):
        scale=st.floats(min_value=1e-3, max_value=1e3))
 @settings(max_examples=25, deadline=None)
 def test_convection_load_is_n1_times_u(dofs4, seed, scale):
+    # the convection vector the Newton residual reads: (1/2) J(u) u
     u = scale * np.random.default_rng(seed).standard_normal(dofs4.n_velocity_dofs)
     want = velocity_block(dofs4, convection_terms(dofs4, u)[0]) @ u
-    got = assemble_convection_load(dofs4, u)
+    got = 0.5 * (velocity_block(dofs4, assemble_convection_linearized(dofs4, u)) @ u)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -328,8 +336,7 @@ def test_one_scatter_jacobian_and_its_convection_vector_match_the_separate_terms
 
     assert rel(conv, n1 + n2) <= 1e-13
     derived = 0.5 * (velocity_block(dofs, conv) @ u)
-    for want in (assemble_convection_load(dofs, u), velocity_block(dofs, n1) @ u,
-                 velocity_block(dofs, n2) @ u):
+    for want in (velocity_block(dofs, n1) @ u, velocity_block(dofs, n2) @ u):
         assert rel(derived, want) <= 1e-13
 
 

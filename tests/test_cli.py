@@ -205,14 +205,33 @@ def test_verify_detects_injected_sign_error(capsys):
 
 
 def test_convection_sign_mutation_fails_exactly_the_assembly_checks():
-    # matrices and residual vector flip together, so the solves stay
-    # consistent and only the checks that pin the sign fail
-    kernels = (assembly.assemble_convection_linearized, assembly.assemble_convection_load)
-    results = checks.run_verification(mutate="convection-sign")
+    # Jacobian and residual flip together in the one kernel, so the solves
+    # stay consistent and only the checks that pin the sign fail; the
+    # convergence study runs under the mutation too, and solves another problem
+    kernel = assembly._convection_blocks
+    results = checks.run_verification(include_convergence=True, mutate="convection-sign")
     failed = {r.name for r in results if not r.passed}
-    assert failed == {"trilinear_value", "dense_assembly_oracle"}
-    assert (assembly.assemble_convection_linearized, assembly.assemble_convection_load) \
-        == kernels
+    assert failed == {"trilinear_value", "dense_assembly_oracle", "manufactured_convergence"}
+    assert assembly._convection_blocks is kernel
+
+
+@pytest.mark.parametrize("level", [4, 16])
+def test_verify_convergence_reports_a_failed_level(monkeypatch, capsys, level):
+    # a level whose deterministic solve fails ends in one FAIL line naming
+    # the level and the reason, not in a traceback
+    real = solvers.solve_deterministic_ns
+
+    def solve(ops, f_load, initial_guess=None):
+        if ops.dofs.mesh.n == level:
+            return (solvers.FEField.zeros(ops.dofs),
+                    solvers.SolveReport(False, 1, float("inf"), failure="planted failure"))
+        return real(ops, f_load, initial_guess)
+
+    monkeypatch.setattr(solvers, "solve_deterministic_ns", solve)
+    assert run_cli("verify", "--convergence") == EXIT_USAGE
+    failed = [line for line in capsys.readouterr().out.splitlines() if "status=FAIL" in line]
+    assert failed == ["check=manufactured_convergence status=FAIL "
+                      f"deterministic solve failed at n={level}: planted failure"]
 
 
 def test_verify_convergence_prints_observed_orders(capsys):
